@@ -3,10 +3,12 @@
 Each generated callback sequence is analyzed as one execution hypothesis:
 instance fields (reached through the shared component entry) and statics
 persist across the callbacks of a sequence and are reset between sequences.
-Within a method, blocks are visited in reverse post order over the de-looped
-CFG; a block with several predecessors merges their isolated OUT_d snapshots
-so taints survive path-local untainting, while straight-line chains pass the
-live table through and keep caller/callee aliasing intact.
+Each method is compiled once per app into a plan: its de-looped CFG's
+blocks in reverse post order, each with the merge it starts from.  A block
+with several predecessors merges their isolated OUT_d snapshots so taints
+survive path-local untainting, while straight-line chains pass the live table
+through and keep caller/callee aliasing intact.  Only blocks that a merge
+reads are snapshotted.
 """
 
 import json
@@ -69,7 +71,6 @@ class AnalysisContext:
     def __init__(self, app, config, budget_secs=600.0, clock=time.monotonic):
         self.app = app
         self.config = config
-        self.context_stack = []       # saved caller frames
         self.method_stack = []        # signatures on the current call chain
         self.warnings = []
         self.killed = False
@@ -82,6 +83,7 @@ class AnalysisContext:
         self.m = 0
         self.sequence = None
         self.segment_index = 0
+        self.plans = {}               # id(MethodDef) -> _compile(method)
 
     def out_of_time(self):
         return self._clock() > self._deadline
@@ -149,8 +151,6 @@ def _run_sequence(app, component, seq, ctx):
         frame = SymbolSpace({}, statics)
         bundle_param = _bind_callback_params(method, frame, instance, bundle)
         _, exit_frame = analyze_method(method, ctx, frame)
-        if exit_frame is None:
-            continue
         # fold the callback's effects back into the persistent component state
         this_entry = exit_frame.regs.get("this")
         if this_entry is not None:
@@ -183,35 +183,68 @@ def _bind_callback_params(method, frame, instance, bundle):
 
 
 def analyze_method(method, ctx, frame):
-    """Alg: de-loop the CFG, walk blocks in RPO, merge at join points.
+    """Alg: walk the de-looped CFG's blocks in RPO, merging at join points.
+
+    The plan is compiled on the method's first call in this app.  The entry
+    block runs on `frame`; a block whose only predecessor has no other
+    successor continues that live frame; any other block, and the exit when
+    there are several, runs on the merge of its predecessors' OUT_d
+    snapshots.  Only blocks with readers are snapshotted: every reader but
+    the last merges a private copy, and the last takes the snapshot itself.
 
     Returns (return-value entry or None, exit frame).
     """
     ctx.check_time()
+    plan = ctx.plans.get(id(method))
+    if plan is None:
+        plan = ctx.plans[id(method)] = _compile(method)
+    steps, exits, readers = plan
+    current = frame
+    snapshots = {}
+    for bid, instrs, merge in steps:
+        if merge:
+            current = merge_spaces([_take(snapshots, p) for p in merge])
+        for instr in instrs:
+            handle_instruction(instr, ctx, current, method)
+        if readers[bid]:
+            # never the live frame itself: it can alias the caller's heap
+            snapshots[bid] = [current.deep_copy(), readers[bid]]
+    if exits:
+        current = merge_spaces([_take(snapshots, e) for e in exits])
+    return current.returned, current
+
+
+def _compile(method):
+    """([(block id, instructions, merged preds)] in RPO, merged exits,
+    {block id: snapshot readers}).  A continued block directly follows its
+    predecessor in a DFS reverse post order, and a DAG's only exit comes
+    last, so neither needs a merge: both use the frame the previous block
+    ran on.
+    """
     dag = remove_back_edges(build_cfg(method))
     order = reverse_post_order(dag)
-    out, out_d = {}, {}
+    readers = dict.fromkeys(order, 0)
+    steps = []
     for bid in order:
         block = dag.blocks[bid]
-        preds = [p for p in block.predecessors if p in out]
-        if bid == dag.entry:
-            current = frame
-        elif len(preds) == 1 and len(dag.blocks[preds[0]].successors) == 1:
-            current = out[preds[0]]
-        else:
-            current = merge_spaces([out_d[p].deep_copy() for p in sorted(preds)])
-        for instr in dag.instructions(block):
-            handle_instruction(instr, ctx, current, method)
-        out[bid] = current
-        out_d[bid] = current.deep_copy()
-    exits = [bid for bid in order if not dag.blocks[bid].successors]
-    if not exits:
-        return None, frame
-    if len(exits) == 1:
-        exit_frame = out[exits[0]]
-    else:
-        exit_frame = merge_spaces([out_d[e].deep_copy() for e in sorted(exits)])
-    return exit_frame.returned, exit_frame
+        merge = sorted(p for p in block.predecessors if p in readers)
+        if bid == dag.entry or (len(merge) == 1 and len(dag.blocks[merge[0]].successors) == 1):
+            merge = ()
+        for p in merge:
+            readers[p] += 1
+        steps.append((bid, dag.instructions(block), merge))
+    exits = sorted(bid for bid in order if not dag.blocks[bid].successors)
+    exits = exits if len(exits) > 1 else []
+    for e in exits:
+        readers[e] += 1
+    return steps, exits, readers
+
+
+def _take(snapshots, bid):
+    """A private copy of block bid's OUT_d snapshot for one of its readers."""
+    held = snapshots[bid]
+    held[1] -= 1
+    return held[0].deep_copy() if held[1] else snapshots.pop(bid)[0]
 
 
 def _lookup(frame, reg, method, instr):
@@ -372,13 +405,11 @@ def _call(target, ctx, frame, receiver, args):
         callee.regs[pname] = bind_copy(actual, pname)
     for pname in params[len(args):]:
         callee.regs[pname] = fresh_entry(pname, MUTABLE_REF)
-    ctx.context_stack.append(frame)
     ctx.method_stack.append(target.full_signature)
     try:
         ret, exit_frame = analyze_method(target, ctx, callee)
     finally:
         ctx.method_stack.pop()
-        ctx.context_stack.pop()
     return ret, exit_frame
 
 

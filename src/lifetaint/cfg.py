@@ -29,10 +29,6 @@ class Cfg:
         self.method = method
         self.blocks = blocks
         self.entry = entry
-        self.idom = {}
-
-    def block(self, bid):
-        return self.blocks[bid]
 
     def edges(self):
         return [(b.id, s) for b in self.blocks for s in b.successors]
@@ -128,38 +124,36 @@ def compute_dominators(cfg):
     return dom
 
 
-def _immediate_dominators(dom, entry):
-    idom = {}
-    for b, ds in dom.items():
-        if b == entry:
-            continue
-        strict = ds - {b}
-        # the immediate dominator is the strict dominator dominated by all others
-        for cand in strict:
-            if all(cand in dom[o] or o == cand for o in strict):
-                idom[b] = cand
-    return idom
+def _dfs(blocks, entry, back_edge):
+    """Iterative depth-first walk from entry, successors in list order.
+
+    Calls back_edge(u, v) for every edge into a block still on the walk's
+    stack (the callback may drop that edge) and returns the visited blocks
+    in post order.
+    """
+    post = []
+    state = {entry: 1}          # 1: on the stack, 2: finished
+    stack = [(entry, iter(list(blocks[entry].successors)))]
+    while stack:
+        node, succs = stack[-1]
+        for s in succs:
+            if state.get(s) == 1:
+                back_edge(node, s)
+            elif s not in state:
+                state[s] = 1
+                stack.append((s, iter(list(blocks[s].successors))))
+                break
+        else:
+            state[node] = 2
+            stack.pop()
+            post.append(node)
+    return post
 
 
 def _has_cycle(blocks, entry):
-    state = {}
-    stack = [(entry, iter(blocks[entry].successors))]
-    state[entry] = 1
-    while stack:
-        node, it = stack[-1]
-        advanced = False
-        for s in it:
-            if state.get(s) == 1:
-                return True
-            if s not in state:
-                state[s] = 1
-                stack.append((s, iter(blocks[s].successors)))
-                advanced = True
-                break
-        if not advanced:
-            state[node] = 2
-            stack.pop()
-    return False
+    back = []
+    _dfs(blocks, entry, lambda u, v: back.append(v))
+    return bool(back)
 
 
 def _natural_loop(cfg, tail, header):
@@ -221,45 +215,20 @@ def remove_back_edges(cfg):
             "%s: irreducible control flow, falling back to DFS edge classification",
             cfg.method.full_signature,
         )
-        state = {}
+        _dfs(out.blocks, out.entry, drop_edge)
 
-        def classify(node):
-            state[node] = 1
-            for s in list(out.blocks[node].successors):
-                if state.get(s) == 1:
-                    drop_edge(node, s)
-                elif s not in state:
-                    classify(s)
-            state[node] = 2
-
-        classify(out.entry)
-
-    out.idom = _immediate_dominators(compute_dominators(out), out.entry)
     return out
 
 
 def reverse_post_order(cfg):
     """Reachable block ids, every block after all of its predecessors."""
-    order = []
-    seen = set()
 
-    def visit(b):
-        seen.add(b)
-        for s in cfg.blocks[b].successors:
-            if s not in seen:
-                visit(s)
-        order.append(b)
+    def cyclic(u, v):
+        raise RuntimeError(
+            "reverse_post_order called on a cyclic graph (%s)" % cfg.method.full_signature
+        )
 
-    visit(cfg.entry)
-    rpo = list(reversed(order))
-    pos = {b: i for i, b in enumerate(rpo)}
-    for b in rpo:
-        for s in cfg.blocks[b].successors:
-            if s in pos and pos[s] <= pos[b]:
-                raise RuntimeError(
-                    "reverse_post_order called on a cyclic graph (%s)" % cfg.method.full_signature
-                )
-    return rpo
+    return list(reversed(_dfs(cfg.blocks, cfg.entry, cyclic)))
 
 
 def to_dot(cfg):

@@ -99,15 +99,12 @@ class ClassDef:
     static_fields: list
     methods: list
 
-    def method_by_sig(self, sig):
-        for m in self.methods:
-            if m.sig == sig:
-                return m
-        return None
+    def __post_init__(self):
+        # name -> the first method with that name
+        self._by_name = {m.name: m for m in reversed(self.methods)}
 
     def method_by_name(self, name):
-        hits = [m for m in self.methods if m.name == name]
-        return hits[0] if hits else None
+        return self._by_name.get(name)
 
 
 @dataclass

@@ -278,6 +278,7 @@ def _derive_paths_locked(model):
         walk(model.states[model.initial], None, None, [])
     finally:
         model.reset_colors()
+        del walk  # its closure refers to itself: free it without the cyclic GC
     return results
 
 

@@ -95,10 +95,6 @@ def collect_taints(entry):
     return tags
 
 
-def is_tainted(entry):
-    return bool(collect_taints(entry))
-
-
 class SymbolSpace:
     """The layered symbol tables a method executes against.
 

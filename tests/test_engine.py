@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from lifetaint import analysis
 from lifetaint.analysis import (
     AnalysisContext, _run_sequence, analyze_component, analyze_method,
 )
@@ -416,6 +417,35 @@ class TestDiscontinuity:
         report = analyze_app(corpus_app("async_task"), models, config, m_max=1)
         sinks = {w.sink_api for w in report.warnings}
         assert sinks == {"Log.e/2", "Log.i/2"}  # doInBackground and onPostExecute
+
+
+class TestCompiledPlans:
+    def test_each_method_compiled_once_per_app(self, models, config, monkeypatch):
+        built = []
+        real_build_cfg = analysis.build_cfg
+
+        def counting_build_cfg(method):
+            built.append(method)
+            return real_build_cfg(method)
+
+        monkeypatch.setattr(analysis, "build_cfg", counting_build_cfg)
+        first, second = corpus_app("motivating_example"), corpus_app("motivating_example")
+        assert analyze_app(first, models, config, m_max=2).sequences_analyzed > 1
+        n = len(built)
+        assert analyze_app(second, models, config, m_max=2).sequences_analyzed > 1
+        # one build per method an app runs, and the second app builds its own
+        assert n > 0 and len({id(m) for m in built}) == len(built) == 2 * n
+        assert [m.full_signature for m in built[:n]] == [m.full_signature for m in built[n:]]
+
+    def test_long_branch_chain_analyzes_without_recursion(self, models, config):
+        n = 1200
+        app = make_app(
+            [["CONST_NUM", "c", 1]] + [["IF_GOTO", "c", "end"]] * n + [["RETURN_VOID"]],
+            labels={"end": n + 1},
+        )
+        report = analyze_app(app, models, config, m_max=1)
+        assert report.finished and report.error is None
+        assert report.m_reached == 1 and not report.warnings
 
 
 class TestSequenceState:

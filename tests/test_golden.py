@@ -1,12 +1,22 @@
-"""Golden anchors: the event/callback table and the derived sequence lists.
+"""Golden anchors: the event/callback table, the derived sequence lists and
+the corpus reports.
 
 These pin the bundled model encodings; any change to transition order or
-guards shows up here first.
+guards shows up here first.  The reports in golden_reports/ are each corpus
+app's JSON report at --m-max 3 and must stay byte-identical.
 """
+
+import io
+import os
 
 import pytest
 
+from lifetaint.cli import RunConfig, run
 from lifetaint.lifecycle import callbacks_for_event, derive_event_sequences
+
+from conftest import all_corpus_paths
+
+GOLDEN_REPORTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_reports")
 
 ACTIVITY_EVENT_CALLBACKS = {
     "createActivity": ["onCreate", "onStart", "onPostCreate", "onResume", "onPostResume"],
@@ -124,3 +134,12 @@ def test_activity_sequences_golden(models):
 def test_service_sequences_golden(models):
     got = [s.events for s in derive_event_sequences(models["SERVICE"])]
     assert got == SERVICE_SEQUENCES
+
+
+@pytest.mark.parametrize("path", all_corpus_paths(), ids=os.path.basename)
+def test_corpus_report_matches_golden(path):
+    out = io.StringIO()
+    run(RunConfig(app_paths=[path], m_max=3, out=out))
+    name = os.path.splitext(os.path.basename(path))[0]
+    with open(os.path.join(GOLDEN_REPORTS, name + ".json"), encoding="utf-8") as fh:
+        assert out.getvalue() == fh.read()
