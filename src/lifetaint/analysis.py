@@ -32,7 +32,13 @@ from .symbols import (
 # same bundle entry is passed to each so stored values round-trip between them
 BUNDLE_CALLBACKS = {"onCreate", "onSaveInstanceState", "onRestoreInstanceState"}
 
-ASYNC_TASK_CHAIN = ("onPreExecute", "doInBackground", "onProgressUpdate", "onPostExecute")
+# (parent kind, invoked method name) -> the callbacks the runtime then runs:
+# a thread's start() runs run(), a task's execute() its four callbacks
+DISCONTINUITIES = {
+    ("THREAD", "start"): ("run",),
+    ("ASYNC_TASK", "execute"): (
+        "onPreExecute", "doInBackground", "onProgressUpdate", "onPostExecute"),
+}
 
 
 class _TimeBudgetExceeded(Exception):
@@ -345,26 +351,18 @@ def handle_invoke(instr, ctx, frame, method):
 
     target = resolve_method(ctx.app, sig)
     if target is not None:
-        if sig in ctx.method_stack:
-            # recursive call: analyzed once already on this chain, skip it
-            if dst is not None:
-                frame.regs[dst] = fresh_entry(dst, IMMUTABLE_REF)
-            return
-        ret, exit_frame = _call(target, ctx, frame, receiver, args)
-        frame.statics = exit_frame.statics
+        ret = _call(target, ctx, frame, receiver, args)
         if dst is not None:
             frame.regs[dst] = bind_copy(ret, dst) if ret is not None else fresh_entry(dst, IMMUTABLE_REF)
         return
 
     cls_name, _, member = sig.rpartition(".")
-    name = member.split("/", 1)[0]
     klass = ctx.app.klass(cls_name)
-    if klass is not None and klass.parent_kind == "THREAD" and name == "start":
-        handle_discontinuity("THREAD", sig, ctx, frame, receiver, args)
-        return
-    if klass is not None and klass.parent_kind == "ASYNC_TASK" and name == "execute":
-        handle_discontinuity("ASYNC_TASK", sig, ctx, frame, receiver, args)
-        return
+    if klass is not None:
+        chain = DISCONTINUITIES.get((klass.parent_kind, member.split("/", 1)[0]))
+        if chain is not None:
+            handle_discontinuity(chain, klass, ctx, frame, receiver, args)
+            return
 
     handler = api_handlers.lookup(sig)
     if handler is not None:
@@ -393,7 +391,14 @@ def _default_invoke(instr, frame, receiver, args, dst):
 
 
 def _call(target, ctx, frame, receiver, args):
-    """Context switch into an app-defined method (Alg lines 11-17)."""
+    """Context switch into an app-defined method (Alg lines 11-17).
+
+    Folds the callee's statics back into `frame` and returns its return
+    value entry.  A recursive call (the target is already on the call chain,
+    so it was analyzed once there) is skipped and returns None.
+    """
+    if target.full_signature in ctx.method_stack:
+        return None
     callee = SymbolSpace({}, frame.statics)
     params = list(target.params)
     if params and params[0] == "this":
@@ -410,38 +415,25 @@ def _call(target, ctx, frame, receiver, args):
         ret, exit_frame = analyze_method(target, ctx, callee)
     finally:
         ctx.method_stack.pop()
-    return ret, exit_frame
+    frame.statics = exit_frame.statics
+    return ret
 
 
-def handle_discontinuity(class_kind, trigger, ctx, frame, receiver, args):
-    """Implicit control transfers the runtime performs: a thread's start()
-    runs run(); a task's execute() runs its four callbacks in order, with
-    execute's arguments passed to doInBackground."""
-    cls_name = trigger.rpartition(".")[0]
-    klass = ctx.app.klass(cls_name)
-    if klass is None:
-        return
-    if class_kind == "THREAD":
-        run = klass.method_by_name("run")
-        if run is None or run.full_signature in ctx.method_stack:
-            return
-        _, exit_frame = _call(run, ctx, frame, receiver, [])
-        frame.statics = exit_frame.statics
-        return
-    if class_kind == "ASYNC_TASK":
-        carried = None
-        for cb_name in ASYNC_TASK_CHAIN:
-            cb = klass.method_by_name(cb_name)
-            if cb is None or cb.full_signature in ctx.method_stack:
-                continue
-            if cb_name == "doInBackground":
-                cb_args = args
-            elif cb_name == "onPostExecute" and carried is not None:
-                cb_args = [carried]
-            else:
-                cb_args = []
-            ret, exit_frame = _call(cb, ctx, frame, receiver, cb_args)
-            frame.statics = exit_frame.statics
-            if cb_name == "doInBackground":
-                carried = ret
-        return
+def handle_discontinuity(chain, klass, ctx, frame, receiver, args):
+    """Implicit control transfers the runtime performs: run the callbacks
+    of `chain` that `klass` implements, in order, with the trigger's
+    arguments passed to doInBackground and its result to onPostExecute."""
+    carried = None
+    for cb_name in chain:
+        cb = klass.method_by_name(cb_name)
+        if cb is None:
+            continue
+        if cb_name == "doInBackground":
+            cb_args = args
+        elif cb_name == "onPostExecute" and carried is not None:
+            cb_args = [carried]
+        else:
+            cb_args = []
+        ret = _call(cb, ctx, frame, receiver, cb_args)
+        if cb_name == "doInBackground":
+            carried = ret

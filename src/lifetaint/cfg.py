@@ -1,10 +1,10 @@
 """Per-method control-flow graphs: construction, de-looping, block ordering.
 
 Back edges (target dominates source) are removed after dominator analysis;
-for each removed edge a replacement edge from the end of the loop body to the
-loop's exit successors is added when it does not reintroduce a cycle, so the
-merge at the loop exit still sees the body's effects.  The result is a DAG
-suitable for a single reverse-post-order pass.
+then for each removed edge a replacement edge from the end of the loop body
+to the loop's exit successors is added when it does not reintroduce a cycle,
+so the merge at the loop exit still sees the body's effects.  The result is a
+DAG suitable for a single reverse-post-order pass.
 """
 
 import logging
@@ -88,21 +88,21 @@ def build_cfg(method):
     return Cfg(method, blocks)
 
 
-def _reachable(cfg):
+def _reachable(blocks, start):
     seen = set()
-    stack = [cfg.entry]
+    stack = [start]
     while stack:
         b = stack.pop()
         if b in seen:
             continue
         seen.add(b)
-        stack.extend(cfg.blocks[b].successors)
+        stack.extend(blocks[b].successors)
     return seen
 
 
 def compute_dominators(cfg):
     """Iterative dominator sets over reachable blocks: dom[b] = {b} ∪ ∩ dom(preds)."""
-    reach = _reachable(cfg)
+    reach = _reachable(cfg.blocks, cfg.entry)
     dom = {b: set(reach) for b in reach}
     dom[cfg.entry] = {cfg.entry}
     changed = True
@@ -150,12 +150,6 @@ def _dfs(blocks, entry, back_edge):
     return post
 
 
-def _has_cycle(blocks, entry):
-    back = []
-    _dfs(blocks, entry, lambda u, v: back.append(v))
-    return bool(back)
-
-
 def _natural_loop(cfg, tail, header):
     body = {header, tail}
     work = [tail]
@@ -181,41 +175,42 @@ def _copy(cfg):
 def remove_back_edges(cfg):
     """Return a de-looped copy of the CFG.
 
-    Every edge whose target dominates its source is dropped; the source (the
-    end of the loop body) instead feeds the loop's exit successors so merges
-    past the loop still combine the body's state.  Irreducible graphs fall
-    back to DFS edge classification with a warning.
+    First every edge whose target dominates its source is dropped; an
+    irreducible graph still cyclic after that falls back to DFS edge
+    classification, with a warning.  Then each loop's tail (the end of its
+    body) feeds the loop's exit successors so merges past the loop still
+    combine the body's state; such a replacement edge is kept whenever it
+    leaves the graph acyclic, i.e. its target cannot reach the tail.
     """
     out = _copy(cfg)
     dom = compute_dominators(out)
-    reach = set(dom)
-    back = [(b.id, s) for b in out.blocks if b.id in reach
-            for s in b.successors if s in dom.get(b.id, ())]
+    back = [(b.id, s) for b in out.blocks if b.id in dom
+            for s in b.successors if s in dom[b.id]]
 
     def drop_edge(u, v):
         out.blocks[u].successors.remove(v)
         out.blocks[v].predecessors.remove(u)
 
-    def add_edge(u, v):
-        if v not in out.blocks[u].successors:
-            out.blocks[u].successors.append(v)
-            out.blocks[v].predecessors.append(u)
-
     for (tail, header) in back:
-        body = _natural_loop(cfg, tail, header)
         drop_edge(tail, header)
-        exits = [s for s in out.blocks[header].successors if s not in body]
-        for ex in exits:
-            add_edge(tail, ex)
-            if _has_cycle(out.blocks, out.entry):
-                drop_edge(tail, ex)
 
-    if _has_cycle(out.blocks, out.entry):
+    retreating = []
+    _dfs(out.blocks, out.entry, lambda u, v: retreating.append((u, v)))
+    if retreating:
         log.warning(
             "%s: irreducible control flow, falling back to DFS edge classification",
             cfg.method.full_signature,
         )
-        _dfs(out.blocks, out.entry, drop_edge)
+    for (u, v) in retreating:
+        drop_edge(u, v)
+
+    for (tail, header) in back:
+        body = _natural_loop(cfg, tail, header)
+        exits = [s for s in out.blocks[header].successors if s not in body]
+        for ex in exits:
+            if ex not in out.blocks[tail].successors and tail not in _reachable(out.blocks, ex):
+                out.blocks[tail].successors.append(ex)
+                out.blocks[ex].predecessors.append(tail)
 
     return out
 

@@ -2,14 +2,16 @@
 
 A model is a flat state machine with static states (the component waits for an
 external event) and transient states (left automatically while the current
-event is still being processed).  Event sequences are derived with a colored
-depth-first search: a static state is GREY after its first visit on the
-current path and RED after the second, and a RED state cuts the branch, so
-every loop between static states is unrolled at least once and at most twice.
+event is still being processed).  Event sequences are derived by a
+depth-first search that counts each static state's visits on the current
+path: the goal ends a path when it was visited before or has no exits, and a
+third visit to any static state cuts the branch, so every loop between static
+states is unrolled at least once and at most twice.  Each event's walk
+through transient states ends in a static state; one that comes back to a
+transient state it already passed is cut.  Derivation only reads the model.
 """
 
 import json
-import threading
 from dataclasses import dataclass
 
 from .errors import ModelError
@@ -17,14 +19,11 @@ from .errors import ModelError
 STATIC = "STATIC"
 TRANSIENT = "TRANSIENT"
 
-WHITE, GREY, RED = 0, 1, 2
 
-
-@dataclass
+@dataclass(frozen=True)
 class LifecycleState:
     name: str
     kind: str
-    color: int = WHITE
 
 
 @dataclass(frozen=True)
@@ -75,20 +74,13 @@ class LifecycleModel:
         self._by_source = {}
         for tr in self.transitions:
             self._by_source.setdefault(tr.source, []).append(tr)
-        # derivation mutates state colors, so it is serialized per instance;
-        # the result is deterministic and cached for reuse
-        self._derive_lock = threading.Lock()
-        self._paths_cache = None
+        self._paths_cache = None    # derive_paths(self), cached on first use
 
     def outgoing(self, state_name):
         return self._by_source.get(state_name, [])
 
     def goal_is_terminal(self):
         return not self.outgoing(self.goal)
-
-    def reset_colors(self):
-        for st in self.states.values():
-            st.color = WHITE
 
 
 @dataclass(frozen=True)
@@ -149,8 +141,8 @@ def model_from_dict(doc, source="<dict>"):
     for label, value in (("initial", initial), ("goal", goal)):
         if value not in states:
             raise ModelError("%s: %s state %r is not a declared state" % (source, label, value))
-    if states[initial].kind != STATIC:
-        raise ModelError("%s: initial state %r must be STATIC" % (source, initial))
+        if states[value].kind != STATIC:
+            raise ModelError("%s: %s state %r must be STATIC" % (source, label, value))
 
     events = list(doc["events"])
     callbacks = list(doc.get("callbacks", []))
@@ -187,99 +179,84 @@ def model_from_dict(doc, source="<dict>"):
     return LifecycleModel(kind, states, initial, goal, events, callbacks, transitions)
 
 
-def _matching(model, state, current, previous):
-    """Transitions out of a transient `state` whose guards hold, file order.
+def _exits(model, state_name, current, previous):
+    """Transitions out of a state whose guards hold, in file order.
 
-    'else' transitions fire only when no explicitly guarded sibling matched.
+    A transition processes the event it triggers (static exits) or else the
+    `current` event (transient exits); `previous` is the event triggered
+    before that one.  'else' transitions fire only when no explicitly guarded
+    sibling matched.
     """
     explicit, elses = [], []
-    for tr in model.outgoing(state.name):
+    for tr in model.outgoing(state_name):
         if tr.guard.is_else:
             elses.append(tr)
-        elif tr.guard.matches(current, previous):
+        elif tr.guard.matches(tr.triggers or current, previous):
             explicit.append(tr)
-    return explicit if explicit else elses
+    return explicit or elses
 
 
-def _static_exits(model, state, incoming):
-    """Transitions leaving a static state, filtered by prev-event guards.
+def _settle(model, tr, previous):
+    """Follow the static exit `tr` through transient states to a static one.
 
-    `incoming` is the event whose walk ended in this state, i.e. the last
-    event of the running sequence; guard.event is documentary on static exits
-    (it must equal the triggered event and is checked at load time).
+    Each transient state is left by its first matching transition.  Returns
+    (callbacks, static state name), or (callbacks, None) when the chain comes
+    back to a transient state it already passed.
     """
-    explicit, elses = [], []
-    for tr in model.outgoing(state.name):
-        if tr.guard.is_else:
-            elses.append(tr)
-        elif tr.guard.prev_event is None or tr.guard.prev_event == incoming:
-            explicit.append(tr)
-    return explicit if explicit else elses
+    event, callbacks, passed = tr.triggers, tr.callbacks, set()
+    while model.states[tr.destination].kind == TRANSIENT:
+        name = tr.destination
+        if name in passed:
+            return callbacks, None
+        passed.add(name)
+        matches = _exits(model, name, event, previous)
+        if not matches:
+            raise ModelError(
+                "stuck machine: transient state %r has no transition for event %r"
+                % (name, event)
+            )
+        tr = matches[0]
+        callbacks += tr.callbacks
+    return callbacks, tr.destination
 
 
 def derive_paths(model):
-    """Run the colored DFS and return every emitted path as a list of Steps.
+    """Run the depth-first derivation and return every path as a list of Steps.
 
     Paths whose event sequences coincide are all returned (guards over
     statically unknown conditions make the walk nondeterministic, e.g. the
     two possible outcomes of unbinding a started service); callers decide
-    which level of deduplication they need.
+    which level of deduplication they need.  The result is cached on the
+    model.
     """
-    with model._derive_lock:
-        if model._paths_cache is None:
-            model._paths_cache = _derive_paths_locked(model)
+    if model._paths_cache is None:
+        paths = []
+        _walk(model, model.initial, None, {}, [], paths)
+        model._paths_cache = paths
     return model._paths_cache
 
 
-def _derive_paths_locked(model):
-    for st in model.states.values():
-        if st.color != WHITE:
-            raise ModelError("state %r not WHITE before derivation" % st.name)
-    goal_terminal = model.goal_is_terminal()
-    results = []
-
-    def walk(state, event, prev_event, path):
-        if state.name == model.goal and (state.color != WHITE or goal_terminal):
-            results.append(list(path))
-            return
-        if state.color == RED and state.kind == STATIC:
-            return
-        if state.kind == STATIC:
-            saved = state.color
-            state.color = GREY if saved == WHITE else RED
-            # In a static state the walk of the incoming event has finished,
-            # so that event is what prev_event guards are checked against.
-            for tr in _static_exits(model, state, event):
-                nxt = model.states[tr.destination]
-                if nxt is state:  # avoid self-loop
-                    continue
-                step = Step(tr.triggers, tr.callbacks)
-                path.append(step)
-                walk(nxt, tr.triggers, event, path)
-                path.pop()
-            state.color = saved
-        else:
-            matches = _matching(model, state, event, prev_event)
-            if not matches:
-                raise ModelError(
-                    "stuck machine: transient state %r has no transition for event %r"
-                    % (state.name, event)
-                )
-            tr = matches[0]
-            nxt = model.states[tr.destination]
-            if nxt is state:  # avoid self-loop
-                return
-            last = path[-1]
-            path[-1] = Step(last.event, last.callbacks + tr.callbacks)
-            walk(nxt, event, prev_event, path)
-            path[-1] = last
-
-    try:
-        walk(model.states[model.initial], None, None, [])
-    finally:
-        model.reset_colors()
-        del walk  # its closure refers to itself: free it without the cyclic GC
-    return results
+def _walk(model, name, incoming, visits, path, paths):
+    """Extend `path`, which ends in static state `name` after event
+    `incoming`; `visits` counts each static state's visits on `path`."""
+    seen = visits.get(name, 0)
+    if name == model.goal and (seen or model.goal_is_terminal()):
+        paths.append(list(path))
+        return
+    if seen == 2:
+        return
+    visits[name] = seen + 1
+    # In a static state the walk of the incoming event has finished, so that
+    # event is what prev_event guards are checked against.
+    for tr in _exits(model, name, None, incoming):
+        if tr.destination == name:  # avoid self-loop
+            continue
+        callbacks, end = _settle(model, tr, incoming)
+        if end is not None:  # a transient cycle cuts the branch
+            path.append(Step(tr.triggers, callbacks))
+            _walk(model, end, tr.triggers, visits, path, paths)
+            path.pop()
+    visits[name] = seen
 
 
 def derive_event_sequences(model):
@@ -304,20 +281,12 @@ def callbacks_for_event(model, event):
         raise LookupError("unknown event %r" % event)
     for tr in model.transitions:
         if tr.triggers == event:
-            callbacks = list(tr.callbacks)
-            state = model.states[tr.destination]
-            guard_prev = tr.guard.prev_event
-            while state.kind == TRANSIENT:
-                matches = _matching(model, state, event, guard_prev)
-                if not matches:
-                    raise ModelError(
-                        "stuck machine: transient state %r has no transition for event %r"
-                        % (state.name, event)
-                    )
-                nxt = matches[0]
-                callbacks.extend(nxt.callbacks)
-                state = model.states[nxt.destination]
-            return callbacks
+            callbacks, end = _settle(model, tr, tr.guard.prev_event)
+            if end is None:
+                raise ModelError(
+                    "transient cycle: event %r never reaches a static state" % event
+                )
+            return list(callbacks)
     raise LookupError("event %r is never triggered by any transition" % event)
 
 
@@ -329,33 +298,20 @@ def replay_events(model, events):
     """
     results = []
 
-    def advance(state_name, idx, prev_event, path):
+    def advance(name, idx, prev_event, path):
         if idx == len(events):
-            if state_name == model.goal:
+            if name == model.goal:
                 results.append(list(path))
             return
-        state = model.states[state_name]
-        if state.kind != STATIC:
-            return
         event = events[idx]
-        for tr in _static_exits(model, state, prev_event):
-            if tr.triggers != event or tr.destination == state_name:
+        for tr in _exits(model, name, None, prev_event):
+            if tr.triggers != event or tr.destination == name:
                 continue
-            callbacks = list(tr.callbacks)
-            nxt = model.states[tr.destination]
-            ok = True
-            while nxt.kind == TRANSIENT:
-                matches = _matching(model, nxt, event, prev_event)
-                if not matches or matches[0].destination == nxt.name:
-                    ok = False
-                    break
-                callbacks.extend(matches[0].callbacks)
-                nxt = model.states[matches[0].destination]
-            if not ok:
-                continue
-            path.append(Step(event, tuple(callbacks)))
-            advance(nxt.name, idx + 1, event, path)
-            path.pop()
+            callbacks, end = _settle(model, tr, prev_event)
+            if end is not None:  # a transient cycle makes it infeasible
+                path.append(Step(event, callbacks))
+                advance(end, idx + 1, event, path)
+                path.pop()
 
     advance(model.initial, 0, None, [])
     return results

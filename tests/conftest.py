@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -15,6 +17,17 @@ def corpus_path(name):
 
 def corpus_app(name):
     return load_app(corpus_path(name))
+
+
+def run_isolated(args, timeout=60):
+    """Run `python args...` against this checkout's sources in a child
+    process, so a call that never returns fails the test instead of hanging
+    it (subprocess.TimeoutExpired)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=timeout)
 
 
 def all_corpus_paths():
@@ -43,3 +56,24 @@ def tmp_app(tmp_path):
         return str(path)
 
     return write
+
+
+@pytest.fixture()
+def cyclic_models_dir(tmp_path):
+    """A --models directory whose activity machine reaches the transient
+    cycle T1 -> T2 -> T1 through its first createActivity transition; the
+    bundled createActivity transition still follows it."""
+    from lifetaint.cli import _data_path
+
+    base = _data_path("models")
+    doc = json.loads(base.joinpath("activity.json").read_text())
+    doc["states"] += [{"name": "T1", "kind": "TRANSIENT"},
+                      {"name": "T2", "kind": "TRANSIENT"}]
+    doc["transitions"] = [
+        {"from": "AndroidRobot", "to": "T1", "triggers": "createActivity", "callbacks": []},
+        {"from": "T1", "to": "T2", "callbacks": []},
+        {"from": "T2", "to": "T1", "callbacks": []},
+    ] + doc["transitions"]
+    (tmp_path / "activity.json").write_text(json.dumps(doc))
+    (tmp_path / "service.json").write_text(base.joinpath("service.json").read_text())
+    return str(tmp_path)

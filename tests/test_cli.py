@@ -8,7 +8,7 @@ from lifetaint.cli import RunConfig, analyze_app, main, run
 from lifetaint.errors import ConfigError
 from lifetaint.sequences import build_plan
 
-from conftest import all_corpus_paths, corpus_app, corpus_path
+from conftest import all_corpus_paths, corpus_app, corpus_path, run_isolated
 
 
 def run_cli(paths, **kw):
@@ -181,6 +181,20 @@ class TestArgs:
     def test_main_bad_config_exit_1(self, capsys):
         status = main(["--app", "x.app", "--models", "/nope"])
         assert status == 1
+
+    def test_python_dash_m(self):
+        result = run_isolated(["-m", "lifetaint", "--app", corpus_path("sms_hardcoded")])
+        assert (result.returncode, result.stderr) == (0, "")
+        assert json.loads(result.stdout)["app_id"] == "sms_hardcoded"
+
+    def test_transient_cycle_model_keeps_the_batch(self, cyclic_models_dir):
+        # the cycle only cuts derivation branches; the bundled createActivity
+        # transition still yields every path, so the reports do not change
+        paths = [corpus_path("flow_sensitivity"), corpus_path("recursion")]
+        status, text = run_cli(paths, models_dir=cyclic_models_dir)
+        assert status == 0
+        assert len(_split_json(text)) == 2
+        assert text == run_cli(paths)[1]
 
 
 def _split_json(text):

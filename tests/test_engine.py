@@ -448,6 +448,25 @@ class TestCompiledPlans:
         assert report.m_reached == 1 and not report.warnings
 
 
+class TestLoops:
+    @pytest.mark.parametrize("second_loop", [False, True])
+    def test_loop_body_flow_reaches_code_after_loop(self, config, second_loop):
+        # the first loop's body taints x; an empty second loop before the sink
+        # must not cut the body's flow past the first loop
+        loop2 = [["IF_GOTO", "c", "sink"], ["GOTO", "head2"]] if second_loop else []
+        app = make_app([
+            ["CONST_STRING", "x", "clean"],
+            ["CONST_NUM", "c", 1],
+            ["IF_GOTO", "c", "head2"],          # 2: first loop header
+            *taint_instr("x"),
+            ["GOTO", "head1"],
+            *loop2,                             # 6: second loop header
+            *sink_instr("x"),
+            ["RETURN_VOID"],
+        ], labels={"head1": 2, "head2": 6, "sink": 8 if second_loop else 6})
+        assert len(run_main(app, config)) == 1
+
+
 class TestSequenceState:
     def test_fields_reset_between_sequences(self, models, config):
         # onCreate taints a field, onResume sinks it: any single m=1 sequence

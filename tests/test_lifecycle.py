@@ -1,13 +1,18 @@
+import copy
 import json
+import os
+import pickle
 
 import pytest
 
+from lifetaint import load_models
 from lifetaint.errors import ModelError
 from lifetaint.lifecycle import (
-    WHITE, callbacks_for_event, derive_event_sequences, load_model,
+    callbacks_for_event, derive_event_sequences, derive_paths, load_model,
     model_from_dict, replay_events,
 )
 
+from conftest import run_isolated
 
 
 def small_model(**overrides):
@@ -118,12 +123,15 @@ class TestDerivation:
         seqs = derive_event_sequences(model)
         assert [s.events for s in seqs] == [("go",)]
 
-    def test_idempotent(self, models):
-        for model in models.values():
+    def test_idempotent(self):
+        # fresh models: the session fixture's may already hold cached paths
+        for model in load_models().values():
+            states = copy.deepcopy(model.states)
+            transitions = copy.deepcopy(model.transitions)
             first = [s.events for s in derive_event_sequences(model)]
             second = [s.events for s in derive_event_sequences(model)]
             assert first == second
-            assert all(st.color == WHITE for st in model.states.values())
+            assert model.states == states and model.transitions == transitions
 
     def test_savstop_loop_captured_once(self, models):
         seqs = [s.events for s in derive_event_sequences(models["ACTIVITY"])]
@@ -164,6 +172,24 @@ class TestDerivation:
         with pytest.raises(ModelError, match="stuck"):
             derive_event_sequences(model_from_dict(doc))
 
+    def test_replay_of_stuck_transient_raises(self):
+        doc = small_model()
+        doc["events"] = ["go", "other"]
+        doc["transitions"][1]["guard"] = {"event": "other"}
+        with pytest.raises(ModelError, match="stuck"):
+            replay_events(model_from_dict(doc), ("go",))
+
+    def test_goal_must_be_static(self):
+        doc = small_model()
+        doc["goal"] = "Mid"
+        with pytest.raises(ModelError, match="goal state 'Mid' must be STATIC"):
+            model_from_dict(doc)
+
+    def test_model_pickles(self):
+        for kind, model in load_models().items():
+            clone = pickle.loads(pickle.dumps(model))
+            assert derive_paths(clone) == derive_paths(model), kind
+
     def test_else_fires_after_explicit_guards(self):
         doc = {
             "component_kind": "ACTIVITY",
@@ -188,6 +214,47 @@ class TestDerivation:
         seqs = [s.events for s in derive_event_sequences(model_from_dict(doc))]
         assert ("x", "fin") in seqs   # explicit guard takes the x event to A
         assert ("y",) in seqs         # else route straight to the goal
+
+
+def cyclic_model():
+    """`go` enters the transient cycle T1 -> T2 -> T1 and never settles."""
+    return small_model(
+        states=[{"name": "Init", "kind": "STATIC"}, {"name": "T1", "kind": "TRANSIENT"},
+                {"name": "T2", "kind": "TRANSIENT"}, {"name": "Goal", "kind": "STATIC"}],
+        transitions=[{"from": "Init", "to": "T1", "triggers": "go", "callbacks": ["onGo"]},
+                     {"from": "T1", "to": "T2", "callbacks": []},
+                     {"from": "T2", "to": "T1", "callbacks": []}],
+    )
+
+
+class TestTransientCycle:
+    def test_derivation_cuts_the_cycle(self):
+        assert derive_paths(model_from_dict(cyclic_model())) == []
+
+    def test_other_branches_survive(self, cyclic_models_dir, models):
+        model = load_model(os.path.join(cyclic_models_dir, "activity.json"))
+        assert derive_paths(model) == derive_paths(models["ACTIVITY"])
+
+    def _child(self, body):
+        script = (
+            "from lifetaint.errors import ModelError\n"
+            "from lifetaint.lifecycle import callbacks_for_event, model_from_dict, replay_events\n"
+            "m = model_from_dict(%r)\n" % cyclic_model()
+        ) + body
+        result = run_isolated(["-c", script])
+        assert result.returncode == 0, result.stderr
+        return result.stdout
+
+    def test_callback_lookup_raises(self):
+        out = self._child(
+            "try:\n"
+            "    callbacks_for_event(m, 'go')\n"
+            "except ModelError as exc:\n"
+            "    print(exc)\n")
+        assert "transient cycle" in out
+
+    def test_replay_is_infeasible(self):
+        assert self._child("print(replay_events(m, ('go',)))\n") == "[]\n"
 
 
 def _state_paths(model, events):
