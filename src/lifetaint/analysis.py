@@ -1,14 +1,17 @@
 """The taint engine: per-sequence, per-method abstract interpretation.
 
 Each generated callback sequence is analyzed as one execution hypothesis:
-instance fields (reached through the shared component entry) and statics
-persist across the callbacks of a sequence and are reset between sequences.
+the component instance, its saved-state bundle and the statics persist
+across the callbacks of a sequence and are reset between sequences.  They
+are the registers and statics of the sequence's outermost symbol space, and
+each callback runs one level deeper on its method stack, as does every app
+method call: a call hands its caller the callee's whole exit heap.
 Each method is compiled once per app into a plan: its de-looped CFG's
 blocks in reverse post order, each with the merge it starts from.  A block
-with several predecessors merges their isolated OUT_d snapshots so taints
+with several predecessors merges its predecessors' OUT_d snapshots so taints
 survive path-local untainting, while straight-line chains pass the live table
-through and keep caller/callee aliasing intact.  Only blocks that a merge
-reads are snapshotted.
+through.  Only blocks that a merge reads are snapshotted, and a block's last
+reader takes its frame itself.
 """
 
 import json
@@ -23,13 +26,13 @@ from .errors import AnalysisError, ConfigError
 from .ir import resolve_method
 from .sequences import generate_m_way
 from .symbols import (
-    COLLECTION, IMMUTABLE_REF, MUTABLE_REF, PRIMITIVE,
+    COLLECTION, IMMUTABLE_REF, PRIMITIVE,
     Entry, EntryDetails, SymbolSpace, TaintTag,
     bind_copy, collect_taints, const_entry, fresh_entry, merge_spaces,
 )
 
-# life-cycle callbacks that receive the component's saved-state bundle; the
-# same bundle entry is passed to each so stored values round-trip between them
+# life-cycle callbacks that receive the component's saved-state bundle as
+# their first argument; it is one object, so stored values round-trip
 BUNDLE_CALLBACKS = {"onCreate", "onSaveInstanceState", "onRestoreInstanceState"}
 
 # (parent kind, invoked method name) -> the callbacks the runtime then runs:
@@ -81,7 +84,6 @@ class AnalysisContext:
         self.warnings = []
         self.killed = False
         self.sequences_analyzed = 0
-        self.sequence_index = 0
         self._clock = clock
         self._deadline = clock() + budget_secs
         # current sequence bookkeeping, used to describe warnings
@@ -108,7 +110,6 @@ class AnalysisContext:
             "component": self.component,
             "m": self.m,
             "event_trace": self.event_trace(),
-            "sequence_index": self.sequence_index,
         }
 
     def record_leak(self, tags, sink_api, location):
@@ -117,7 +118,7 @@ class AnalysisContext:
             {t.source_api for t in tags},
             sink_api,
             source_locations(tags) + [sink_location(sink_api, location)],
-            self.component, self.m, self.event_trace(), self.sequence_index,
+            self.component, self.m, self.event_trace(),
         ))
 
 
@@ -140,52 +141,20 @@ def analyze_component(app, component, plan, ctx):
             break
         finally:
             ctx.sequence = None
-        ctx.sequence_index += 1
         ctx.sequences_analyzed += 1
     return ctx.warnings[before:]
 
 
 def _run_sequence(app, component, seq, ctx):
-    instance = fresh_entry("this", MUTABLE_REF, class_name=component.class_name)
-    bundle = fresh_entry("savedState", MUTABLE_REF, class_name="Bundle")
-    statics = {}
+    # the outermost level of the method stack holds the component instance
+    # and its saved-state bundle; each callback is called from it
+    state = SymbolSpace({"this": fresh_entry(), "savedState": fresh_entry()})
     for callback, seg_idx in seq.steps():
         ctx.segment_index = seg_idx
         method = component.klass.method_by_name(callback)
-        if method is None:
-            continue
-        frame = SymbolSpace({}, statics)
-        bundle_param = _bind_callback_params(method, frame, instance, bundle)
-        _, exit_frame = analyze_method(method, ctx, frame)
-        # fold the callback's effects back into the persistent component state
-        this_entry = exit_frame.regs.get("this")
-        if this_entry is not None:
-            instance.details = this_entry.details
-        if bundle_param is not None:
-            entry = exit_frame.regs.get(bundle_param)
-            # the marker name survives merges but not re-binding, so a
-            # reassigned parameter register does not hijack the bundle
-            if entry is not None and entry.name == "savedState":
-                bundle.details = entry.details
-        statics = exit_frame.statics
-
-
-def _bind_callback_params(method, frame, instance, bundle):
-    """Bind a top-level callback's formals; returns the name of the
-    parameter that received the shared saved-state bundle, if any."""
-    params = list(method.params)
-    bundle_param = None
-    if params and params[0] == "this":
-        frame.regs["this"] = instance.shallow_copy("this")
-        params = params[1:]
-    for i, pname in enumerate(params):
-        if i == 0 and method.name in BUNDLE_CALLBACKS:
-            shared = bundle.shallow_copy("savedState")
-            frame.regs[pname] = shared
-            bundle_param = pname
-        else:
-            frame.regs[pname] = fresh_entry(pname, MUTABLE_REF)
-    return bundle_param
+        if method is not None:
+            bundle = [state.regs["savedState"]] if callback in BUNDLE_CALLBACKS else []
+            _call(method, ctx, state, state.regs["this"], bundle)
 
 
 def analyze_method(method, ctx, frame):
@@ -195,8 +164,12 @@ def analyze_method(method, ctx, frame):
     block runs on `frame`; a block whose only predecessor has no other
     successor continues that live frame; any other block, and the exit when
     there are several, runs on the merge of its predecessors' OUT_d
-    snapshots.  Only blocks with readers are snapshotted: every reader but
-    the last merges a private copy, and the last takes the snapshot itself.
+    snapshots.  A block with readers holds its frame itself as its OUT_d:
+    every reader but the last merges a private copy, and the last takes the
+    frame.  Every successor of such a block merges, so the frame is left
+    untouched until its readers take it; and the caller adopts the exit
+    frame's heap, so even the entry frame, which shares the caller's tables,
+    is handed on.
 
     Returns (return-value entry or None, exit frame).
     """
@@ -213,8 +186,7 @@ def analyze_method(method, ctx, frame):
         for instr in instrs:
             handle_instruction(instr, ctx, current, method)
         if readers[bid]:
-            # never the live frame itself: it can alias the caller's heap
-            snapshots[bid] = [current.deep_copy(), readers[bid]]
+            snapshots[bid] = [current, readers[bid]]
     if exits:
         current = merge_spaces([_take(snapshots, e) for e in exits])
     return current.returned, current
@@ -247,7 +219,8 @@ def _compile(method):
 
 
 def _take(snapshots, bid):
-    """A private copy of block bid's OUT_d snapshot for one of its readers."""
+    """Block bid's OUT_d for one of its readers: a private copy, or the
+    frame itself for the last reader."""
     held = snapshots[bid]
     held[1] -= 1
     return held[0].deep_copy() if held[1] else snapshots.pop(bid)[0]
@@ -267,35 +240,35 @@ def handle_instruction(instr, ctx, frame, method):
     kind = instr.kind
     ops = instr.operands
     if kind == "CONST_STRING":
-        frame.regs[ops[0]] = const_entry(ops[0], ops[1], IMMUTABLE_REF)
+        frame.regs[ops[0]] = const_entry(ops[1], IMMUTABLE_REF)
     elif kind == "CONST_NUM":
-        frame.regs[ops[0]] = const_entry(ops[0], ops[1], PRIMITIVE)
+        frame.regs[ops[0]] = const_entry(ops[1], PRIMITIVE)
     elif kind == "MOVE":
-        frame.regs[ops[0]] = bind_copy(_lookup(frame, ops[1], method, instr), ops[0])
+        frame.regs[ops[0]] = bind_copy(_lookup(frame, ops[1], method, instr))
     elif kind == "NEW_INSTANCE":
-        frame.regs[ops[0]] = fresh_entry(ops[0], MUTABLE_REF, class_name=ops[1])
+        frame.regs[ops[0]] = fresh_entry()
     elif kind == "IGET":
         obj = _lookup(frame, ops[1], method, instr)
         field = obj.details.fields.get(ops[2])
         if field is None:
-            field = fresh_entry(ops[2], MUTABLE_REF)
+            field = fresh_entry()
             obj.details.fields[ops[2]] = field
-        frame.regs[ops[0]] = bind_copy(field, ops[0])
+        frame.regs[ops[0]] = bind_copy(field)
     elif kind == "IPUT":
         obj = _lookup(frame, ops[0], method, instr)
         src = _lookup(frame, ops[2], method, instr)
-        obj.details.fields[ops[1]] = bind_copy(src, ops[1])
+        obj.details.fields[ops[1]] = bind_copy(src)
     elif kind == "SGET":
         slot = frame.statics.get(ops[1])
         if slot is None:
-            slot = fresh_entry(ops[1], MUTABLE_REF)
+            slot = fresh_entry()
             frame.statics[ops[1]] = slot
-        frame.regs[ops[0]] = bind_copy(slot, ops[0])
+        frame.regs[ops[0]] = bind_copy(slot)
     elif kind == "SPUT":
         src = _lookup(frame, ops[1], method, instr)
-        frame.statics[ops[0]] = bind_copy(src, ops[0])
+        frame.statics[ops[0]] = bind_copy(src)
     elif kind == "COLLECTION_NEW":
-        frame.regs[ops[0]] = fresh_entry(ops[0], COLLECTION)
+        frame.regs[ops[0]] = fresh_entry(COLLECTION)
     elif kind == "COLLECTION_PUT":
         coll = _lookup(frame, ops[0], method, instr)
         src = _lookup(frame, ops[2], method, instr)
@@ -303,9 +276,7 @@ def handle_instruction(instr, ctx, frame, method):
         coll.details.taints |= collect_taints(src)
     elif kind == "COLLECTION_GET":
         coll = _lookup(frame, ops[1], method, instr)
-        frame.regs[ops[0]] = Entry(
-            ops[0], EntryDetails(IMMUTABLE_REF, taints=coll.details.taints)
-        )
+        frame.regs[ops[0]] = Entry(EntryDetails(IMMUTABLE_REF, taints=coll.details.taints))
     elif kind == "IF_GOTO":
         _lookup(frame, ops[0], method, instr)  # condition must exist; control only
     elif kind == "GOTO" or kind == "RETURN_VOID":
@@ -322,16 +293,13 @@ def handle_instruction(instr, ctx, frame, method):
 def handle_invoke(instr, ctx, frame, method):
     sig = instr.signature
     location = (method.class_name, method.sig, instr.index)
-    receiver = None
-    if instr.receiver is not None:
-        receiver = _lookup(frame, instr.receiver, method, instr)
-    args = [_lookup(frame, a, method, instr) for a in instr.args]
+    receiver, args = _operands(frame, instr, method)
     dst = instr.result
 
     if sig in ctx.config.sources:
         tag = TaintTag(sig, location)
         if dst is not None:
-            frame.regs[dst] = Entry(dst, EntryDetails(IMMUTABLE_REF, taints={tag}))
+            frame.regs[dst] = Entry(EntryDetails(IMMUTABLE_REF, taints={tag}))
         return
 
     if sig in ctx.config.sinks or sig in ctx.config.sms_rules:
@@ -346,14 +314,14 @@ def handle_invoke(instr, ctx, frame, method):
             ctx.warnings.extend(detect_sms_attacks(
                 rule, args, ctx.config, location, ctx.warning_context()))
         if dst is not None:
-            frame.regs[dst] = Entry(dst, EntryDetails(IMMUTABLE_REF, taints=tags))
+            frame.regs[dst] = Entry(EntryDetails(IMMUTABLE_REF, taints=tags))
         return
 
     target = resolve_method(ctx.app, sig)
     if target is not None:
         ret = _call(target, ctx, frame, receiver, args)
         if dst is not None:
-            frame.regs[dst] = bind_copy(ret, dst) if ret is not None else fresh_entry(dst, IMMUTABLE_REF)
+            frame.regs[dst] = bind_copy(ret) if ret is not None else fresh_entry(IMMUTABLE_REF)
         return
 
     cls_name, _, member = sig.rpartition(".")
@@ -361,7 +329,7 @@ def handle_invoke(instr, ctx, frame, method):
     if klass is not None:
         chain = DISCONTINUITIES.get((klass.parent_kind, member.split("/", 1)[0]))
         if chain is not None:
-            handle_discontinuity(chain, klass, ctx, frame, receiver, args)
+            handle_discontinuity(chain, klass, ctx, frame, instr, method)
             return
 
     handler = api_handlers.lookup(sig)
@@ -369,7 +337,7 @@ def handle_invoke(instr, ctx, frame, method):
         result = handler(receiver, args)
         if dst is not None:
             frame.regs[dst] = (
-                result.shallow_copy(dst) if result is not None else fresh_entry(dst, IMMUTABLE_REF)
+                result.shallow_copy() if result is not None else fresh_entry(IMMUTABLE_REF)
             )
         return
 
@@ -387,53 +355,73 @@ def _default_invoke(instr, frame, receiver, args, dst):
             receiver.details.taints |= tags
         tags |= collect_taints(receiver)
     if dst is not None:
-        frame.regs[dst] = Entry(dst, EntryDetails(IMMUTABLE_REF, taints=tags))
+        frame.regs[dst] = Entry(EntryDetails(IMMUTABLE_REF, taints=tags))
+
+
+def _operands(frame, instr, method):
+    """An invoke's (receiver entry or None, argument entries)."""
+    receiver = None
+    if instr.receiver is not None:
+        receiver = _lookup(frame, instr.receiver, method, instr)
+    return receiver, [_lookup(frame, a, method, instr) for a in instr.args]
 
 
 def _call(target, ctx, frame, receiver, args):
     """Context switch into an app-defined method (Alg lines 11-17).
 
-    Folds the callee's statics back into `frame` and returns its return
-    value entry.  A recursive call (the target is already on the call chain,
-    so it was analyzed once there) is skipped and returns None.
+    The callee runs one level deeper on `frame`'s method stack.  `frame`
+    then adopts the callee's exit heap (its own and its callers' register
+    tables and the statics, joined over every path through the callee), and
+    the callee's return value entry, from the same heap, is returned.  A
+    recursive call (the target is already on the call chain, so it was
+    analyzed once there) is skipped and returns None.
     """
     if target.full_signature in ctx.method_stack:
         return None
-    callee = SymbolSpace({}, frame.statics)
+    callee = SymbolSpace({}, frame.statics, frame.outer + (frame.regs,))
     params = list(target.params)
     if params and params[0] == "this":
         if receiver is None:
             raise AnalysisError("static call to instance method %s" % target.full_signature)
-        callee.regs["this"] = receiver.shallow_copy("this")
+        callee.regs["this"] = receiver.shallow_copy()
         params = params[1:]
     for pname, actual in zip(params, args):
-        callee.regs[pname] = bind_copy(actual, pname)
+        callee.regs[pname] = bind_copy(actual)
     for pname in params[len(args):]:
-        callee.regs[pname] = fresh_entry(pname, MUTABLE_REF)
+        callee.regs[pname] = fresh_entry()
     ctx.method_stack.append(target.full_signature)
     try:
         ret, exit_frame = analyze_method(target, ctx, callee)
     finally:
         ctx.method_stack.pop()
+    frame.regs, frame.outer = exit_frame.outer[-1], exit_frame.outer[:-1]
     frame.statics = exit_frame.statics
     return ret
 
 
-def handle_discontinuity(chain, klass, ctx, frame, receiver, args):
+# the register that holds doInBackground's result in its caller's table; no
+# IR register name is a tuple
+_CARRIED = ("doInBackground",)
+
+
+def handle_discontinuity(chain, klass, ctx, frame, instr, method):
     """Implicit control transfers the runtime performs: run the callbacks
     of `chain` that `klass` implements, in order, with the trigger's
-    arguments passed to doInBackground and its result to onPostExecute."""
-    carried = None
+    arguments passed to doInBackground and its result to onPostExecute.
+    Each callback hands `frame` a new heap, so the operands are read afresh
+    for each and the result waits in a register of `frame`."""
     for cb_name in chain:
         cb = klass.method_by_name(cb_name)
         if cb is None:
             continue
+        receiver, args = _operands(frame, instr, method)
         if cb_name == "doInBackground":
             cb_args = args
-        elif cb_name == "onPostExecute" and carried is not None:
-            cb_args = [carried]
+        elif cb_name == "onPostExecute" and _CARRIED in frame.regs:
+            cb_args = [frame.regs[_CARRIED]]
         else:
             cb_args = []
         ret = _call(cb, ctx, frame, receiver, cb_args)
-        if cb_name == "doInBackground":
-            carried = ret
+        if cb_name == "doInBackground" and ret is not None:
+            frame.regs[_CARRIED] = ret
+    frame.regs.pop(_CARRIED, None)

@@ -8,8 +8,8 @@ receiver or the result tainted whenever any input is tainted.
 from .symbols import Entry, EntryDetails, IMMUTABLE_REF, collect_taints
 
 
-def _string_result(name, taints, const=None, from_code=False):
-    return Entry(name, EntryDetails(IMMUTABLE_REF, taints=taints,
+def _string_result(taints, const=None, from_code=False):
+    return Entry(EntryDetails(IMMUTABLE_REF, taints=taints,
                                     const_value=const, const_from_code=from_code))
 
 
@@ -37,7 +37,7 @@ def builder_to_string(receiver, args):
     if receiver is None:
         return None
     det = receiver.details
-    return _string_result("str", collect_taints(receiver), det.const_value, det.const_from_code)
+    return _string_result(collect_taints(receiver), det.const_value, det.const_from_code)
 
 
 def string_concat(receiver, args):
@@ -45,13 +45,13 @@ def string_concat(receiver, args):
         return None
     taints = collect_taints(receiver) | collect_taints(args[0])
     const, from_code = _concat_const(receiver.details, args[0].details)
-    return _string_result("concat", taints, const, from_code)
+    return _string_result(taints, const, from_code)
 
 
 def string_value_of(receiver, args):
     src = args[0]
-    return _string_result("valueOf", collect_taints(src),
-                          src.details.const_value, src.details.const_from_code)
+    det = src.details
+    return _string_result(collect_taints(src), det.const_value, det.const_from_code)
 
 
 def string_format(receiver, args):
@@ -59,7 +59,7 @@ def string_format(receiver, args):
     taints = set()
     for a in args:
         taints |= collect_taints(a)
-    return _string_result("formatted", taints)
+    return _string_result(taints)
 
 
 def array_copy(receiver, args):

@@ -118,18 +118,18 @@ def run(config):
         return 1
 
     def run_one(path):
+        app = None
         try:
             app = load_app(path)
-        except (LifetaintError, OSError) as exc:
-            return Report(os.path.basename(path), [], 0, 0, 0.0, True,
-                          error=str(exc)), None
-        try:
             report = analyze_app(app, models, ss_config, config.m_max,
                                  config.budget_secs)
-        except LifetaintError as exc:
-            # internal contract violation: abort this app with a diagnostic,
-            # keep analyzing the rest
-            report = Report(app.app_id, [], 0, 0, 0.0, True, error=str(exc))
+        except Exception as exc:
+            # whatever goes wrong with one app becomes its report's error,
+            # and the rest of the batch is still analyzed
+            error = str(exc) if isinstance(exc, LifetaintError) else (
+                "%s: %s" % (type(exc).__name__, exc))
+            report = Report(app.app_id if app is not None else os.path.basename(path),
+                            [], 0, 0, 0.0, True, error=error)
         return report, app
 
     if config.jobs > 1:

@@ -13,7 +13,7 @@ class Warning:
     """One detected behavior, keyed by its source-API set and sink API."""
 
     def __init__(self, kind, source_apis, sink_api, locations, component,
-                 m, event_trace, sequence_index=0):
+                 m, event_trace):
         self.kind = kind
         self.source_apis = frozenset(source_apis)
         self.sink_api = sink_api
@@ -21,7 +21,6 @@ class Warning:
         self.component = component
         self.m = m
         self.event_trace = tuple(event_trace)
-        self.sequence_index = sequence_index
 
     def key(self):
         return (self.kind, self.source_apis, self.sink_api)
@@ -95,7 +94,6 @@ def detect_sms_attacks(sms_rule, arg_entries, config, location, context):
             SMS_HARDCODED, frozenset(), sms_rule["signature"],
             [sink_location(sms_rule["signature"], location)],
             context["component"], context["m"], context["event_trace"],
-            context["sequence_index"],
         ))
     origin_tags = {
         t for t in collect_taints(recipient)
@@ -106,7 +104,6 @@ def detect_sms_attacks(sms_rule, arg_entries, config, location, context):
             SMS_AUTOREPLY, {t.source_api for t in origin_tags}, sms_rule["signature"],
             source_locations(origin_tags) + [sink_location(sms_rule["signature"], location)],
             context["component"], context["m"], context["event_trace"],
-            context["sequence_index"],
         ))
     return out
 

@@ -51,10 +51,6 @@ class Instruction:
         return self.kind.startswith("INVOKE_")
 
     @property
-    def invoke_kind(self):
-        return self.kind.split("_", 1)[1]
-
-    @property
     def result(self):
         return self.operands[0]
 

@@ -4,7 +4,7 @@ Aliases are realized by identity: entries that alias one object share one
 EntryDetails, so a mutation through any alias is seen by all of them.  A
 shallow copy shares the details object; a deep copy duplicates the whole
 reachable structure while preserving the sharing inside it, which is what
-isolates a block's OUT_d snapshot from later mutation.
+gives each reader of a block's OUT_d but the last a private copy.
 """
 
 from dataclasses import dataclass
@@ -20,36 +20,30 @@ class TaintTag:
     source_api: str
     location: tuple   # (class name, method signature, instruction index)
 
-    def __deepcopy__(self, memo):
-        return self
-
 
 class EntryDetails:
-    __slots__ = ("taints", "fields", "value_kind", "const_value", "const_from_code", "class_name")
+    __slots__ = ("taints", "fields", "value_kind", "const_value", "const_from_code")
 
     def __init__(self, value_kind=MUTABLE_REF, taints=None, const_value=None,
-                 const_from_code=False, class_name=None):
+                 const_from_code=False):
         self.taints = set(taints or ())
         self.fields = {}
         self.value_kind = value_kind
         self.const_value = const_value
         self.const_from_code = const_from_code
-        self.class_name = class_name
 
 
 class Entry:
-    __slots__ = ("name", "details")
+    __slots__ = ("details",)
 
-    def __init__(self, name, details):
-        self.name = name
+    def __init__(self, details):
         self.details = details
 
-    def shallow_copy(self, name=None):
-        return Entry(name if name is not None else self.name, self.details)
+    def shallow_copy(self):
+        return Entry(self.details)
 
-    def deep_copy(self, name=None, memo=None):
-        memo = memo if memo is not None else {}
-        return Entry(name if name is not None else self.name, _copy_details(self.details, memo))
+    def deep_copy(self):
+        return Entry(_copy_details(self.details, {}))
 
 
 def _copy_details(details, memo):
@@ -57,27 +51,27 @@ def _copy_details(details, memo):
     if found is not None:
         return found
     dup = EntryDetails(details.value_kind, details.taints, details.const_value,
-                       details.const_from_code, details.class_name)
+                       details.const_from_code)
     memo[id(details)] = dup
     for fname, fentry in details.fields.items():
-        dup.fields[fname] = Entry(fentry.name, _copy_details(fentry.details, memo))
+        dup.fields[fname] = Entry(_copy_details(fentry.details, memo))
     return dup
 
 
-def fresh_entry(name, kind=MUTABLE_REF, class_name=None):
-    return Entry(name, EntryDetails(kind, class_name=class_name))
+def fresh_entry(kind=MUTABLE_REF):
+    return Entry(EntryDetails(kind))
 
 
-def const_entry(name, value, kind):
-    return Entry(name, EntryDetails(kind, const_value=value, const_from_code=True))
+def const_entry(value, kind):
+    return Entry(EntryDetails(kind, const_value=value, const_from_code=True))
 
 
-def bind_copy(entry, name):
+def bind_copy(entry):
     """Copy semantics for assignment: share details for mutable objects and
     collections, duplicate them for primitives and immutable references."""
     if entry.details.value_kind in (MUTABLE_REF, COLLECTION):
-        return entry.shallow_copy(name)
-    return entry.deep_copy(name)
+        return entry.shallow_copy()
+    return entry.deep_copy()
 
 
 def collect_taints(entry):
@@ -98,28 +92,33 @@ def collect_taints(entry):
 class SymbolSpace:
     """The layered symbol tables a method executes against.
 
-    Registers form the method level, `statics` the global level; the
-    class/instance level is reached through the receiver entry's field list,
-    and the block level is realized by per-block snapshots (OUT/OUT_d) of
-    whole spaces.  Lookup goes innermost-first: a register shadows nothing
-    else because the layers have disjoint name spaces.
+    The method level is a stack: `regs` holds the running method's registers
+    and `outer` its callers' register tables, outermost first, so a copy or
+    merge of the space takes the whole heap the call chain can reach.
+    `statics` is the global level; the class/instance level is reached
+    through the receiver entry's field list, and the block level is realized
+    by per-block snapshots (OUT/OUT_d) of whole spaces.  Lookup goes to
+    `regs` only: the layers have disjoint name spaces.
     """
 
-    __slots__ = ("regs", "statics", "returned")
+    __slots__ = ("regs", "statics", "outer", "returned")
 
-    def __init__(self, regs=None, statics=None):
+    def __init__(self, regs=None, statics=None, outer=()):
         self.regs = regs if regs is not None else {}
         self.statics = statics if statics is not None else {}
+        self.outer = outer
         self.returned = None
 
     def deep_copy(self):
         memo = {}
-        dup = SymbolSpace(
-            {n: Entry(e.name, _copy_details(e.details, memo)) for n, e in self.regs.items()},
-            {n: Entry(e.name, _copy_details(e.details, memo)) for n, e in self.statics.items()},
-        )
+
+        def table(src):
+            return {n: Entry(_copy_details(e.details, memo)) for n, e in src.items()}
+
+        dup = SymbolSpace(table(self.regs), table(self.statics),
+                          tuple(table(t) for t in self.outer))
         if self.returned is not None:
-            dup.returned = Entry(self.returned.name, _copy_details(self.returned.details, memo))
+            dup.returned = Entry(_copy_details(self.returned.details, memo))
         return dup
 
 
@@ -134,7 +133,9 @@ def _merge_details(base, other, seen):
     if base.value_kind != other.value_kind:
         # conflicting kinds collapse to a mutable object, the weakest claim
         base.value_kind = COLLECTION if COLLECTION in (base.value_kind, other.value_kind) else MUTABLE_REF
-    for fname, fentry in other.fields.items():
+    # listed first: an adopted field can alias `other` itself, which a
+    # nested merge then extends
+    for fname, fentry in list(other.fields.items()):
         mine = base.fields.get(fname)
         if mine is None:
             base.fields[fname] = fentry
@@ -145,13 +146,15 @@ def _merge_details(base, other, seen):
 def merge_spaces(frames):
     """Conservative union of isolated symbol spaces (alias structure from the
     first). Taint sets union; constants agree or collapse to "not a
-    constant"; fields merge recursively.  Inputs must already be private
-    copies.
+    constant"; fields merge recursively.  The spaces belong to one
+    activation, so their caller tables pair up.  Inputs must be private:
+    the first is updated in place and returned, the others are consumed.
     """
     base = frames[0]
     seen = set()
     for other in frames[1:]:
-        for table, src in ((base.regs, other.regs), (base.statics, other.statics)):
+        for table, src in zip((base.regs, base.statics) + base.outer,
+                              (other.regs, other.statics) + other.outer):
             for name, entry in src.items():
                 mine = table.get(name)
                 if mine is None:

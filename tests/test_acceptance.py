@@ -169,8 +169,8 @@ def test_criterion_6_property_suites(models, config):
     checks = {}
 
     # alias soundness and merge preservation
-    base = fresh_entry("x", MUTABLE_REF)
-    alias = bind_copy(base, "y")
+    base = fresh_entry(MUTABLE_REF)
+    alias = bind_copy(base)
     tag = TaintTag(GET_DEVICE_ID, ("C", "m/0", 0))
     alias.details.taints.add(tag)
     checks["alias"] = tag in collect_taints(base)
@@ -179,7 +179,7 @@ def test_criterion_6_property_suites(models, config):
     TestListings().test_merge_preserves_out_d_taint(config)
     checks["merge"] = True
 
-    coll = fresh_entry("c", "COLLECTION")
+    coll = fresh_entry("COLLECTION")
     coll.details.taints.add(tag)
     checks["collection"] = tag in coll.details.taints  # nothing ever removes it
 

@@ -104,6 +104,62 @@ class TestRun:
         assert "ghost" in docs[0]["error"]
         assert docs[1]["warnings"]
 
+    def test_merge_that_adopts_its_own_input_gets_a_report(self, tmp_app):
+        # found by a random differential run: a merge adopted an object whose
+        # fields it was still iterating, and the batch died with RuntimeError
+        doc = {"app_id": "r467", "classes": [{
+            "name": "Main", "parent_kind": "ACTIVITY", "methods": [
+                {"sig": "h0/1", "params": ["this", "a"], "labels": {},
+                 "instructions": [["MOVE", "r2", "this"], ["RETURN", "r2"]]},
+                {"sig": "h1/2", "params": ["a", "b"], "labels": {},
+                 "instructions": [
+                     ["INVOKE_VIRTUAL", "r3", "b", "Main.h0/1", ["a"]],
+                     ["IGET", "r0", "r3", "g"],
+                     ["INVOKE_VIRTUAL", "r2", "b", "Main.h0/1", ["b"]],
+                     ["SPUT", "S.x", "r2"]]},
+                {"sig": "onSaveInstanceState/1", "params": ["this", "s"], "labels": {},
+                 "instructions": [["SPUT", "S.x", "this"]]},
+                {"sig": "onClick0/1", "params": ["this", "v"], "labels": {"L0": 5},
+                 "instructions": [
+                     ["IPUT", "this", "f", "v"],
+                     ["IF_GOTO", "this", "L0"],
+                     ["INVOKE_STATIC", "r1", "Main.h2/2", ["v", "v"]],
+                     ["INVOKE_STATIC", "r3", "Main.h1/2", ["r1", "v"]],
+                     ["IPUT", "v", "f", "this"],
+                     ["RETURN_VOID"]]},
+            ]}],
+            "components": [{"class": "Main", "kind": "ACTIVITY",
+                            "aui_callbacks": ["onClick0"], "misc_callbacks": []}]}
+        status, text = run_cli([tmp_app(doc)], m_max=2)
+        report = json.loads(text)
+        assert status == 0 and "error" not in report
+        assert report["sequences_analyzed"] == 16
+        assert (report["warnings"], report["m_reached"]) == ([], 2)
+
+    def test_any_exception_is_only_that_apps_error(self, tmp_app):
+        # a call chain deeper than Python's recursion limit
+        depth = 300
+        chain = [{"sig": "c%d/0" % i, "params": [], "labels": {},
+                  "instructions": [["INVOKE_STATIC", None, "Main.c%d/0" % (i + 1), []],
+                                   ["RETURN_VOID"]]}
+                 for i in range(depth)]
+        chain.append({"sig": "c%d/0" % depth, "params": [], "labels": {},
+                      "instructions": [["RETURN_VOID"]]})
+        deep = tmp_app({
+            "app_id": "deep",
+            "classes": [{"name": "Main", "parent_kind": "ACTIVITY", "methods": [
+                {"sig": "main/0", "params": ["this"], "labels": {},
+                 "instructions": [["INVOKE_STATIC", None, "Main.c0/0", []], ["RETURN_VOID"]]},
+                *chain]}],
+            "components": [{"class": "Main", "kind": "ACTIVITY",
+                            "aui_callbacks": [], "misc_callbacks": ["main"]}],
+        })
+        status, text = run_cli([deep, corpus_path("recursion")])
+        docs = [json.loads(chunk) for chunk in _split_json(text)]
+        assert [d["app_id"] for d in docs] == ["deep", "recursion"]
+        assert docs[0]["error"].startswith("RecursionError: ")
+        assert "error" not in docs[1]
+
     def test_table_format(self):
         status, text = run_cli([corpus_path("sms_hardcoded")], fmt="table")
         assert status == 0

@@ -44,7 +44,7 @@ def run_main(app, config):
     ctx.component, ctx.m = "Main", 1
     method = resolve_method(app, "Main.main/0")
     frame = SymbolSpace()
-    frame.regs["this"] = fresh_entry("this", class_name="Main")
+    frame.regs["this"] = fresh_entry()
     analyze_method(method, ctx, frame)
     return ctx.warnings
 
@@ -402,6 +402,82 @@ class TestContextSensitivity:
         assert sink["instruction"] == 4  # only the tainted call site
 
 
+# two nested branches whose join merges a copy first, so a method that
+# starts with them hands its caller a copied heap
+BRANCH = [["CONST_NUM", "c", 1], ["IF_GOTO", "c", "mid"], ["IF_GOTO", "c", "join"],
+          ["CONST_NUM", "d", 2]]
+
+
+def helper(sig, params, body, branchy):
+    """An app method; a branchy one runs `BRANCH` first."""
+    return {"sig": sig, "params": params,
+            "instructions": (BRANCH if branchy else []) + body + [["RETURN_VOID"]],
+            "labels": {"mid": 3, "join": 4} if branchy else {}}
+
+
+class TestCallEffects:
+    """A call's effects reach the caller along every path through the
+    callee, however the callee's frames were copied and merged."""
+
+    @pytest.mark.parametrize("branchy", [False, True])
+    @pytest.mark.parametrize("target", ["this", "o"])
+    def test_field_stored_by_helper_reaches_caller(self, config, target, branchy):
+        store = helper("store/1", ["this", "o"], [
+            *taint_instr("w"),
+            ["IPUT", target, "f", "w"],
+        ], branchy)
+        app = make_app([
+            ["NEW_INSTANCE", "o", "Obj"],
+            ["INVOKE_VIRTUAL", None, "this", "Main.store/1", ["o"]],
+            ["IGET", "v", target, "f"],
+            *sink_instr("v"),
+            ["RETURN_VOID"],
+        ], extra_methods=[store])
+        assert len(run_main(app, config)) == 1
+
+    @pytest.mark.parametrize("branchy", [False, True])
+    def test_branch_only_helper_keeps_static_alias(self, config, branchy):
+        idle = helper("idle/0", ["this"], [], branchy)
+        app = make_app([
+            ["NEW_INSTANCE", "o", "Obj"],
+            ["SPUT", "S.box", "o"],
+            ["INVOKE_VIRTUAL", None, "this", "Main.idle/0", []],
+            *taint_instr("w"),
+            ["IPUT", "o", "f", "w"],
+            ["SGET", "b", "S.box"],
+            ["IGET", "v", "b", "f"],
+            *sink_instr("v"),
+            ["RETURN_VOID"],
+        ], extra_methods=[idle])
+        assert len(run_main(app, config)) == 1
+
+    def test_overwrite_on_every_path_clears_callers_field(self, config):
+        clear = {
+            "sig": "clear/0", "params": ["this"],
+            "instructions": [
+                ["CONST_NUM", "c", 1],
+                ["IF_GOTO", "c", "other"],
+                ["CONST_STRING", "k", "a"],
+                ["IPUT", "this", "f", "k"],
+                ["GOTO", "end"],
+                ["CONST_STRING", "k", "b"],    # 5: other
+                ["IPUT", "this", "f", "k"],
+                ["RETURN_VOID"],               # 7: end
+            ],
+            "labels": {"other": 5, "end": 7},
+        }
+        app = make_app([
+            *taint_instr("w"),
+            ["IPUT", "this", "f", "w"],
+            ["INVOKE_VIRTUAL", None, "this", "Main.clear/0", []],
+            ["IGET", "v", "this", "f"],
+            *sink_instr("v"),
+            ["RETURN_VOID"],
+        ], extra_methods=[clear])
+        # a strong update on every path of the callee holds in the caller
+        assert run_main(app, config) == []
+
+
 class TestDiscontinuity:
     def test_thread_field_leak(self, models, config):
         report = analyze_app(corpus_app("thread_flow"), models, config, m_max=1)
@@ -418,6 +494,29 @@ class TestDiscontinuity:
         sinks = {w.sink_api for w in report.warnings}
         assert sinks == {"Log.e/2", "Log.i/2"}  # doInBackground and onPostExecute
 
+
+    def test_async_chain_follows_the_heap_each_callback_hands_back(self, config):
+        # onPreExecute and onProgressUpdate each hand the caller a copied
+        # heap; the receiver and doInBackground's result must follow it
+        task = {"name": "Task", "parent_kind": "ASYNC_TASK", "static_fields": [], "methods": [
+            helper("onPreExecute/0", ["this"], [], True),
+            {"sig": "doInBackground/1", "params": ["this", "a"], "labels": {},
+             "instructions": [["IGET", "r", "this", "box"], ["RETURN", "r"]]},
+            helper("onProgressUpdate/0", ["this"], [], True),
+            helper("onPostExecute/1", ["this", "res"],
+                   [*taint_instr("w"), ["IPUT", "res", "g", "w"]], False),
+        ]}
+        app = make_app([
+            ["NEW_INSTANCE", "task", "Task"],
+            ["NEW_INSTANCE", "o", "Obj"],
+            ["IPUT", "task", "box", "o"],
+            ["INVOKE_VIRTUAL", None, "task", "Task.execute/1", ["o"]],
+            ["IGET", "b", "task", "box"],
+            ["IGET", "v", "b", "g"],
+            *sink_instr("v"),
+            ["RETURN_VOID"],
+        ], extra_classes=[task])
+        assert len(run_main(app, config)) == 1
 
 class TestCompiledPlans:
     def test_each_method_compiled_once_per_app(self, models, config, monkeypatch):

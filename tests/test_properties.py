@@ -29,7 +29,7 @@ def dig(entry, chain, create=True):
         if nxt is None:
             if not create:
                 return None
-            nxt = fresh_entry(name, MUTABLE_REF)
+            nxt = fresh_entry(MUTABLE_REF)
             cur.details.fields[name] = nxt
         cur = nxt
     return cur
@@ -38,35 +38,35 @@ def dig(entry, chain, create=True):
 class TestAliasSoundness:
     @given(field_chains())
     def test_taint_through_alias_is_visible(self, chain):
-        base = fresh_entry("x", MUTABLE_REF)
-        alias = bind_copy(base, "y")   # shallow: shares details
+        base = fresh_entry(MUTABLE_REF)
+        alias = bind_copy(base)   # shallow: shares details
         dig(alias, chain).details.taints.add(TAG)
         assert TAG in collect_taints(base)
 
     @given(field_chains())
     def test_deep_copy_is_isolated(self, chain):
-        base = fresh_entry("x", MUTABLE_REF)
+        base = fresh_entry(MUTABLE_REF)
         dig(base, chain)
-        dup = base.deep_copy("y")
+        dup = base.deep_copy()
         dig(dup, chain).details.taints.add(TAG)
         assert TAG not in collect_taints(base)
 
     @given(field_chains())
     def test_reassignment_isolation(self, chain):
         # binding a new object to the alias leaves the original untouched
-        base = fresh_entry("x", MUTABLE_REF)
+        base = fresh_entry(MUTABLE_REF)
         dig(base, chain).details.taints.add(TAG)
         before = collect_taints(base)
-        alias = bind_copy(base, "y")
+        alias = bind_copy(base)
         alias.details = EntryDetails(MUTABLE_REF, taints={OTHER})
         assert collect_taints(base) == before
 
     def test_deep_copy_preserves_internal_sharing(self):
-        base = fresh_entry("x", MUTABLE_REF)
-        shared = fresh_entry("s", MUTABLE_REF)
-        base.details.fields["a"] = shared.shallow_copy("a")
-        base.details.fields["b"] = shared.shallow_copy("b")
-        dup = base.deep_copy("y")
+        base = fresh_entry(MUTABLE_REF)
+        shared = fresh_entry(MUTABLE_REF)
+        base.details.fields["a"] = shared.shallow_copy()
+        base.details.fields["b"] = shared.shallow_copy()
+        dup = base.deep_copy()
         dup.details.fields["a"].details.taints.add(TAG)
         assert TAG in collect_taints(dup.details.fields["b"])
         assert TAG not in collect_taints(base)
@@ -76,7 +76,7 @@ class TestCollectionMonotonicity:
     @given(st.lists(st.sampled_from(["put_tainted", "put_clean", "get"]),
                     min_size=1, max_size=30))
     def test_taints_never_shrink_under_element_ops(self, ops):
-        coll = fresh_entry("c", COLLECTION)
+        coll = fresh_entry(COLLECTION)
         high = 0
         for op in ops:
             if op == "put_tainted":
@@ -84,7 +84,7 @@ class TestCollectionMonotonicity:
             elif op == "put_clean":
                 pass  # element overwrite never clears object taint
             else:
-                got = Entry("g", EntryDetails(IMMUTABLE_REF, taints=coll.details.taints))
+                got = Entry(EntryDetails(IMMUTABLE_REF, taints=coll.details.taints))
                 assert len(collect_taints(got)) >= (1 if high else 0)
             assert len(coll.details.taints) >= high
             high = len(coll.details.taints)
