@@ -2,10 +2,13 @@
 
 Each generated callback sequence is analyzed as one execution hypothesis:
 the component instance, its saved-state bundle and the statics persist
-across the callbacks of a sequence and are reset between sequences.  They
-are the registers and statics of the sequence's outermost symbol space, and
-each callback runs one level deeper on its method stack, as does every app
+across the callbacks of a sequence.  They are the registers and statics of
+the component state, the sequence's outermost symbol space, and each
+callback runs one level deeper on its method stack, as does every app
 method call: a call hands its caller the callee's whole exit heap.
+Sequences that start with the same prefix and units share them: the
+sequences are walked as a permutation tree, each unit runs once per tree
+node, and a node's children start from copies of the state it left.
 Each method is compiled once per app into a plan: its de-looped CFG's
 blocks in reverse post order, each with the merge it starts from.  A block
 with several predecessors merges its predecessors' OUT_d snapshots so taints
@@ -35,12 +38,14 @@ from .symbols import (
 # their first argument; it is one object, so stored values round-trip
 BUNDLE_CALLBACKS = {"onCreate", "onSaveInstanceState", "onRestoreInstanceState"}
 
-# (parent kind, invoked method name) -> the callbacks the runtime then runs:
-# a thread's start() runs run(), a task's execute() its four callbacks
+# (parent kind, invoked method name) -> (the callbacks the runtime then runs,
+# whether the call returns its receiver): a thread's start() runs run() and
+# returns nothing, a task's execute() runs its four callbacks and returns the
+# task itself
 DISCONTINUITIES = {
-    ("THREAD", "start"): ("run",),
+    ("THREAD", "start"): (("run",), False),
     ("ASYNC_TASK", "execute"): (
-        "onPreExecute", "doInBackground", "onProgressUpdate", "onPostExecute"),
+        ("onPreExecute", "doInBackground", "onProgressUpdate", "onPostExecute"), True),
 }
 
 
@@ -123,38 +128,75 @@ class AnalysisContext:
 
 
 def analyze_component(app, component, plan, ctx):
-    """Analyze every m-way sequence of the plan; returns the new warnings."""
+    """Analyze every m-way sequence of the plan; returns the new warnings.
+
+    The sequences are the leaves of a permutation tree whose root is the
+    prefix and whose depth-j nodes hold j units.  `generate_m_way` yields
+    them in lexicographic order, which walks that tree depth first, so a
+    sequence runs only the units after the prefix it shares with the one
+    before it, from the state that prefix left.  Each child of a node but
+    the last runs on a private copy of the node's state, and the last child
+    takes the state itself.
+    """
     if not plan.units:
         return []
     ctx.component = component.class_name
     ctx.m = plan.m
     before = len(ctx.warnings)
+    states = []       # states[j]: the state after the prefix and previous[:j]
+    previous = ()
     for seq in generate_m_way(plan):
         if ctx.out_of_time():
             ctx.killed = True
             break
+        combo = seq.unit_indexes
+        k = 0
+        while k < len(previous) and previous[k] == combo[k]:
+            k += 1
+        del states[k + 1:]
         ctx.sequence = seq
         try:
-            _run_sequence(app, component, seq, ctx)
+            if not states:
+                states.append(_fresh_state())
+                _run_segments(component, seq, 0, len(plan.prefix), states[0], ctx)
+            start = len(plan.prefix) + sum(len(plan.units[u].segments) for u in combo[:k])
+            for j in range(k, len(combo)):
+                last_child = max(set(range(len(plan.units))).difference(combo[:j]))
+                state = states[j] if combo[j] == last_child else states[j].deep_copy()
+                stop = start + len(plan.units[combo[j]].segments)
+                _run_segments(component, seq, start, stop, state, ctx)
+                states.append(state)
+                start = stop
         except _TimeBudgetExceeded:
             ctx.killed = True
             break
         finally:
             ctx.sequence = None
+        previous = combo
         ctx.sequences_analyzed += 1
     return ctx.warnings[before:]
 
 
-def _run_sequence(app, component, seq, ctx):
+def _fresh_state():
     # the outermost level of the method stack holds the component instance
     # and its saved-state bundle; each callback is called from it
-    state = SymbolSpace({"this": fresh_entry(), "savedState": fresh_entry()})
-    for callback, seg_idx in seq.steps():
-        ctx.segment_index = seg_idx
-        method = component.klass.method_by_name(callback)
-        if method is not None:
-            bundle = [state.regs["savedState"]] if callback in BUNDLE_CALLBACKS else []
-            _call(method, ctx, state, state.regs["this"], bundle)
+    return SymbolSpace({"this": fresh_entry(), "savedState": fresh_entry()})
+
+
+def _run_sequence(app, component, seq, ctx):
+    """Run one whole sequence from a fresh component state."""
+    _run_segments(component, seq, 0, len(seq.segments), _fresh_state(), ctx)
+
+
+def _run_segments(component, seq, start, stop, state, ctx):
+    """Run the callbacks of seq.segments[start:stop] on the component state."""
+    for i in range(start, stop):
+        ctx.segment_index = i
+        for callback in seq.segments[i].callbacks:
+            method = component.klass.method_by_name(callback)
+            if method is not None:
+                bundle = [state.regs["savedState"]] if callback in BUNDLE_CALLBACKS else []
+                _call(method, ctx, state, state.regs["this"], bundle)
 
 
 def analyze_method(method, ctx, frame):
@@ -327,9 +369,9 @@ def handle_invoke(instr, ctx, frame, method):
     cls_name, _, member = sig.rpartition(".")
     klass = ctx.app.klass(cls_name)
     if klass is not None:
-        chain = DISCONTINUITIES.get((klass.parent_kind, member.split("/", 1)[0]))
-        if chain is not None:
-            handle_discontinuity(chain, klass, ctx, frame, instr, method)
+        found = DISCONTINUITIES.get((klass.parent_kind, member.split("/", 1)[0]))
+        if found is not None:
+            handle_discontinuity(*found, klass, ctx, frame, instr, method)
             return
 
     handler = api_handlers.lookup(sig)
@@ -404,12 +446,13 @@ def _call(target, ctx, frame, receiver, args):
 _CARRIED = ("doInBackground",)
 
 
-def handle_discontinuity(chain, klass, ctx, frame, instr, method):
+def handle_discontinuity(chain, returns_receiver, klass, ctx, frame, instr, method):
     """Implicit control transfers the runtime performs: run the callbacks
     of `chain` that `klass` implements, in order, with the trigger's
     arguments passed to doInBackground and its result to onPostExecute.
     Each callback hands `frame` a new heap, so the operands are read afresh
-    for each and the result waits in a register of `frame`."""
+    for each, the result waits in a register of `frame`, and the trigger's
+    own result is bound after the chain."""
     for cb_name in chain:
         cb = klass.method_by_name(cb_name)
         if cb is None:
@@ -425,3 +468,7 @@ def handle_discontinuity(chain, klass, ctx, frame, instr, method):
         if cb_name == "doInBackground" and ret is not None:
             frame.regs[_CARRIED] = ret
     frame.regs.pop(_CARRIED, None)
+    if instr.result is not None:
+        receiver, _ = _operands(frame, instr, method)
+        frame.regs[instr.result] = (bind_copy(receiver) if returns_receiver and receiver is not None
+                                    else fresh_entry(IMMUTABLE_REF))

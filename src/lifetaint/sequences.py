@@ -64,12 +64,6 @@ class FlattenedSequence:
     def callbacks(self):
         return tuple(cb for seg in self.segments for cb in seg.callbacks)
 
-    def steps(self):
-        """(callback, segment_index) pairs in execution order."""
-        for i, seg in enumerate(self.segments):
-            for cb in seg.callbacks:
-                yield cb, i
-
     def event_trace(self, upto_segment):
         return tuple(seg.event for seg in self.segments[: upto_segment + 1])
 

@@ -518,6 +518,41 @@ class TestDiscontinuity:
         ], extra_classes=[task])
         assert len(run_main(app, config)) == 1
 
+    @pytest.mark.parametrize("branchy", [False, True])
+    def test_execute_returns_the_task(self, config, branchy):
+        # AsyncTask.execute returns the task: its result is the receiver in
+        # the heap the chain hands back, where doInBackground tainted f
+        task = {"name": "Task", "parent_kind": "ASYNC_TASK", "static_fields": [], "methods": [
+            helper("doInBackground/1", ["this", "a"],
+                   [*taint_instr("w"), ["IPUT", "this", "f", "w"]], branchy),
+        ]}
+        app = make_app([
+            ["NEW_INSTANCE", "task", "Task"],
+            ["CONST_STRING", "x", "arg"],
+            ["INVOKE_VIRTUAL", "r", "task", "Task.execute/1", ["x"]],
+            ["MOVE", "y", "r"],
+            ["IGET", "v", "y", "f"],
+            *sink_instr("v"),
+            ["RETURN_VOID"],
+        ], extra_classes=[task])
+        assert len(run_main(app, config)) == 1
+
+    def test_start_returns_a_fresh_value(self, config):
+        thread = {"name": "Worker", "parent_kind": "THREAD", "static_fields": [], "methods": [
+            helper("run/0", ["this"], [], False),
+        ]}
+        app = make_app([
+            ["NEW_INSTANCE", "t", "Worker"],
+            *taint_instr("w"),
+            ["IPUT", "t", "f", "w"],
+            ["INVOKE_VIRTUAL", "r", "t", "Worker.start/0", []],
+            ["MOVE", "y", "r"],
+            *sink_instr("y"),
+            ["RETURN_VOID"],
+        ], extra_classes=[thread])
+        assert run_main(app, config) == []
+
+
 class TestCompiledPlans:
     def test_each_method_compiled_once_per_app(self, models, config, monkeypatch):
         built = []

@@ -1,0 +1,194 @@
+"""The permutation-tree walk in `analyze_component` against flat replay.
+
+A flat run analyzes every generated sequence from a fresh component state
+through `_run_sequence`; the walk shares each prefix between the sequences
+that start with it.  Both must give the same deduplicated warnings and
+count the same sequences, and the walk must run each tree node's unit once.
+"""
+
+import os
+from math import perm
+
+import pytest
+
+from lifetaint import analysis, cli, load_app
+from lifetaint.analysis import AnalysisContext, _run_sequence, analyze_component
+from lifetaint.cli import analyze_app, build_plan, receiver_plan
+from lifetaint.detectors import dedup_warnings
+from lifetaint.ir import app_from_dict
+from lifetaint.sequences import (
+    AUI_CALLBACK, PermutationPlan, PermutationUnit, Segment, generate_m_way,
+)
+
+from conftest import ROOT, all_corpus_paths, corpus_app
+
+
+def flat_component(app, component, plan, ctx):
+    """analyze_component as a flat replay: each sequence from a fresh state."""
+    ctx.component, ctx.m = component.class_name, plan.m
+    before = len(ctx.warnings)
+    for seq in analysis.generate_m_way(plan):
+        if ctx.out_of_time():
+            ctx.killed = True
+            break
+        ctx.sequence = seq
+        _run_sequence(app, component, seq, ctx)
+        ctx.sequence = None
+        ctx.sequences_analyzed += 1
+    return ctx.warnings[before:]
+
+
+def plans(app, models, m_max):
+    for m in range(1, m_max + 1):
+        for component in app.components:
+            if component.kind == "RECEIVER":
+                plan = receiver_plan(component, m)
+            else:
+                plan = build_plan(models[component.kind], component, m)
+            if plan.units and m <= len(plan.units):
+                yield component, plan
+
+
+def per_level(path, models, config, m_max, analyze):
+    """(component, m, deduplicated warnings, sequences) for every component
+    at every m up to m_max, each level on a fresh context."""
+    app = load_app(path)
+    out = []
+    for component, plan in plans(app, models, m_max):
+        ctx = AnalysisContext(app, config)
+        found = analyze(app, component, plan, ctx)
+        out.append((component.class_name, plan.m,
+                    [w.to_dict() for w in dedup_warnings(found)], ctx.sequences_analyzed))
+    return out
+
+
+def family_paths(family, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import gen
+    return gen.write_family(family, 5, str(tmp_path / family))
+
+
+class TestOracle:
+    @pytest.mark.parametrize("path", all_corpus_paths(), ids=os.path.basename)
+    def test_corpus_app_matches_flat_replay(self, path, models, config):
+        tree = per_level(path, models, config, 3, analyze_component)
+        assert tree == per_level(path, models, config, 3, flat_component)
+
+    @pytest.mark.parametrize("family", ["wide", "deep"])
+    def test_generated_family_matches_flat_replay(self, family, models, config,
+                                                  tmp_path, monkeypatch):
+        m_max = 3 if family == "deep" else 2
+        warned = 0
+        for path in family_paths(family, tmp_path, monkeypatch):
+            tree = per_level(path, models, config, m_max, analyze_component)
+            assert tree == per_level(path, models, config, m_max, flat_component)
+            warned += any(warnings for _, _, warnings, _ in tree)
+        assert warned == 1  # the family's planted leak
+
+
+def unit_app(n):
+    """An activity with onCreate and n AUI callbacks, each one unit."""
+    aui = ["onClick%d" % i for i in range(n)]
+    methods = [{"sig": name + "/0", "params": ["this"], "labels": {},
+                "instructions": [["RETURN_VOID"]]} for name in ["onCreate"] + aui]
+    return app_from_dict({
+        "app_id": "units",
+        "classes": [{"name": "A", "parent_kind": "ACTIVITY", "static_fields": [],
+                     "methods": methods}],
+        "components": [{"class": "A", "kind": "ACTIVITY",
+                        "aui_callbacks": aui, "misc_callbacks": []}],
+    }), aui
+
+
+class TestWork:
+    @pytest.mark.parametrize("n,m", [(1, 1), (4, 1), (4, 2), (4, 3), (5, 2), (3, 3)])
+    def test_each_tree_node_runs_its_unit_once(self, n, m, config, monkeypatch):
+        app, aui = unit_app(n)
+        units = tuple(PermutationUnit(AUI_CALLBACK, (name,), (Segment(name, (name,)),))
+                      for name in aui)
+        plan = PermutationPlan(m, units, (Segment("create", ("onCreate",)),))
+        calls = []
+        real_call = analysis._call
+
+        def counting_call(target, ctx, *args):
+            if not ctx.method_stack:
+                calls.append(target.name)
+            return real_call(target, ctx, *args)
+
+        monkeypatch.setattr(analysis, "_call", counting_call)
+        ctx = AnalysisContext(app, config)
+        analyze_component(app, app.components[0], plan, ctx)
+        assert ctx.sequences_analyzed == perm(n, m)
+        # one prefix, then one unit run per node of depth 1..m; a flat
+        # replay would make perm(n, m) * (1 + m) calls
+        assert calls.count("onCreate") == 1
+        assert len(calls) == 1 + sum(perm(n, k) for k in range(1, m + 1))
+
+
+class KillAt:
+    """A clock whose budget runs out once sequence k+1 has been yielded,
+    at the `read`-th clock read from then on: the first read is that
+    sequence's boundary check, later ones are `check_time` calls inside it."""
+
+    def __init__(self, monkeypatch, k, read=1):
+        self.k, self.read = k, read
+        self.yielded = self.reads = 0
+
+        def counting(plan):
+            for seq in generate_m_way(plan):
+                self.yielded += 1
+                yield seq
+
+        monkeypatch.setattr(analysis, "generate_m_way", counting)
+
+    def __call__(self):
+        if self.yielded <= self.k:
+            return 0.0
+        self.reads += 1
+        return 0.0 if self.reads < self.read else 1e9
+
+
+def report_dict(report):
+    return ([w.to_dict() for w in report.warnings], report.sequences_analyzed,
+            report.m_reached, report.finished)
+
+
+class TestBudgetKill:
+    @pytest.mark.parametrize("name", ["motivating_example", "activity_eveseq2",
+                                      "service_eveseq1"])
+    def test_kill_at_a_sequence_boundary_matches_flat_replay(self, name, models, config,
+                                                             monkeypatch):
+        app = corpus_app(name)
+        total = analyze_app(app, models, config, m_max=2).sequences_analyzed
+        every = range(total) if total <= 20 else (0, 1, 13, total // 2, total - 1)
+        for k in every:
+            tree = analyze_app(app, models, config, m_max=2, budget_secs=1.0,
+                               clock=KillAt(monkeypatch, k))
+            with monkeypatch.context() as flat_run:
+                flat_run.setattr(cli, "analyze_component", flat_component)
+                flat = analyze_app(app, models, config, m_max=2, budget_secs=1.0,
+                                   clock=KillAt(flat_run, k))
+            assert tree.sequences_analyzed == k and not tree.finished
+            assert report_dict(tree) == report_dict(flat)
+
+    def test_kill_inside_a_unit_leaves_nothing_for_the_next_level(self, models, config,
+                                                                  monkeypatch):
+        app = corpus_app("motivating_example")
+        component = app.components[0]
+        level1, level2 = (build_plan(models["ACTIVITY"], component, m) for m in (1, 2))
+        # the last sequence of level 1 is the root's last child, which runs
+        # on the prefix state itself: the kill leaves that state half-run
+        last = len(level1.units) - 1
+        clock = KillAt(monkeypatch, last, read=2)
+        ctx = AnalysisContext(app, config, 1.0, clock)
+        analyze_component(app, component, level1, ctx)
+        assert ctx.killed and ctx.sequences_analyzed == last and clock.reads == 2
+        assert ctx.method_stack == [] and ctx.sequence is None
+
+        clock.k = float("inf")
+        ctx.killed = False
+        resumed = analyze_component(app, component, level2, ctx)
+        fresh = AnalysisContext(app, config)
+        expected = analyze_component(app, component, level2, fresh)
+        assert resumed and [w.to_dict() for w in resumed] == [w.to_dict() for w in expected]
+        assert ctx.sequences_analyzed == last + fresh.sequences_analyzed
