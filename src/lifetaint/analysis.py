@@ -8,13 +8,14 @@ callback runs one level deeper on its method stack, as does every app
 method call: a call hands its caller the callee's whole exit heap.
 Sequences that start with the same prefix and units share them: the
 sequences are walked as a permutation tree, each unit runs once per tree
-node, and a node's children start from copies of the state it left.
+node, and a node's children start from the state it left.
 Each method is compiled once per app into a plan: its de-looped CFG's
 blocks in reverse post order, each with the merge it starts from.  A block
 with several predecessors merges its predecessors' OUT_d snapshots so taints
 survive path-local untainting, while straight-line chains pass the live table
-through.  Only blocks that a merge reads are snapshotted, and a block's last
-reader takes its frame itself.
+through.  Only blocks that a merge reads are snapshotted.  A state that
+several readers start from, a tree node's or a block's OUT_d, is held with
+its reader count, and `_take` copies it for every reader but the last.
 """
 
 import json
@@ -110,18 +111,11 @@ class AnalysisContext:
             return ()
         return self.sequence.event_trace(self.segment_index)
 
-    def warning_context(self):
-        return {
-            "component": self.component,
-            "m": self.m,
-            "event_trace": self.event_trace(),
-        }
-
-    def record_leak(self, tags, sink_api, location):
+    def warn(self, kind, tags, sink_api, location):
+        """Record a `kind` warning of the taints `tags` reaching the sink
+        call at `location` in the current sequence."""
         self.warnings.append(Warning(
-            INFO_LEAK,
-            {t.source_api for t in tags},
-            sink_api,
+            kind, {t.source_api for t in tags}, sink_api,
             source_locations(tags) + [sink_location(sink_api, location)],
             self.component, self.m, self.event_trace(),
         ))
@@ -134,16 +128,18 @@ def analyze_component(app, component, plan, ctx):
     prefix and whose depth-j nodes hold j units.  `generate_m_way` yields
     them in lexicographic order, which walks that tree depth first, so a
     sequence runs only the units after the prefix it shares with the one
-    before it, from the state that prefix left.  Each child of a node but
-    the last runs on a private copy of the node's state, and the last child
-    takes the state itself.
+    before it, from the state that prefix left.  A node's state is held
+    with its child count, n for the prefix and n-j-1 after the unit at
+    depth j, and each child takes it through `_take`.
     """
     if not plan.units:
         return []
     ctx.component = component.class_name
     ctx.m = plan.m
     before = len(ctx.warnings)
-    states = []       # states[j]: the state after the prefix and previous[:j]
+    n = len(plan.units)
+    # states[j]: [the state after the prefix and previous[:j], children left]
+    states = []
     previous = ()
     for seq in generate_m_way(plan):
         if ctx.out_of_time():
@@ -157,15 +153,15 @@ def analyze_component(app, component, plan, ctx):
         ctx.sequence = seq
         try:
             if not states:
-                states.append(_fresh_state())
-                _run_segments(component, seq, 0, len(plan.prefix), states[0], ctx)
+                state = _fresh_state()
+                _run_segments(component, seq, 0, len(plan.prefix), state, ctx)
+                states.append([state, n])
             start = len(plan.prefix) + sum(len(plan.units[u].segments) for u in combo[:k])
             for j in range(k, len(combo)):
-                last_child = max(set(range(len(plan.units))).difference(combo[:j]))
-                state = states[j] if combo[j] == last_child else states[j].deep_copy()
+                state = _take(states[j])
                 stop = start + len(plan.units[combo[j]].segments)
                 _run_segments(component, seq, start, stop, state, ctx)
-                states.append(state)
+                states.append([state, n - j - 1])
                 start = stop
         except _TimeBudgetExceeded:
             ctx.killed = True
@@ -204,14 +200,13 @@ def analyze_method(method, ctx, frame):
 
     The plan is compiled on the method's first call in this app.  The entry
     block runs on `frame`; a block whose only predecessor has no other
-    successor continues that live frame; any other block, and the exit when
-    there are several, runs on the merge of its predecessors' OUT_d
-    snapshots.  A block with readers holds its frame itself as its OUT_d:
-    every reader but the last merges a private copy, and the last takes the
-    frame.  Every successor of such a block merges, so the frame is left
-    untouched until its readers take it; and the caller adopts the exit
-    frame's heap, so even the entry frame, which shares the caller's tables,
-    is handed on.
+    successor continues that live frame; any other block, and the join of
+    the exits when there are several, runs on the merge of its
+    predecessors' OUT_d snapshots.  A block with readers holds its frame
+    itself as its OUT_d, and each reader takes it through `_take`.  Every
+    successor of such a block merges, so the frame is left untouched until
+    its readers take it; and the caller adopts the exit frame's heap, so
+    even the entry frame, which shares the caller's tables, is handed on.
 
     Returns (return-value entry or None, exit frame).
     """
@@ -219,27 +214,25 @@ def analyze_method(method, ctx, frame):
     plan = ctx.plans.get(id(method))
     if plan is None:
         plan = ctx.plans[id(method)] = _compile(method)
-    steps, exits, readers = plan
+    steps, readers = plan
     current = frame
-    snapshots = {}
+    held = {}
     for bid, instrs, merge in steps:
         if merge:
-            current = merge_spaces([_take(snapshots, p) for p in merge])
+            current = merge_spaces([_take(held[p]) for p in merge])
         for instr in instrs:
             handle_instruction(instr, ctx, current, method)
         if readers[bid]:
-            snapshots[bid] = [current, readers[bid]]
-    if exits:
-        current = merge_spaces([_take(snapshots, e) for e in exits])
+            held[bid] = [current, readers[bid]]
     return current.returned, current
 
 
 def _compile(method):
-    """([(block id, instructions, merged preds)] in RPO, merged exits,
-    {block id: snapshot readers}).  A continued block directly follows its
-    predecessor in a DFS reverse post order, and a DAG's only exit comes
-    last, so neither needs a merge: both use the frame the previous block
-    ran on.
+    """([(block id, instructions, merged preds)] in RPO, {block id: snapshot
+    readers}).  A continued block directly follows its predecessor in a DFS
+    reverse post order, and a DAG's only exit comes last, so neither needs a
+    merge: both use the frame the previous block ran on.  Several exits are
+    joined by a last step, block None, with no instructions.
     """
     dag = remove_back_edges(build_cfg(method))
     order = reverse_post_order(dag)
@@ -250,22 +243,23 @@ def _compile(method):
         merge = sorted(p for p in block.predecessors if p in readers)
         if bid == dag.entry or (len(merge) == 1 and len(dag.blocks[merge[0]].successors) == 1):
             merge = ()
-        for p in merge:
-            readers[p] += 1
         steps.append((bid, dag.instructions(block), merge))
     exits = sorted(bid for bid in order if not dag.blocks[bid].successors)
-    exits = exits if len(exits) > 1 else []
-    for e in exits:
-        readers[e] += 1
-    return steps, exits, readers
+    if len(exits) > 1:
+        steps.append((None, (), exits))
+        readers[None] = 0
+    for _, _, merge in steps:
+        for p in merge:
+            readers[p] += 1
+    return steps, readers
 
 
-def _take(snapshots, bid):
-    """Block bid's OUT_d for one of its readers: a private copy, or the
-    frame itself for the last reader."""
-    held = snapshots[bid]
+def _take(held):
+    """One reader's share of a held [state, readers left]: a private copy
+    for every reader but the last, which takes the state itself (and
+    `held` lets go of it)."""
     held[1] -= 1
-    return held[0].deep_copy() if held[1] else snapshots.pop(bid)[0]
+    return held[0].deep_copy() if held[1] else held.pop(0)
 
 
 def _lookup(frame, reg, method, instr):
@@ -345,16 +339,13 @@ def handle_invoke(instr, ctx, frame, method):
         return
 
     if sig in ctx.config.sinks or sig in ctx.config.sms_rules:
-        inputs = list(args) + ([receiver] if receiver is not None else [])
-        tags = set()
-        for e in inputs:
-            tags |= collect_taints(e)
+        tags = collect_taints(*args) if receiver is None else collect_taints(*args, receiver)
         if sig in ctx.config.sinks and tags:
-            ctx.record_leak(tags, sig, location)
+            ctx.warn(INFO_LEAK, tags, sig, location)
         rule = ctx.config.sms_rules.get(sig)
         if rule is not None:
-            ctx.warnings.extend(detect_sms_attacks(
-                rule, args, ctx.config, location, ctx.warning_context()))
+            for kind, found in detect_sms_attacks(rule, args, ctx.config):
+                ctx.warn(kind, found, sig, location)
         if dst is not None:
             frame.regs[dst] = Entry(EntryDetails(IMMUTABLE_REF, taints=tags))
         return
@@ -378,9 +369,7 @@ def handle_invoke(instr, ctx, frame, method):
     if handler is not None:
         result = handler(receiver, args)
         if dst is not None:
-            frame.regs[dst] = (
-                result.shallow_copy() if result is not None else fresh_entry(IMMUTABLE_REF)
-            )
+            frame.regs[dst] = result if result is not None else fresh_entry(IMMUTABLE_REF)
         return
 
     _default_invoke(instr, frame, receiver, args, dst)
@@ -389,13 +378,10 @@ def handle_invoke(instr, ctx, frame, method):
 def _default_invoke(instr, frame, receiver, args, dst):
     """Default invoke-kind handler: unknown APIs propagate taint from any
     input to the receiver and the result, and never clear anything."""
-    tags = set()
-    for a in args:
-        tags |= collect_taints(a)
+    tags = collect_taints(*args)
     if receiver is not None:
-        if tags:
-            receiver.details.taints |= tags
-        tags |= collect_taints(receiver)
+        receiver.details.taints |= tags
+        tags = collect_taints(receiver)
     if dst is not None:
         frame.regs[dst] = Entry(EntryDetails(IMMUTABLE_REF, taints=tags))
 
@@ -425,7 +411,7 @@ def _call(target, ctx, frame, receiver, args):
     if params and params[0] == "this":
         if receiver is None:
             raise AnalysisError("static call to instance method %s" % target.full_signature)
-        callee.regs["this"] = receiver.shallow_copy()
+        callee.regs["this"] = receiver
         params = params[1:]
     for pname, actual in zip(params, args):
         callee.regs[pname] = bind_copy(actual)

@@ -30,7 +30,7 @@ def builder_append(receiver, args):
     const, from_code = _concat_const(receiver.details, arg.details)
     receiver.details.const_value = const
     receiver.details.const_from_code = from_code
-    return receiver.shallow_copy()  # append returns the builder itself
+    return receiver  # append returns the builder itself
 
 
 def builder_to_string(receiver, args):
@@ -43,7 +43,7 @@ def builder_to_string(receiver, args):
 def string_concat(receiver, args):
     if receiver is None:
         return None
-    taints = collect_taints(receiver) | collect_taints(args[0])
+    taints = collect_taints(receiver, args[0])
     const, from_code = _concat_const(receiver.details, args[0].details)
     return _string_result(taints, const, from_code)
 
@@ -56,10 +56,7 @@ def string_value_of(receiver, args):
 
 def string_format(receiver, args):
     # formatting mangles the text, so the result is never a code constant
-    taints = set()
-    for a in args:
-        taints |= collect_taints(a)
-    return _string_result(taints)
+    return _string_result(collect_taints(*args))
 
 
 def array_copy(receiver, args):

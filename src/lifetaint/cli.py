@@ -1,7 +1,8 @@
 """Batch driver: load models, apps and config, run the m-escalating analysis.
 
-Per app, all components are analyzed iteratively at m=1; if nothing is found
-and m < m-max, m is raised by one and the app is analyzed again.  Any warning
+Per app, all components are analyzed iteratively at m=1; if nothing is found,
+m < m-max and some component has more than m units, m is raised by one and
+the app is analyzed again.  Any warning
 stops the escalation for that app and the run moves on to the next one.
 """
 
@@ -76,7 +77,6 @@ def analyze_app(app, models, config, m_max=2, budget_secs=600.0, clock=time.mono
     ctx = AnalysisContext(app, config, budget_secs, clock)
     m_reached = 0
     for m in range(1, m_max + 1):
-        m_reached = m
         for component in app.components:
             if component.kind == "RECEIVER":
                 plan = receiver_plan(component, m)
@@ -84,10 +84,13 @@ def analyze_app(app, models, config, m_max=2, budget_secs=600.0, clock=time.mono
                 plan = build_plan(models[component.kind], component, m)
             if not plan.units or m > len(plan.units):
                 continue
+            m_reached = m
             analyze_component(app, component, plan, ctx)
             if ctx.killed:
                 break
-        if ctx.warnings or ctx.killed:
+        # a warning or the budget ends the escalation, and so does a level
+        # that no component has enough units for
+        if ctx.warnings or ctx.killed or m_reached < m:
             break
     return Report(
         app.app_id,

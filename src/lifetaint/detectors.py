@@ -75,13 +75,14 @@ def dedup_warnings(raw):
     return kept
 
 
-def detect_sms_attacks(sms_rule, arg_entries, config, location, context):
-    """SMS checks at a send call site.
+def detect_sms_attacks(sms_rule, arg_entries, config):
+    """SMS checks at a send call site: (kind, source tags) pairs.
 
-    SMS_HARDCODED fires when the recipient argument carries a constant that
-    originates in app code; SMS_AUTOREPLY fires when the recipient is tainted
-    by an originating-address API.  Numbers arriving from configuration files
-    or other APIs carry neither mark and are (knowingly) not reported.
+    SMS_HARDCODED fires, with no tags, when the recipient argument carries a
+    constant that originates in app code; SMS_AUTOREPLY fires when the
+    recipient is tainted by an originating-address API.  Numbers arriving
+    from configuration files or other APIs carry neither mark and are
+    (knowingly) not reported.
     """
     idx = sms_rule["recipient_arg_index"]
     if idx >= len(arg_entries):
@@ -89,22 +90,14 @@ def detect_sms_attacks(sms_rule, arg_entries, config, location, context):
     recipient = arg_entries[idx]
     out = []
     det = recipient.details
-    if det.const_value is not None and det.const_from_code and isinstance(det.const_value, str):
-        out.append(Warning(
-            SMS_HARDCODED, frozenset(), sms_rule["signature"],
-            [sink_location(sms_rule["signature"], location)],
-            context["component"], context["m"], context["event_trace"],
-        ))
+    if det.const_from_code and isinstance(det.const_value, str):
+        out.append((SMS_HARDCODED, set()))
     origin_tags = {
         t for t in collect_taints(recipient)
         if t.source_api in config.originating_address_apis
     }
     if origin_tags:
-        out.append(Warning(
-            SMS_AUTOREPLY, {t.source_api for t in origin_tags}, sms_rule["signature"],
-            source_locations(origin_tags) + [sink_location(sms_rule["signature"], location)],
-            context["component"], context["m"], context["event_trace"],
-        ))
+        out.append((SMS_AUTOREPLY, origin_tags))
     return out
 
 

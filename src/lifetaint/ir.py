@@ -15,8 +15,6 @@ from .errors import AppLoadError
 PARENT_KINDS = ("ACTIVITY", "SERVICE", "RECEIVER", "THREAD", "ASYNC_TASK", "PLAIN")
 COMPONENT_KINDS = ("ACTIVITY", "SERVICE", "RECEIVER")
 
-INVOKE_KINDS = ("VIRTUAL", "DIRECT", "STATIC")
-
 # opcode -> (operand count, has receiver) for invokes; plain arity otherwise
 _ARITY = {
     "CONST_STRING": 2,

@@ -1,10 +1,12 @@
 """Layered symbol tables: entries, alias-preserving copies, merges.
 
-Aliases are realized by identity: entries that alias one object share one
-EntryDetails, so a mutation through any alias is seen by all of them.  A
-shallow copy shares the details object; a deep copy duplicates the whole
-reachable structure while preserving the sharing inside it, which is what
-gives each reader of a block's OUT_d but the last a private copy.
+Aliases are realized by identity: names that alias one object hold one
+Entry, whose EntryDetails is never replaced, so a mutation through any alias
+is seen by all of them.  A deep copy duplicates the whole reachable
+structure while preserving the sharing inside it, one Entry per copied
+object, which is what gives each reader of a held state but the last a
+private copy.  Copies, merges and taint collection walk the heap with
+explicit stacks, so a heap of any depth fits.
 """
 
 from dataclasses import dataclass
@@ -39,23 +41,28 @@ class Entry:
     def __init__(self, details):
         self.details = details
 
-    def shallow_copy(self):
-        return Entry(self.details)
-
     def deep_copy(self):
-        return Entry(_copy_details(self.details, {}))
+        return _copy({0: self}, {})[0]
 
 
-def _copy_details(details, memo):
-    found = memo.get(id(details))
-    if found is not None:
-        return found
-    dup = EntryDetails(details.value_kind, details.taints, details.const_value,
-                       details.const_from_code)
-    memo[id(details)] = dup
-    for fname, fentry in details.fields.items():
-        dup.fields[fname] = Entry(_copy_details(fentry.details, memo))
-    return dup
+def _copy(table, memo):
+    """A copy of a table of entries under `memo` (id(details) -> copied
+    Entry): each object is copied when first reached, and its fields are
+    filled in the same walk."""
+    out = {}
+    stack = [(table, out)]
+    while stack:
+        src, dst = stack.pop()
+        for name, entry in src.items():
+            det = entry.details
+            dup = memo.get(id(det))
+            if dup is None:
+                dup = memo[id(det)] = Entry(EntryDetails(
+                    det.value_kind, det.taints, det.const_value, det.const_from_code))
+                if det.fields:
+                    stack.append((det.fields, dup.details.fields))
+            dst[name] = dup
+    return out
 
 
 def fresh_entry(kind=MUTABLE_REF):
@@ -67,18 +74,18 @@ def const_entry(value, kind):
 
 
 def bind_copy(entry):
-    """Copy semantics for assignment: share details for mutable objects and
-    collections, duplicate them for primitives and immutable references."""
+    """Copy semantics for assignment: a mutable object or collection is
+    shared, a primitive or immutable reference is duplicated."""
     if entry.details.value_kind in (MUTABLE_REF, COLLECTION):
-        return entry.shallow_copy()
+        return entry
     return entry.deep_copy()
 
 
-def collect_taints(entry):
-    """All tags reachable from the entry through its fields (cycle-safe)."""
+def collect_taints(*entries):
+    """All tags reachable from the entries through their fields (cycle-safe)."""
     tags = set()
     seen = set()
-    stack = [entry.details]
+    stack = [e.details for e in entries]
     while stack:
         det = stack.pop()
         if id(det) in seen:
@@ -111,42 +118,53 @@ class SymbolSpace:
 
     def deep_copy(self):
         memo = {}
-
-        def table(src):
-            return {n: Entry(_copy_details(e.details, memo)) for n, e in src.items()}
-
-        dup = SymbolSpace(table(self.regs), table(self.statics),
-                          tuple(table(t) for t in self.outer))
+        dup = SymbolSpace(_copy(self.regs, memo), _copy(self.statics, memo),
+                          tuple(_copy(t, memo) for t in self.outer))
         if self.returned is not None:
-            dup.returned = Entry(_copy_details(self.returned.details, memo))
+            dup.returned = _copy({0: self.returned}, memo)[0]
         return dup
 
 
-def _merge_details(base, other, seen):
-    if (id(base), id(other)) in seen:
-        return
-    seen.add((id(base), id(other)))
-    base.taints |= other.taints
-    if base.const_value != other.const_value or base.const_from_code != other.const_from_code:
-        base.const_value = None
-        base.const_from_code = False
-    if base.value_kind != other.value_kind:
-        # conflicting kinds collapse to a mutable object, the weakest claim
-        base.value_kind = COLLECTION if COLLECTION in (base.value_kind, other.value_kind) else MUTABLE_REF
-    # listed first: an adopted field can alias `other` itself, which a
-    # nested merge then extends
-    for fname, fentry in list(other.fields.items()):
-        mine = base.fields.get(fname)
-        if mine is None:
-            base.fields[fname] = fentry
+def _join(table, pairs, seen):
+    """Join (name, entry) pairs of another space into `table`: adopt the
+    entry where the name is unbound, else merge the two objects and then
+    their fields the same way.  A nested merge finishes before the next
+    pair of its level is taken, as in a recursive walk: a field cycle can
+    lead back to an object this join has already extended."""
+    stack = [(table, iter(pairs))]
+    while stack:
+        table, pending = stack[-1]
+        for name, entry in pending:
+            mine = table.get(name)
+            if mine is None:
+                table[name] = entry
+                continue
+            base, other = mine.details, entry.details
+            if (id(base), id(other)) in seen:
+                continue
+            seen.add((id(base), id(other)))
+            base.taints |= other.taints
+            if (base.const_value != other.const_value
+                    or base.const_from_code != other.const_from_code):
+                base.const_value = None
+                base.const_from_code = False
+            if base.value_kind != other.value_kind:
+                # conflicting kinds collapse to a mutable object, the weakest claim
+                kinds = (base.value_kind, other.value_kind)
+                base.value_kind = COLLECTION if COLLECTION in kinds else MUTABLE_REF
+            if other.fields:
+                # listed first: an adopted field can alias `other` itself,
+                # which a nested merge then extends
+                stack.append((base.fields, iter(list(other.fields.items()))))
+                break
         else:
-            _merge_details(mine.details, fentry.details, seen)
+            stack.pop()
 
 
 def merge_spaces(frames):
     """Conservative union of isolated symbol spaces (alias structure from the
     first). Taint sets union; constants agree or collapse to "not a
-    constant"; fields merge recursively.  The spaces belong to one
+    constant"; fields merge the same way.  The spaces belong to one
     activation, so their caller tables pair up.  Inputs must be private:
     the first is updated in place and returned, the others are consumed.
     """
@@ -155,14 +173,10 @@ def merge_spaces(frames):
     for other in frames[1:]:
         for table, src in zip((base.regs, base.statics) + base.outer,
                               (other.regs, other.statics) + other.outer):
-            for name, entry in src.items():
-                mine = table.get(name)
-                if mine is None:
-                    table[name] = entry
-                else:
-                    _merge_details(mine.details, entry.details, seen)
+            _join(table, src.items(), seen)
         if base.returned is None:
             base.returned = other.returned
         elif other.returned is not None:
-            _merge_details(base.returned.details, other.returned.details, seen)
+            # the two return values, as one-entry tables
+            _join({0: base.returned}, [(0, other.returned)], seen)
     return base

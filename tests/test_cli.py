@@ -65,6 +65,26 @@ class TestRun:
         assert w["event_trace"] == ["createActivity", "onGeocodeTaskComplete",
                                     "onEditorAction"]
 
+    @pytest.mark.parametrize("misc", [[], ["onTimeout"]])
+    def test_m_reached_is_the_last_width_that_ran(self, tmp_app, misc):
+        # receivers with 1 and 1 + len(misc) units, clean, at m-max 3:
+        # escalation stops after the widest level a component has units for
+        def receiver(name, callbacks):
+            methods = [{"sig": cb + "/1", "params": ["this", "i"], "labels": {},
+                        "instructions": [["RETURN_VOID"]]} for cb in callbacks]
+            return {"name": name, "parent_kind": "RECEIVER", "methods": methods}
+
+        doc = {"app_id": "receivers",
+               "classes": [receiver("One", ["onReceive"]),
+                           receiver("Two", ["onReceive"] + misc)],
+               "components": [{"class": c, "kind": "RECEIVER", "aui_callbacks": [],
+                               "misc_callbacks": cbs} for c, cbs in (("One", []), ("Two", misc))]}
+        status, text = run_cli([tmp_app(doc)], m_max=3)
+        report = json.loads(text)
+        assert status == 0 and report["warnings"] == []
+        assert report["m_reached"] == 1 + len(misc)
+        assert report["sequences_analyzed"] == 2 + 3 * len(misc)
+
     def test_determinism_byte_identical(self):
         _, first = run_cli(all_corpus_paths(), m_max=2)
         _, second = run_cli(all_corpus_paths(), m_max=2)

@@ -82,10 +82,6 @@ def _config():
     )
 
 
-def _ctx():
-    return {"component": "C", "m": 1, "event_trace": ("e",)}
-
-
 RULE = {"signature": "SmsManager.sendTextMessage/5", "recipient_arg_index": 0}
 
 
@@ -93,25 +89,24 @@ class TestSmsDetection:
     def test_hardcoded_number(self):
         recipient = Entry(EntryDetails(
             IMMUTABLE_REF, const_value="1066156686", const_from_code=True))
-        out = detect_sms_attacks(RULE, [recipient], _config(), ("C", "m/0", 3), _ctx())
-        assert [x.kind for x in out] == [SMS_HARDCODED]
-        assert out[0].source_apis == frozenset()
+        out = detect_sms_attacks(RULE, [recipient], _config())
+        assert out == [(SMS_HARDCODED, set())]
 
     def test_autoreply_from_originating_address(self):
         tag = TaintTag("SmsMessage.getOriginatingAddress/0", ("C", "onReceive/2", 1))
         recipient = Entry(EntryDetails(IMMUTABLE_REF, taints={tag}))
-        out = detect_sms_attacks(RULE, [recipient], _config(), ("C", "m/0", 3), _ctx())
-        assert [x.kind for x in out] == [SMS_AUTOREPLY]
+        out = detect_sms_attacks(RULE, [recipient], _config())
+        assert out == [(SMS_AUTOREPLY, {tag})]
 
     def test_config_file_number_not_reported(self):
         recipient = Entry(EntryDetails(IMMUTABLE_REF))  # no const, no taint
-        out = detect_sms_attacks(RULE, [recipient], _config(), ("C", "m/0", 3), _ctx())
+        out = detect_sms_attacks(RULE, [recipient], _config())
         assert out == []
 
     def test_other_taint_is_not_autoreply(self):
         tag = TaintTag("TelephonyManager.getDeviceId/0", ("C", "m/0", 0))
         recipient = Entry(EntryDetails(IMMUTABLE_REF, taints={tag}))
-        out = detect_sms_attacks(RULE, [recipient], _config(), ("C", "m/0", 3), _ctx())
+        out = detect_sms_attacks(RULE, [recipient], _config())
         assert out == []
 
 

@@ -582,6 +582,32 @@ class TestCompiledPlans:
         assert report.m_reached == 1 and not report.warnings
 
 
+class TestDeepHeap:
+    def test_long_field_chain_is_copied_and_merged_without_recursion(self, models, config):
+        # a 1,200-node `next` chain built before one branch: the entry block
+        # has two readers, so the chain is copied for the first and merged
+        # at the join
+        n = 1200
+        chain = [["NEW_INSTANCE", "head", "Node"], ["MOVE", "cur", "head"]]
+        for _ in range(n):
+            chain += [["NEW_INSTANCE", "nxt", "Node"], ["IPUT", "cur", "next", "nxt"],
+                      ["MOVE", "cur", "nxt"]]
+        body = chain + taint_instr("x") + [
+            ["IPUT", "cur", "value", "x"],
+            ["CONST_NUM", "c", 1],
+            ["IF_GOTO", "c", "join"],
+            ["CONST_NUM", "c", 2],
+            ["IGET", "v", "cur", "value"],       # join
+            ["CONST_STRING", "tag", "t"],
+            ["INVOKE_STATIC", None, "Log.d/2", ["tag", "v"]],
+            ["RETURN_VOID"],
+        ]
+        app = make_app(body, labels={"join": len(chain) + 6})
+        report = analyze_app(app, models, config, m_max=1)
+        assert report.finished and report.error is None
+        assert [(w.kind, w.sink_api) for w in report.warnings] == [("INFO_LEAK", "Log.d/2")]
+
+
 class TestLoops:
     @pytest.mark.parametrize("second_loop", [False, True])
     def test_loop_body_flow_reaches_code_after_loop(self, config, second_loop):

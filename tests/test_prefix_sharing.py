@@ -19,6 +19,7 @@ from lifetaint.ir import app_from_dict
 from lifetaint.sequences import (
     AUI_CALLBACK, PermutationPlan, PermutationUnit, Segment, generate_m_way,
 )
+from lifetaint.symbols import SymbolSpace
 
 from conftest import ROOT, all_corpus_paths, corpus_app
 
@@ -115,7 +116,15 @@ class TestWork:
                 calls.append(target.name)
             return real_call(target, ctx, *args)
 
+        copies = []
+        real_copy = SymbolSpace.deep_copy
+
+        def counting_copy(space):
+            copies.append(space)
+            return real_copy(space)
+
         monkeypatch.setattr(analysis, "_call", counting_call)
+        monkeypatch.setattr(SymbolSpace, "deep_copy", counting_copy)
         ctx = AnalysisContext(app, config)
         analyze_component(app, app.components[0], plan, ctx)
         assert ctx.sequences_analyzed == perm(n, m)
@@ -123,6 +132,9 @@ class TestWork:
         # replay would make perm(n, m) * (1 + m) calls
         assert calls.count("onCreate") == 1
         assert len(calls) == 1 + sum(perm(n, k) for k in range(1, m + 1))
+        # each of the perm(n, j) nodes of depth j < m copies its state for
+        # each of its n - j children but the last, which takes the state
+        assert len(copies) == sum(perm(n, j) * (n - j - 1) for j in range(m))
 
 
 class KillAt:

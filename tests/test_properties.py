@@ -9,7 +9,8 @@ from lifetaint.detectors import Warning, dedup_warnings
 from lifetaint.sequences import PermutationPlan, PermutationUnit, Segment, generate_m_way
 from lifetaint.symbols import (
     COLLECTION, IMMUTABLE_REF, MUTABLE_REF,
-    Entry, EntryDetails, TaintTag, bind_copy, collect_taints, fresh_entry,
+    Entry, EntryDetails, SymbolSpace, TaintTag, bind_copy, collect_taints, fresh_entry,
+    merge_spaces,
 )
 
 TAG = TaintTag("Api.src/0", ("C", "m/0", 0))
@@ -51,25 +52,46 @@ class TestAliasSoundness:
         dig(dup, chain).details.taints.add(TAG)
         assert TAG not in collect_taints(base)
 
-    @given(field_chains())
-    def test_reassignment_isolation(self, chain):
-        # binding a new object to the alias leaves the original untouched
-        base = fresh_entry(MUTABLE_REF)
+    @given(field_chains(), st.sampled_from([MUTABLE_REF, COLLECTION]))
+    def test_reassignment_isolation(self, chain, kind):
+        # binding a new object to the alias's name leaves the original untouched
+        base = fresh_entry(kind)
         dig(base, chain).details.taints.add(TAG)
         before = collect_taints(base)
-        alias = bind_copy(base)
-        alias.details = EntryDetails(MUTABLE_REF, taints={OTHER})
-        assert collect_taints(base) == before
+        regs = {"a": base}
+        regs["b"] = bind_copy(regs["a"])
+        assert regs["b"] is base   # an alias is the entry itself
+        regs["b"] = Entry(EntryDetails(MUTABLE_REF, taints={OTHER}))
+        assert collect_taints(regs["a"]) == before
 
     def test_deep_copy_preserves_internal_sharing(self):
         base = fresh_entry(MUTABLE_REF)
         shared = fresh_entry(MUTABLE_REF)
-        base.details.fields["a"] = shared.shallow_copy()
-        base.details.fields["b"] = shared.shallow_copy()
+        base.details.fields["a"] = bind_copy(shared)
+        base.details.fields["b"] = bind_copy(shared)
         dup = base.deep_copy()
         dup.details.fields["a"].details.taints.add(TAG)
         assert TAG in collect_taints(dup.details.fields["b"])
         assert TAG not in collect_taints(base)
+
+
+class TestMergeOrder:
+    def test_nested_merge_finishes_before_the_next_field(self):
+        # base x: {a: {p: x}}; other x: {a: {p: y}, b: ...}, y: {b: ...}.
+        # Merging a reaches x again through p and adopts y's b before x's
+        # own b is taken, so x's b is y's object, joined with the other's
+        b = fresh_entry(MUTABLE_REF)
+        b.details.fields["a"] = fresh_entry(MUTABLE_REF)
+        b.details.fields["a"].details.fields["p"] = b
+        o, y = fresh_entry(MUTABLE_REF), fresh_entry(MUTABLE_REF)
+        o.details.fields["a"] = fresh_entry(MUTABLE_REF)
+        o.details.fields["a"].details.fields["p"] = y
+        o.details.fields["b"] = Entry(EntryDetails(IMMUTABLE_REF, taints={TAG}))
+        y.details.fields["b"] = Entry(EntryDetails(IMMUTABLE_REF, taints={OTHER}))
+        y_b = y.details.fields["b"]
+        merged = merge_spaces([SymbolSpace({"x": b}), SymbolSpace({"x": o})])
+        assert merged.regs["x"].details.fields["b"] is y_b
+        assert y_b.details.taints == {TAG, OTHER}
 
 
 class TestCollectionMonotonicity:
