@@ -30,9 +30,8 @@ from .errors import AnalysisError, ConfigError
 from .ir import resolve_method
 from .sequences import generate_m_way
 from .symbols import (
-    COLLECTION, IMMUTABLE_REF, PRIMITIVE,
-    Entry, EntryDetails, SymbolSpace, TaintTag,
-    bind_copy, collect_taints, const_entry, fresh_entry, merge_spaces,
+    COLLECTION, IMMUTABLE_REF, PRIMITIVE, SymbolSpace, TaintTag,
+    bind_copy, collect_taints, const_entry, fresh_entry, merge_spaces, value_entry,
 )
 
 # life-cycle callbacks that receive the component's saved-state bundle as
@@ -68,16 +67,27 @@ def load_config(path):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError("%s: not valid JSON: %s" % (path, exc)) from exc
+    if not isinstance(doc, dict):
+        raise ConfigError("%s: not a JSON object" % path)
     for key in ("sources", "sinks"):
         if key not in doc:
             raise ConfigError("%s: missing %r list" % (path, key))
-    for rule in doc.get("sms_send_apis", []):
-        if "signature" not in rule or "recipient_arg_index" not in rule:
-            raise ConfigError("%s: sms_send_apis entries need signature and recipient_arg_index" % path)
-    return AnalysisConfig(
-        doc["sources"], doc["sinks"],
-        doc.get("sms_send_apis", []), doc.get("originating_address_apis", []),
-    )
+
+    def strings(key):
+        value = doc.get(key, [])
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise ConfigError("%s: %r must be a list of strings" % (path, key))
+        return value
+
+    rules = doc.get("sms_send_apis", [])
+    if not isinstance(rules, list) or not all(
+            isinstance(r, dict) and isinstance(r.get("signature"), str)
+            and type(r.get("recipient_arg_index")) is int and r["recipient_arg_index"] >= 0
+            for r in rules):
+        raise ConfigError("%s: sms_send_apis entries need a string signature and a "
+                          "non-negative int recipient_arg_index" % path)
+    return AnalysisConfig(strings("sources"), strings("sinks"), rules,
+                          strings("originating_address_apis"))
 
 
 class AnalysisContext:
@@ -142,9 +152,6 @@ def analyze_component(app, component, plan, ctx):
     states = []
     previous = ()
     for seq in generate_m_way(plan):
-        if ctx.out_of_time():
-            ctx.killed = True
-            break
         combo = seq.unit_indexes
         k = 0
         while k < len(previous) and previous[k] == combo[k]:
@@ -152,6 +159,7 @@ def analyze_component(app, component, plan, ctx):
         del states[k + 1:]
         ctx.sequence = seq
         try:
+            ctx.check_time()
             if not states:
                 state = _fresh_state()
                 _run_segments(component, seq, 0, len(plan.prefix), state, ctx)
@@ -312,7 +320,7 @@ def handle_instruction(instr, ctx, frame, method):
         coll.details.taints |= collect_taints(src)
     elif kind == "COLLECTION_GET":
         coll = _lookup(frame, ops[1], method, instr)
-        frame.regs[ops[0]] = Entry(EntryDetails(IMMUTABLE_REF, taints=coll.details.taints))
+        frame.regs[ops[0]] = value_entry(coll.details.taints)
     elif kind == "IF_GOTO":
         _lookup(frame, ops[0], method, instr)  # condition must exist; control only
     elif kind == "GOTO" or kind == "RETURN_VOID":
@@ -320,23 +328,26 @@ def handle_instruction(instr, ctx, frame, method):
     elif kind == "RETURN":
         frame.returned = _lookup(frame, ops[0], method, instr)
     elif instr.is_invoke:
-        handle_invoke(instr, ctx, frame, method)
+        # the invoke path's one binding: None binds a fresh untainted value
+        result = handle_invoke(instr, ctx, frame, method)
+        if instr.result is not None:
+            frame.regs[instr.result] = result if result is not None else value_entry()
     else:  # pragma: no cover - loader rejects unknown opcodes
         raise AnalysisError("unhandled opcode %r" % kind,
                             (method.class_name, method.sig, instr.index))
 
 
 def handle_invoke(instr, ctx, frame, method):
+    """Run an invoke's effects and return the entry its result register is
+    bound to, or None for a fresh untainted value; `handle_instruction`
+    binds it.  Sources, sinks, app methods, discontinuities and API
+    handlers are tried in that order."""
     sig = instr.signature
     location = (method.class_name, method.sig, instr.index)
     receiver, args = _operands(frame, instr, method)
-    dst = instr.result
 
     if sig in ctx.config.sources:
-        tag = TaintTag(sig, location)
-        if dst is not None:
-            frame.regs[dst] = Entry(EntryDetails(IMMUTABLE_REF, taints={tag}))
-        return
+        return value_entry({TaintTag(sig, location)})
 
     if sig in ctx.config.sinks or sig in ctx.config.sms_rules:
         tags = collect_taints(*args) if receiver is None else collect_taints(*args, receiver)
@@ -346,44 +357,31 @@ def handle_invoke(instr, ctx, frame, method):
         if rule is not None:
             for kind, found in detect_sms_attacks(rule, args, ctx.config):
                 ctx.warn(kind, found, sig, location)
-        if dst is not None:
-            frame.regs[dst] = Entry(EntryDetails(IMMUTABLE_REF, taints=tags))
-        return
+        return value_entry(tags)
 
     target = resolve_method(ctx.app, sig)
     if target is not None:
         ret = _call(target, ctx, frame, receiver, args)
-        if dst is not None:
-            frame.regs[dst] = bind_copy(ret) if ret is not None else fresh_entry(IMMUTABLE_REF)
-        return
+        return bind_copy(ret) if ret is not None else None
 
     cls_name, _, member = sig.rpartition(".")
     klass = ctx.app.klass(cls_name)
     if klass is not None:
         found = DISCONTINUITIES.get((klass.parent_kind, member.split("/", 1)[0]))
         if found is not None:
-            handle_discontinuity(*found, klass, ctx, frame, instr, method)
-            return
+            return handle_discontinuity(*found, klass, ctx, frame, instr, method)
 
     handler = api_handlers.lookup(sig)
     if handler is not None:
-        result = handler(receiver, args)
-        if dst is not None:
-            frame.regs[dst] = result if result is not None else fresh_entry(IMMUTABLE_REF)
-        return
+        return handler(receiver, args)
 
-    _default_invoke(instr, frame, receiver, args, dst)
-
-
-def _default_invoke(instr, frame, receiver, args, dst):
-    """Default invoke-kind handler: unknown APIs propagate taint from any
-    input to the receiver and the result, and never clear anything."""
+    # any other API propagates taint from every input to the receiver and
+    # the result, and never clears anything
     tags = collect_taints(*args)
     if receiver is not None:
         receiver.details.taints |= tags
         tags = collect_taints(receiver)
-    if dst is not None:
-        frame.regs[dst] = Entry(EntryDetails(IMMUTABLE_REF, taints=tags))
+    return value_entry(tags)
 
 
 def _operands(frame, instr, method):
@@ -437,8 +435,9 @@ def handle_discontinuity(chain, returns_receiver, klass, ctx, frame, instr, meth
     of `chain` that `klass` implements, in order, with the trigger's
     arguments passed to doInBackground and its result to onPostExecute.
     Each callback hands `frame` a new heap, so the operands are read afresh
-    for each, the result waits in a register of `frame`, and the trigger's
-    own result is bound after the chain."""
+    for each, and the result waits in a register of `frame`.  Returns the
+    trigger's result, as `handle_invoke` does: the receiver, read afresh
+    after the chain, when the call returns it, else None."""
     for cb_name in chain:
         cb = klass.method_by_name(cb_name)
         if cb is None:
@@ -454,7 +453,7 @@ def handle_discontinuity(chain, returns_receiver, klass, ctx, frame, instr, meth
         if cb_name == "doInBackground" and ret is not None:
             frame.regs[_CARRIED] = ret
     frame.regs.pop(_CARRIED, None)
-    if instr.result is not None:
-        receiver, _ = _operands(frame, instr, method)
-        frame.regs[instr.result] = (bind_copy(receiver) if returns_receiver and receiver is not None
-                                    else fresh_entry(IMMUTABLE_REF))
+    if not returns_receiver:
+        return None
+    receiver, _ = _operands(frame, instr, method)
+    return bind_copy(receiver) if receiver is not None else None

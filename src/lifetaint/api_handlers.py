@@ -1,16 +1,12 @@
 """Hand-written models for library APIs whose data semantics matter.
 
-Handlers are keyed by ``Class.method`` (arity-independent).  Everything not
-listed here falls through to the default invoke-kind handlers, which mark the
-receiver or the result tainted whenever any input is tainted.
+Handlers are keyed by ``Class.method``, each with the number of arguments it
+reads; a call that passes fewer, and everything not listed here, falls
+through to the default invoke rule, which marks the receiver and the result
+tainted whenever any input is tainted.
 """
 
-from .symbols import Entry, EntryDetails, IMMUTABLE_REF, collect_taints
-
-
-def _string_result(taints, const=None, from_code=False):
-    return Entry(EntryDetails(IMMUTABLE_REF, taints=taints,
-                                    const_value=const, const_from_code=from_code))
+from .symbols import collect_taints, value_entry
 
 
 def _concat_const(a, b):
@@ -37,7 +33,7 @@ def builder_to_string(receiver, args):
     if receiver is None:
         return None
     det = receiver.details
-    return _string_result(collect_taints(receiver), det.const_value, det.const_from_code)
+    return value_entry(collect_taints(receiver), det.const_value, det.const_from_code)
 
 
 def string_concat(receiver, args):
@@ -45,36 +41,39 @@ def string_concat(receiver, args):
         return None
     taints = collect_taints(receiver, args[0])
     const, from_code = _concat_const(receiver.details, args[0].details)
-    return _string_result(taints, const, from_code)
+    return value_entry(taints, const, from_code)
 
 
 def string_value_of(receiver, args):
     src = args[0]
     det = src.details
-    return _string_result(collect_taints(src), det.const_value, det.const_from_code)
+    return value_entry(collect_taints(src), det.const_value, det.const_from_code)
 
 
 def string_format(receiver, args):
     # formatting mangles the text, so the result is never a code constant
-    return _string_result(collect_taints(*args))
+    return value_entry(collect_taints(*args))
 
 
 def array_copy(receiver, args):
     # System.arraycopy(src, srcPos, dst, dstPos, length)
-    if len(args) >= 3:
-        args[2].details.taints |= collect_taints(args[0])
+    args[2].details.taints |= collect_taints(args[0])
     return None
 
 
+# Class.method -> (handler, number of arguments it reads)
 HANDLERS = {
-    "StringBuilder.append": builder_append,
-    "StringBuilder.toString": builder_to_string,
-    "String.concat": string_concat,
-    "String.valueOf": string_value_of,
-    "String.format": string_format,
-    "System.arraycopy": array_copy,
+    "StringBuilder.append": (builder_append, 1),
+    "StringBuilder.toString": (builder_to_string, 0),
+    "String.concat": (string_concat, 1),
+    "String.valueOf": (string_value_of, 1),
+    "String.format": (string_format, 0),
+    "System.arraycopy": (array_copy, 3),
 }
 
 
 def lookup(signature):
-    return HANDLERS.get(signature.rsplit("/", 1)[0])
+    """The handler for a Class.method/argc signature, or None."""
+    name, _, argc = signature.rpartition("/")
+    handler, reads = HANDLERS.get(name, (None, 0))
+    return handler if int(argc) >= reads else None

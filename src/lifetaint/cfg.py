@@ -1,9 +1,10 @@
 """Per-method control-flow graphs: construction, de-looping, block ordering.
 
-Back edges (target dominates source) are removed after dominator analysis;
-then for each removed edge a replacement edge from the end of the loop body
-to the loop's exit successors is added when it does not reintroduce a cycle,
-so the merge at the loop exit still sees the body's effects.  The result is a
+The edges into a block still on the stack of one depth-first walk are
+removed; for each of them that closes a natural loop (its target dominates
+its source), a replacement edge from the end of the loop body to the loop's
+exit successors is added when it does not reintroduce a cycle, so the merge
+at the loop exit still sees the body's effects.  The result is a
 DAG suitable for a single reverse-post-order pass.
 """
 
@@ -88,8 +89,9 @@ def build_cfg(method):
     return Cfg(method, blocks)
 
 
-def _reachable(blocks, start):
-    seen = set()
+def _reachable(blocks, start, avoid=None):
+    """Blocks reachable from start along paths that do not enter avoid."""
+    seen = {avoid}
     stack = [start]
     while stack:
         b = stack.pop()
@@ -97,31 +99,8 @@ def _reachable(blocks, start):
             continue
         seen.add(b)
         stack.extend(blocks[b].successors)
+    seen.discard(avoid)
     return seen
-
-
-def compute_dominators(cfg):
-    """Iterative dominator sets over reachable blocks: dom[b] = {b} ∪ ∩ dom(preds)."""
-    reach = _reachable(cfg.blocks, cfg.entry)
-    dom = {b: set(reach) for b in reach}
-    dom[cfg.entry] = {cfg.entry}
-    changed = True
-    while changed:
-        changed = False
-        for b in sorted(reach):
-            if b == cfg.entry:
-                continue
-            preds = [p for p in cfg.blocks[b].predecessors if p in reach]
-            new = set(reach)
-            for p in preds:
-                new &= dom[p]
-            new |= {b}
-            if not preds:
-                new = {b}
-            if new != dom[b]:
-                dom[b] = new
-                changed = True
-    return dom
 
 
 def _dfs(blocks, entry, back_edge):
@@ -175,36 +154,28 @@ def _copy(cfg):
 def remove_back_edges(cfg):
     """Return a de-looped copy of the CFG.
 
-    First every edge whose target dominates its source is dropped; an
-    irreducible graph still cyclic after that falls back to DFS edge
-    classification, with a warning.  Then each loop's tail (the end of its
-    body) feeds the loop's exit successors so merges past the loop still
-    combine the body's state; such a replacement edge is kept whenever it
-    leaves the graph acyclic, i.e. its target cannot reach the tail.
+    One depth-first walk finds every edge into a block still on its stack,
+    and all of them are dropped.  Such an edge closes a natural loop when
+    its target dominates its source: the source cannot be reached from the
+    entry without passing the target.  Any other one is irreducible flow,
+    logged as a warning.  Then each loop's tail (the end of its body) feeds
+    the loop's exit successors so merges past the loop still combine the
+    body's state; such a replacement edge is kept whenever it leaves the
+    graph acyclic, i.e. its target cannot reach the tail.
     """
     out = _copy(cfg)
-    dom = compute_dominators(out)
-    back = [(b.id, s) for b in out.blocks if b.id in dom
-            for s in b.successors if s in dom[b.id]]
-
-    def drop_edge(u, v):
-        out.blocks[u].successors.remove(v)
-        out.blocks[v].predecessors.remove(u)
-
-    for (tail, header) in back:
-        drop_edge(tail, header)
-
     retreating = []
     _dfs(out.blocks, out.entry, lambda u, v: retreating.append((u, v)))
-    if retreating:
-        log.warning(
-            "%s: irreducible control flow, falling back to DFS edge classification",
-            cfg.method.full_signature,
-        )
     for (u, v) in retreating:
-        drop_edge(u, v)
+        out.blocks[u].successors.remove(v)
+        out.blocks[v].predecessors.remove(u)
+    loops = [(b.id, s) for b in cfg.blocks for s in b.successors
+             if (b.id, s) in retreating and b.id not in _reachable(cfg.blocks, cfg.entry, s)]
+    if len(loops) < len(retreating):
+        log.warning("%s: irreducible control flow, its retreating edges dropped",
+                    cfg.method.full_signature)
 
-    for (tail, header) in back:
+    for (tail, header) in loops:
         body = _natural_loop(cfg, tail, header)
         exits = [s for s in out.blocks[header].successors if s not in body]
         for ex in exits:

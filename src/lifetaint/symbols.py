@@ -69,6 +69,11 @@ def fresh_entry(kind=MUTABLE_REF):
     return Entry(EntryDetails(kind))
 
 
+def value_entry(taints=(), const_value=None, const_from_code=False):
+    """A new immutable value: a string or another result the engine builds."""
+    return Entry(EntryDetails(IMMUTABLE_REF, taints, const_value, const_from_code))
+
+
 def const_entry(value, kind):
     return Entry(EntryDetails(kind, const_value=value, const_from_code=True))
 

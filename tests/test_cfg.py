@@ -2,12 +2,11 @@ import logging
 
 import pytest
 
-from lifetaint.cfg import (
-    build_cfg, compute_dominators, remove_back_edges, reverse_post_order, to_dot,
-)
+from lifetaint.cfg import build_cfg, remove_back_edges, reverse_post_order, to_dot
 from lifetaint.ir import app_from_dict, load_app
 
 from conftest import all_corpus_paths
+from test_golden_dags import random_method
 
 
 def method_of(instructions, labels=None, sig="m/0", params=("this",)):
@@ -70,6 +69,43 @@ def nested_loops():
     ], labels={"ohead": 0, "ihead": 2, "oback": 6, "exit": 7})
 
 
+def reachable_without(cfg, banned=None):
+    """Blocks reachable from the entry along paths that avoid `banned`."""
+    seen = set()
+    stack = [] if cfg.entry == banned else [cfg.entry]
+    while stack:
+        x = stack.pop()
+        if x in seen:
+            continue
+        seen.add(x)
+        stack.extend(s for s in cfg.blocks[x].successors if s != banned)
+    return seen
+
+
+def dominates(cfg, v, b):
+    """Brute force: v dominates a reachable b iff b cannot be reached from
+    the entry once v is removed."""
+    return b not in reachable_without(cfg, v)
+
+
+def retreating_edges(succs, entry):
+    """Edges into a block on the stack of a depth-first walk that takes
+    successors in list order."""
+    state, found = {}, []
+
+    def dfs(b):
+        state[b] = 1
+        for s in succs[b]:
+            if state.get(s) == 1:
+                found.append((b, s))
+            elif s not in state:
+                dfs(s)
+        state[b] = 2
+
+    dfs(entry)
+    return found
+
+
 def find_cycle(cfg):
     state = {}
 
@@ -101,8 +137,7 @@ class TestBuild:
 
     def test_loop_has_back_edge(self):
         cfg = build_cfg(while_loop())
-        dom = compute_dominators(cfg)
-        back = [(b.id, s) for b in cfg.blocks for s in b.successors if s in dom[b.id]]
+        back = [(b.id, s) for b in cfg.blocks for s in b.successors if dominates(cfg, s, b.id)]
         assert len(back) == 1
         (tail, header) = back[0]
         assert header < tail  # textbook: header dominates the body end
@@ -113,33 +148,32 @@ class TestBuild:
         assert starts == sorted(starts)
 
 
+def check_two_pass_definition(cfg, caplog):
+    """The one walk drops what two passes would: first every edge whose
+    target dominates its source, then the edges still retreating in a
+    depth-first walk of what is left, which are irreducible flow and warn."""
+    loops = {(b, s) for b in reachable_without(cfg) for s in cfg.blocks[b].successors
+             if dominates(cfg, s, b)}
+    rest = [[s for s in b.successors if (b.id, s) not in loops] for b in cfg.blocks]
+    irreducible = retreating_edges(rest, cfg.entry)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        dag = remove_back_edges(cfg)
+    assert set(cfg.edges()) - set(dag.edges()) == loops | set(irreducible)
+    assert any("irreducible" in r.message for r in caplog.records) == bool(irreducible)
+
+
 class TestDominators:
     @pytest.mark.parametrize("path", all_corpus_paths())
-    def test_brute_force_oracle(self, path):
-        # v dominates b iff removing v disconnects b from the entry
+    def test_brute_force_oracle(self, path, caplog):
         app = load_app(path)
         for klass in app.classes:
             for method in klass.methods:
-                cfg = build_cfg(method)
-                if len(cfg.blocks) > 10:
-                    continue
-                dom = compute_dominators(cfg)
+                check_two_pass_definition(build_cfg(method), caplog)
 
-                def reachable_without(banned):
-                    seen = set()
-                    stack = [] if cfg.entry == banned else [cfg.entry]
-                    while stack:
-                        b = stack.pop()
-                        if b in seen:
-                            continue
-                        seen.add(b)
-                        stack.extend(s for s in cfg.blocks[b].successors if s != banned)
-                    return seen
-
-                for b in dom:
-                    for v in dom:
-                        expect = (v == b) or (b not in reachable_without(v))
-                        assert (v in dom[b]) == expect, (method.full_signature, v, b)
+    def test_brute_force_oracle_random_methods(self, caplog):
+        for seed in range(300):
+            check_two_pass_definition(build_cfg(random_method(seed)), caplog)
 
 
 class TestDeloop:

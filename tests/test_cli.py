@@ -156,6 +156,30 @@ class TestRun:
         assert report["sequences_analyzed"] == 16
         assert (report["warnings"], report["m_reached"]) == ([], 2)
 
+    def test_api_handler_with_too_few_arguments_gets_the_default_rule(self, tmp_app):
+        # each handler reads one argument; with none passed, the call falls
+        # through to the default rule instead of failing the app
+        doc = {"app_id": "short_args", "classes": [{
+            "name": "Main", "parent_kind": "ACTIVITY", "static_fields": [],
+            "methods": [{"sig": "main/0", "params": ["this"], "labels": {}, "instructions": [
+                ["INVOKE_STATIC", "v", "String.valueOf/0", []],
+                ["CONST_STRING", "s", "a"],
+                ["INVOKE_VIRTUAL", "c", "s", "String.concat/0", []],
+                ["NEW_INSTANCE", "tm", "TelephonyManager"],
+                ["INVOKE_VIRTUAL", "id", "tm", "TelephonyManager.getDeviceId/0", []],
+                ["NEW_INSTANCE", "sb", "StringBuilder"],
+                ["INVOKE_VIRTUAL", None, "sb", "StringBuilder.append/1", ["id"]],
+                ["INVOKE_VIRTUAL", "r", "sb", "StringBuilder.append/0", []],
+                ["INVOKE_STATIC", None, "Log.d/2", ["s", "r"]],
+                ["RETURN_VOID"]]}]}],
+            "components": [{"class": "Main", "kind": "ACTIVITY",
+                            "aui_callbacks": [], "misc_callbacks": ["main"]}]}
+        status, text = run_cli([tmp_app(doc)], m_max=1)
+        report = json.loads(text)
+        assert status == 0 and "error" not in report
+        assert [(w["kind"], w["sink_api"]) for w in report["warnings"]] == [
+            ("INFO_LEAK", "Log.d/2")]
+
     def test_any_exception_is_only_that_apps_error(self, tmp_app):
         # a call chain deeper than Python's recursion limit
         depth = 300
@@ -256,6 +280,27 @@ class TestArgs:
 
     def test_main_bad_config_exit_1(self, capsys):
         status = main(["--app", "x.app", "--models", "/nope"])
+        assert status == 1
+
+    @pytest.mark.parametrize("sources", ["TelephonyManager.getDeviceId/0", 5])
+    def test_sources_not_a_list_is_config_error(self, tmp_path, capsys, sources):
+        # a string used to become a set of characters, and 5 a TypeError
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"sources": sources, "sinks": ["Log.e/2"]}))
+        status, text = run_cli([corpus_path("motivating_example")], config_path=str(path))
+        assert (status, text) == (1, "")
+        assert "configuration error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rule", [
+        "SmsManager.sendTextMessage/5",
+        {"signature": 5, "recipient_arg_index": 0},
+        {"signature": "SmsManager.sendTextMessage/5", "recipient_arg_index": -1},
+        {"signature": "SmsManager.sendTextMessage/5", "recipient_arg_index": "0"},
+    ])
+    def test_malformed_sms_rule_is_config_error(self, tmp_path, rule):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"sources": [], "sinks": [], "sms_send_apis": [rule]}))
+        status, _ = run_cli([corpus_path("motivating_example")], config_path=str(path))
         assert status == 1
 
     def test_python_dash_m(self):
