@@ -7,15 +7,20 @@ the component state, the sequence's outermost symbol space, and each
 callback runs one level deeper on its method stack, as does every app
 method call: a call hands its caller the callee's whole exit heap.
 Sequences that start with the same prefix and units share them: the
-sequences are walked as a permutation tree, each unit runs once per tree
-node, and a node's children start from the state it left.
+sequences are walked as a permutation tree, and a node's children start
+from the state it left.  A unit run is memoised for the whole app, across m
+levels, on the component, the unit's callbacks and a canonical fingerprint
+of the state it starts from, in the spirit of IFDS summaries (Reps, Horwitz
+and Sagiv, POPL 1995): a node whose unit already ran from an equal state
+replays that run's warnings instead, and starts its children from the
+state the run left.  A leaf's run keeps no state.
 Each method is compiled once per app into a plan: its de-looped CFG's
 blocks in reverse post order, each with the merge it starts from.  A block
 with several predecessors merges its predecessors' OUT_d snapshots so taints
 survive path-local untainting, while straight-line chains pass the live table
-through.  Only blocks that a merge reads are snapshotted.  A state that
-several readers start from, a tree node's or a block's OUT_d, is held with
-its reader count, and `_take` copies it for every reader but the last.
+through.  Only blocks that a merge reads are snapshotted.  A block's OUT_d is
+held with its reader count, and `_take` copies it for every reader but the
+last.
 """
 
 import json
@@ -31,7 +36,8 @@ from .ir import resolve_method
 from .sequences import generate_m_way
 from .symbols import (
     COLLECTION, IMMUTABLE_REF, PRIMITIVE, SymbolSpace, TaintTag,
-    bind_copy, collect_taints, const_entry, fresh_entry, merge_spaces, value_entry,
+    bind_copy, collect_taints, const_entry, fingerprint, fresh_entry, merge_spaces,
+    value_entry,
 )
 
 # life-cycle callbacks that receive the component's saved-state bundle as
@@ -108,6 +114,10 @@ class AnalysisContext:
         self.sequence = None
         self.segment_index = 0
         self.plans = {}               # id(MethodDef) -> _compile(method)
+        # (component class, a unit's callbacks by segment, fingerprint of the
+        # state it starts from) -> _Node, kept across m levels
+        self.memo = {}
+        self.states = {}              # fingerprint -> (itself, a state), for the memo
 
     def out_of_time(self):
         return self._clock() > self._deadline
@@ -137,40 +147,35 @@ def analyze_component(app, component, plan, ctx):
     The sequences are the leaves of a permutation tree whose root is the
     prefix and whose depth-j nodes hold j units.  `generate_m_way` yields
     them in lexicographic order, which walks that tree depth first, so a
-    sequence runs only the units after the prefix it shares with the one
-    before it, from the state that prefix left.  A node's state is held
-    with its child count, n for the prefix and n-j-1 after the unit at
-    depth j, and each child takes it through `_take`.
+    sequence visits only the nodes after the prefix it shares with the one
+    before it, each from the state its parent left.  `_visit` runs a node's
+    unit or replays the memo's run of it.
     """
     if not plan.units:
         return []
     ctx.component = component.class_name
     ctx.m = plan.m
     before = len(ctx.warnings)
-    n = len(plan.units)
-    # states[j]: [the state after the prefix and previous[:j], children left]
-    states = []
+    # nodes[j]: the memo entry of the node after the prefix and previous[:j]
+    nodes = []
     previous = ()
     for seq in generate_m_way(plan):
         combo = seq.unit_indexes
         k = 0
         while k < len(previous) and previous[k] == combo[k]:
             k += 1
-        del states[k + 1:]
+        del nodes[k + 1:]
         ctx.sequence = seq
         try:
             ctx.check_time()
-            if not states:
-                state = _fresh_state()
-                _run_segments(component, seq, 0, len(plan.prefix), state, ctx)
-                states.append([state, n])
+            if not nodes:
+                nodes.append(_visit(component, plan.prefix, _ROOT, seq, 0, True, ctx))
             start = len(plan.prefix) + sum(len(plan.units[u].segments) for u in combo[:k])
             for j in range(k, len(combo)):
-                state = _take(states[j])
-                stop = start + len(plan.units[combo[j]].segments)
-                _run_segments(component, seq, start, stop, state, ctx)
-                states.append([state, n - j - 1])
-                start = stop
+                segments = plan.units[combo[j]].segments
+                nodes.append(_visit(component, segments, nodes[j], seq, start,
+                                    j + 1 < plan.m, ctx))
+                start += len(segments)
         except _TimeBudgetExceeded:
             ctx.killed = True
             break
@@ -181,10 +186,65 @@ def analyze_component(app, component, plan, ctx):
     return ctx.warnings[before:]
 
 
+class _Node:
+    """A memoised unit run: the warnings it emitted, each with its segment
+    offset in the unit, and, when a tree node with children needed it, the
+    state the run left and that state's fingerprint.  Children run on
+    copies, so the state stays as the run left it."""
+
+    __slots__ = ("warnings", "state", "fingerprint")
+
+    def __init__(self, warnings, state, fingerprint):
+        self.warnings = warnings
+        self.state = state
+        self.fingerprint = fingerprint
+
+
 def _fresh_state():
     # the outermost level of the method stack holds the component instance
     # and its saved-state bundle; each callback is called from it
     return SymbolSpace({"this": fresh_entry(), "savedState": fresh_entry()})
+
+
+# the prefix's parent, the fresh component state; it keeps no state, and a
+# run from it starts from a new one
+_ROOT = _Node((), None, fingerprint(_fresh_state()))
+
+
+def _visit(component, segments, parent, seq, start, has_children, ctx):
+    """One tree node: the unit `segments`, at segment offset `start` of
+    `seq`, from the state `parent` left.  A run of the same unit from an
+    equal state, in this app, is replayed from `ctx.memo`, unless the node
+    has children and the run kept no state.  Otherwise the unit runs on a
+    copy of the parent's state, and the run is stored: a leaf's without its
+    state.  Returns the node's memo entry."""
+    key = (component.class_name, tuple(s.callbacks for s in segments), parent.fingerprint)
+    node = ctx.memo.get(key)
+    if node is not None and (node.state is not None or not has_children):
+        _replay(node, seq, start, ctx)
+        return node
+    state = _fresh_state() if parent.state is None else parent.state.deep_copy()
+    before = len(ctx.warnings)
+    _run_segments(component, seq, start, start + len(segments), state, ctx)
+    # a warning's event trace ends at the segment it was found in
+    found = [(len(w.event_trace) - 1 - start, w) for w in ctx.warnings[before:]]
+    if has_children:
+        # a state equal to one already kept shares it, and its fingerprint
+        fp = fingerprint(state)
+        fp, state = ctx.states.setdefault(fp, (fp, state))
+        node = _Node(found, state, fp)
+    else:
+        node = _Node(found, None, None)
+    ctx.memo[key] = node
+    return node
+
+
+def _replay(node, seq, start, ctx):
+    """Emit a memoised run's warnings again, as found at level `ctx.m` in
+    `seq`'s unit at segment offset `start`."""
+    for offset, w in node.warnings:
+        ctx.warnings.append(Warning(w.kind, w.source_apis, w.sink_api, w.locations,
+                                    w.component, ctx.m, seq.event_trace(start + offset)))
 
 
 def _run_sequence(app, component, seq, ctx):
@@ -371,7 +431,7 @@ def handle_invoke(instr, ctx, frame, method):
         if found is not None:
             return handle_discontinuity(*found, klass, ctx, frame, instr, method)
 
-    handler = api_handlers.lookup(sig)
+    handler = api_handlers.lookup(sig, receiver is not None)
     if handler is not None:
         return handler(receiver, args)
 

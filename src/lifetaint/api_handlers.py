@@ -1,9 +1,9 @@
 """Hand-written models for library APIs whose data semantics matter.
 
-Handlers are keyed by ``Class.method``, each with the number of arguments it
-reads; a call that passes fewer, and everything not listed here, falls
-through to the default invoke rule, which marks the receiver and the result
-tainted whenever any input is tainted.
+Handlers are keyed by ``Class.method``, each with whether it reads a receiver
+and the number of arguments it reads; a call that passes less, and
+everything not listed here, falls through to the default invoke rule, which
+marks the receiver and the result tainted whenever any input is tainted.
 """
 
 from .symbols import collect_taints, value_entry
@@ -19,8 +19,6 @@ def _concat_const(a, b):
 
 
 def builder_append(receiver, args):
-    if receiver is None:
-        return None
     arg = args[0]
     receiver.details.taints |= collect_taints(arg)
     const, from_code = _concat_const(receiver.details, arg.details)
@@ -30,15 +28,11 @@ def builder_append(receiver, args):
 
 
 def builder_to_string(receiver, args):
-    if receiver is None:
-        return None
     det = receiver.details
     return value_entry(collect_taints(receiver), det.const_value, det.const_from_code)
 
 
 def string_concat(receiver, args):
-    if receiver is None:
-        return None
     taints = collect_taints(receiver, args[0])
     const, from_code = _concat_const(receiver.details, args[0].details)
     return value_entry(taints, const, from_code)
@@ -61,19 +55,23 @@ def array_copy(receiver, args):
     return None
 
 
-# Class.method -> (handler, number of arguments it reads)
+# Class.method -> (handler, whether it reads a receiver, number of arguments
+# it reads)
 HANDLERS = {
-    "StringBuilder.append": (builder_append, 1),
-    "StringBuilder.toString": (builder_to_string, 0),
-    "String.concat": (string_concat, 1),
-    "String.valueOf": (string_value_of, 1),
-    "String.format": (string_format, 0),
-    "System.arraycopy": (array_copy, 3),
+    "StringBuilder.append": (builder_append, True, 1),
+    "StringBuilder.toString": (builder_to_string, True, 0),
+    "String.concat": (string_concat, True, 1),
+    "String.valueOf": (string_value_of, False, 1),
+    "String.format": (string_format, False, 0),
+    "System.arraycopy": (array_copy, False, 3),
 }
 
 
-def lookup(signature):
-    """The handler for a Class.method/argc signature, or None."""
+def lookup(signature, has_receiver):
+    """The handler for a call of a Class.method/argc signature, with a
+    receiver or not, or None."""
     name, _, argc = signature.rpartition("/")
-    handler, reads = HANDLERS.get(name, (None, 0))
-    return handler if int(argc) >= reads else None
+    handler, reads_receiver, reads = HANDLERS.get(name, (None, False, 0))
+    if int(argc) < reads or (reads_receiver and not has_receiver):
+        return None
+    return handler

@@ -186,7 +186,16 @@ def main(argv=None):
     except ConfigError as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return 1
-    return run(cfg)
+    try:
+        status = run(cfg)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (`lifetaint ... | head`): end quietly, with
+        # stdout on os.devnull so that the interpreter's last flush of the
+        # unwritten reports cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

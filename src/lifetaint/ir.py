@@ -183,6 +183,11 @@ _WRITES_DST = {"CONST_STRING", "CONST_NUM", "MOVE", "NEW_INSTANCE", "IGET",
                "INVOKE_VIRTUAL", "INVOKE_DIRECT", "INVOKE_STATIC"}
 
 
+# a constant's literal types (booleans are ints); constants are compared and
+# hashed with the state they are part of
+_LITERAL = {"CONST_STRING": (str,), "CONST_NUM": (int, float)}
+
+
 def _parse_instruction(raw, idx, where):
     if not isinstance(raw, list) or not raw:
         raise AppLoadError("%s: instruction %d is not a non-empty list" % (where, idx))
@@ -195,6 +200,9 @@ def _parse_instruction(raw, idx, where):
         )
     if kind in _WRITES_DST and ops[0] == "this":
         raise AppLoadError("%s: %s at %d cannot write to 'this'" % (where, kind, idx))
+    if kind in _LITERAL and not isinstance(ops[1], _LITERAL[kind]):
+        raise AppLoadError("%s: %s at %d needs a %s literal, got %r"
+                           % (where, kind, idx, _LITERAL[kind][0].__name__, ops[1]))
     if kind.startswith("INVOKE_"):
         args = ops[-1]
         if not isinstance(args, (list, tuple)):

@@ -130,6 +130,44 @@ class SymbolSpace:
         return dup
 
 
+def fingerprint(space):
+    """A canonical flat tuple of a space: two spaces with equal fingerprints
+    hold the same names, in the same order, bound to the same alias graph of
+    objects with the same contents, so every run from either behaves alike.
+
+    Each EntryDetails is numbered at its first visit, and an edge to it is
+    written as its number.  The tables `regs`, `statics`, `outer` and
+    `returned` are written first, each as its length and its (name, number)
+    pairs in insertion order; then every object in number order as its
+    value kind, taints, constant type, constant, `const_from_code` and its
+    fields the same way as a table.  The constant's type keeps 1, 1.0 and
+    True apart.
+    """
+    number = {}                   # id(details) -> its number
+    reached = []                  # the numbered details, in number order
+    out = [len(space.outer)]
+
+    def edges(table):
+        out.append(len(table))
+        for name, entry in table.items():
+            det = entry.details
+            n = number.get(id(det))
+            if n is None:
+                n = number[id(det)] = len(reached)
+                reached.append(det)
+            out.append(name)
+            out.append(n)
+
+    for table in (space.regs, space.statics) + space.outer:
+        edges(table)
+    edges({} if space.returned is None else {0: space.returned})
+    for det in reached:           # grows as the fields reach new objects
+        const = det.const_value
+        out += (det.value_kind, frozenset(det.taints), type(const), const, det.const_from_code)
+        edges(det.fields)
+    return tuple(out)
+
+
 def _join(table, pairs, seen):
     """Join (name, entry) pairs of another space into `table`: adopt the
     entry where the name is unbound, else merge the two objects and then

@@ -19,15 +19,20 @@ def corpus_app(name):
     return load_app(corpus_path(name))
 
 
+def isolated_env():
+    """The environment of a child process that runs this checkout's sources."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
 def run_isolated(args, timeout=60):
     """Run `python args...` against this checkout's sources in a child
     process, so a call that never returns fails the test instead of hanging
     it (subprocess.TimeoutExpired)."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env, timeout=timeout)
+                          env=isolated_env(), timeout=timeout)
 
 
 def all_corpus_paths():

@@ -1,5 +1,7 @@
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -8,7 +10,7 @@ from lifetaint.cli import RunConfig, analyze_app, main, run
 from lifetaint.errors import ConfigError
 from lifetaint.sequences import build_plan
 
-from conftest import all_corpus_paths, corpus_app, corpus_path, run_isolated
+from conftest import all_corpus_paths, corpus_app, corpus_path, isolated_env, run_isolated
 
 
 def run_cli(paths, **kw):
@@ -307,6 +309,24 @@ class TestArgs:
         result = run_isolated(["-m", "lifetaint", "--app", corpus_path("sms_hardcoded")])
         assert (result.returncode, result.stderr) == (0, "")
         assert json.loads(result.stdout)["app_id"] == "sms_hardcoded"
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["at-flush", "at-write"])
+    def test_reader_that_closes_early_ends_the_run_quietly(self, unbuffered):
+        # buffered, the report waits for the last flush; unbuffered, the
+        # batch's write loop fails
+        env = isolated_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lifetaint", "--app", corpus_path("motivating_example")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        proc.stdout.close()
+        try:
+            err = proc.communicate(timeout=60)[1]
+        finally:
+            proc.kill()
+        assert (proc.returncode, err) == (1, "")
 
     def test_transient_cycle_model_keeps_the_batch(self, cyclic_models_dir):
         # the cycle only cuts derivation branches; the bundled createActivity

@@ -303,6 +303,21 @@ class TestInvokes:
         ])
         assert len(run_main(app, config)) == 1
 
+    @pytest.mark.parametrize("sig", ["String.concat/1", "StringBuilder.append/1",
+                                     "Foo.bar/1"])
+    def test_receiverless_call_keeps_its_argument_taint(self, sig, config):
+        # a handler that reads a receiver does not apply to a static call,
+        # which gets the default rule like any unknown API
+        app = make_app([
+            ["INVOKE_STATIC", "w", SOURCE, []],
+            ["INVOKE_STATIC", "s", sig, ["w"]],
+            ["CONST_STRING", "tag", "t"],
+            ["INVOKE_STATIC", None, "Log.d/2", ["tag", "s"]],
+            ["RETURN_VOID"],
+        ])
+        w = run_main(app, config)
+        assert len(w) == 1 and w[0].source_apis == frozenset({SOURCE})
+
     def test_arraycopy_taints_destination(self, config):
         app = make_app([
             ["COLLECTION_NEW", "src"],

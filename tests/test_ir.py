@@ -63,6 +63,13 @@ class TestLoading:
         with pytest.raises(AppLoadError, match="MOVE"):
             app_from_dict(doc)
 
+    @pytest.mark.parametrize("instr", [["CONST_NUM", "v", [1]], ["CONST_NUM", "v", "1"],
+                                       ["CONST_STRING", "v", 1], ["CONST_STRING", "v", None]])
+    def test_constant_of_the_wrong_type(self, instr):
+        doc = minimal(instructions=[instr, ["RETURN_VOID"]])
+        with pytest.raises(AppLoadError, match=instr[0]):
+            app_from_dict(doc)
+
     def test_invoke_arg_count_mismatch(self):
         doc = minimal(instructions=[
             ["INVOKE_STATIC", None, "Log.e/2", ["v0"]],

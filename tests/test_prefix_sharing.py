@@ -87,11 +87,17 @@ class TestOracle:
         assert warned == 1  # the family's planted leak
 
 
-def unit_app(n):
-    """An activity with onCreate and n AUI callbacks, each one unit."""
+def unit_app(n, distinct=False):
+    """An activity with onCreate and n AUI callbacks, each one unit.  The
+    callbacks do nothing, or, with `distinct`, callback i writes its own
+    static, so that every ordering of units leaves its own state."""
     aui = ["onClick%d" % i for i in range(n)]
-    methods = [{"sig": name + "/0", "params": ["this"], "labels": {},
-                "instructions": [["RETURN_VOID"]]} for name in ["onCreate"] + aui]
+    methods = [{"sig": "onCreate/0", "params": ["this"], "labels": {},
+                "instructions": [["RETURN_VOID"]]}]
+    for i, name in enumerate(aui):
+        body = [["CONST_STRING", "v", "x"], ["SPUT", "A.s%d" % i, "v"]] if distinct else []
+        methods.append({"sig": name + "/0", "params": ["this"], "labels": {},
+                        "instructions": body + [["RETURN_VOID"]]})
     return app_from_dict({
         "app_id": "units",
         "classes": [{"name": "A", "parent_kind": "ACTIVITY", "static_fields": [],
@@ -101,40 +107,94 @@ def unit_app(n):
     }), aui
 
 
+def unit_plan(aui, m):
+    units = tuple(PermutationUnit(AUI_CALLBACK, (name,), (Segment(name, (name,)),))
+                  for name in aui)
+    return PermutationPlan(m, units, (Segment("create", ("onCreate",)),))
+
+
+class Work:
+    """Top-level callback calls, state copies, unit runs (`_run_segments`)
+    and memo replays (`_replay`) of an analysis."""
+
+    def __init__(self, monkeypatch):
+        self.calls, self.copies, self.runs, self.replays = [], [], [], []
+        real_call, real_copy = analysis._call, SymbolSpace.deep_copy
+        real_run, real_replay = analysis._run_segments, analysis._replay
+
+        def call(target, ctx, *args):
+            if not ctx.method_stack:
+                self.calls.append(target.name)
+            return real_call(target, ctx, *args)
+
+        def copy(space):
+            self.copies.append(space)
+            return real_copy(space)
+
+        def run(component, seq, start, stop, state, ctx):
+            self.runs.append(seq.segments[start].callbacks)
+            return real_run(component, seq, start, stop, state, ctx)
+
+        def replay(node, seq, start, ctx):
+            self.replays.append(seq.segments[start].callbacks)
+            return real_replay(node, seq, start, ctx)
+
+        monkeypatch.setattr(analysis, "_call", call)
+        monkeypatch.setattr(SymbolSpace, "deep_copy", copy)
+        monkeypatch.setattr(analysis, "_run_segments", run)
+        monkeypatch.setattr(analysis, "_replay", replay)
+
+
 class TestWork:
     @pytest.mark.parametrize("n,m", [(1, 1), (4, 1), (4, 2), (4, 3), (5, 2), (3, 3)])
     def test_each_tree_node_runs_its_unit_once(self, n, m, config, monkeypatch):
-        app, aui = unit_app(n)
-        units = tuple(PermutationUnit(AUI_CALLBACK, (name,), (Segment(name, (name,)),))
-                      for name in aui)
-        plan = PermutationPlan(m, units, (Segment("create", ("onCreate",)),))
-        calls = []
-        real_call = analysis._call
-
-        def counting_call(target, ctx, *args):
-            if not ctx.method_stack:
-                calls.append(target.name)
-            return real_call(target, ctx, *args)
-
-        copies = []
-        real_copy = SymbolSpace.deep_copy
-
-        def counting_copy(space):
-            copies.append(space)
-            return real_copy(space)
-
-        monkeypatch.setattr(analysis, "_call", counting_call)
-        monkeypatch.setattr(SymbolSpace, "deep_copy", counting_copy)
+        # every ordering leaves its own state, so no node finds its run in
+        # the memo, and the counts are those of the tree walk itself
+        app, aui = unit_app(n, distinct=True)
+        work = Work(monkeypatch)
         ctx = AnalysisContext(app, config)
-        analyze_component(app, app.components[0], plan, ctx)
+        analyze_component(app, app.components[0], unit_plan(aui, m), ctx)
         assert ctx.sequences_analyzed == perm(n, m)
+        assert work.replays == []
         # one prefix, then one unit run per node of depth 1..m; a flat
         # replay would make perm(n, m) * (1 + m) calls
-        assert calls.count("onCreate") == 1
-        assert len(calls) == 1 + sum(perm(n, k) for k in range(1, m + 1))
-        # each of the perm(n, j) nodes of depth j < m copies its state for
-        # each of its n - j children but the last, which takes the state
-        assert len(copies) == sum(perm(n, j) * (n - j - 1) for j in range(m))
+        assert work.calls.count("onCreate") == 1
+        assert len(work.calls) == len(work.runs) == 1 + sum(perm(n, k) for k in range(1, m + 1))
+        # every unit runs on its own copy of its parent's state, which the
+        # memo keeps: one copy per node of depth 1..m
+        assert len(work.copies) == sum(perm(n, k) for k in range(1, m + 1))
+        # the memo keeps a run per node, and a state per node with children
+        assert len(ctx.memo) == len(work.runs)
+        assert len(ctx.states) == sum(perm(n, j) for j in range(m))
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_escalation_reruns_only_leaves_that_get_children(self, n, config, monkeypatch):
+        # no-op units leave the state they start from, so every node of
+        # every level has the same start state
+        app, aui = unit_app(n)
+        work = Work(monkeypatch)
+        ctx = AnalysisContext(app, config)
+        levels = []
+        for m in range(1, n + 1):
+            before = (len(work.calls), len(work.runs), len(work.replays), len(work.copies))
+            analyze_component(app, app.components[0], unit_plan(aui, m), ctx)
+            after = (len(work.calls), len(work.runs), len(work.replays), len(work.copies))
+            levels.append(tuple(b - a for a, b in zip(before, after)))
+        # level 1 runs the prefix and each unit once; a unit's first run
+        # keeps no state, it was a leaf.  Level 2 replays the prefix, runs
+        # each unit again to keep the state its children start from, and
+        # replays every other node; from level 3 on everything is replayed.
+        # (calls, runs, replays, copies) per level:
+        expected = [(1 + n, 1 + n, 0, n)]
+        if n >= 2:
+            expected.append((n, n, 1 + n * (n - 1), n))
+        for m in range(3, n + 1):
+            expected.append((0, 0, 1 + sum(perm(n, k) for k in range(1, m + 1)), 0))
+        assert levels == expected
+        assert work.calls.count("onCreate") == 1
+        assert ctx.sequences_analyzed == sum(perm(n, m) for m in range(1, n + 1))
+        # one run per unit and one for the prefix, all from one state
+        assert len(ctx.memo) == 1 + n and len(ctx.states) == 1
 
 
 class KillAt:
