@@ -13,7 +13,7 @@ levels, on the component, the unit's callbacks and a canonical fingerprint
 of the state it starts from, in the spirit of IFDS summaries (Reps, Horwitz
 and Sagiv, POPL 1995): a node whose unit already ran from an equal state
 replays that run's warnings instead, and starts its children from the
-state the run left.  A leaf's run keeps no state.
+state the run left.
 Each method is compiled once per app into a plan: its de-looped CFG's
 blocks in reverse post order, each with the merge it starts from.  A block
 with several predecessors merges its predecessors' OUT_d snapshots so taints
@@ -25,6 +25,7 @@ last.
 
 import json
 import time
+from collections import namedtuple
 
 from . import api_handlers
 from .cfg import build_cfg, remove_back_edges, reverse_post_order
@@ -169,12 +170,11 @@ def analyze_component(app, component, plan, ctx):
         try:
             ctx.check_time()
             if not nodes:
-                nodes.append(_visit(component, plan.prefix, _ROOT, seq, 0, True, ctx))
+                nodes.append(_visit(component, plan.prefix, _ROOT, seq, 0, ctx))
             start = len(plan.prefix) + sum(len(plan.units[u].segments) for u in combo[:k])
             for j in range(k, len(combo)):
                 segments = plan.units[combo[j]].segments
-                nodes.append(_visit(component, segments, nodes[j], seq, start,
-                                    j + 1 < plan.m, ctx))
+                nodes.append(_visit(component, segments, nodes[j], seq, start, ctx))
                 start += len(segments)
         except _TimeBudgetExceeded:
             ctx.killed = True
@@ -186,18 +186,10 @@ def analyze_component(app, component, plan, ctx):
     return ctx.warnings[before:]
 
 
-class _Node:
-    """A memoised unit run: the warnings it emitted, each with its segment
-    offset in the unit, and, when a tree node with children needed it, the
-    state the run left and that state's fingerprint.  Children run on
-    copies, so the state stays as the run left it."""
-
-    __slots__ = ("warnings", "state", "fingerprint")
-
-    def __init__(self, warnings, state, fingerprint):
-        self.warnings = warnings
-        self.state = state
-        self.fingerprint = fingerprint
+# a memoised unit run: the warnings it emitted, each with its segment offset
+# in the unit, the state the run left and that state's fingerprint; children
+# run on copies, so the state stays as the run left it
+_Node = namedtuple("_Node", "warnings state fingerprint")
 
 
 def _fresh_state():
@@ -206,36 +198,31 @@ def _fresh_state():
     return SymbolSpace({"this": fresh_entry(), "savedState": fresh_entry()})
 
 
-# the prefix's parent, the fresh component state; it keeps no state, and a
-# run from it starts from a new one
-_ROOT = _Node((), None, fingerprint(_fresh_state()))
+# the prefix's parent: a run that emitted nothing and left the fresh
+# component state, which is only ever copied
+_ROOT = _Node((), _fresh_state(), fingerprint(_fresh_state()))
 
 
-def _visit(component, segments, parent, seq, start, has_children, ctx):
+def _visit(component, segments, parent, seq, start, ctx):
     """One tree node: the unit `segments`, at segment offset `start` of
     `seq`, from the state `parent` left.  A run of the same unit from an
-    equal state, in this app, is replayed from `ctx.memo`, unless the node
-    has children and the run kept no state.  Otherwise the unit runs on a
-    copy of the parent's state, and the run is stored: a leaf's without its
-    state.  Returns the node's memo entry."""
+    equal state, in this app, is replayed from `ctx.memo`.  Otherwise the
+    unit runs on a copy of the parent's state, and the run is stored with
+    the state it left.  Returns the node's memo entry."""
     key = (component.class_name, tuple(s.callbacks for s in segments), parent.fingerprint)
     node = ctx.memo.get(key)
-    if node is not None and (node.state is not None or not has_children):
+    if node is not None:
         _replay(node, seq, start, ctx)
         return node
-    state = _fresh_state() if parent.state is None else parent.state.deep_copy()
+    state = parent.state.deep_copy()
     before = len(ctx.warnings)
     _run_segments(component, seq, start, start + len(segments), state, ctx)
     # a warning's event trace ends at the segment it was found in
     found = [(len(w.event_trace) - 1 - start, w) for w in ctx.warnings[before:]]
-    if has_children:
-        # a state equal to one already kept shares it, and its fingerprint
-        fp = fingerprint(state)
-        fp, state = ctx.states.setdefault(fp, (fp, state))
-        node = _Node(found, state, fp)
-    else:
-        node = _Node(found, None, None)
-    ctx.memo[key] = node
+    # a state equal to one already kept shares it, and its fingerprint
+    fp = fingerprint(state)
+    fp, state = ctx.states.setdefault(fp, (fp, state))
+    node = ctx.memo[key] = _Node(found, state, fp)
     return node
 
 

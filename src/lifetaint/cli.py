@@ -40,7 +40,7 @@ class RunConfig:
     def __post_init__(self):
         if self.m_max < 1:
             raise ConfigError("m-max must be >= 1")
-        if self.budget_secs <= 0:
+        if not self.budget_secs > 0:
             raise ConfigError("budget-secs must be > 0")
         if self.fmt not in ("json", "table"):
             raise ConfigError("format must be json or table")

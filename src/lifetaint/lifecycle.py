@@ -110,6 +110,15 @@ def _parse_guard(raw, where):
     return Guard(raw.get("event"), raw.get("prev_event"), is_else)
 
 
+def _list_of(kind, doc, key, where):
+    """A copy of doc[key] (default []), checked to be a list of `kind` items."""
+    value = doc.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(v, kind) for v in value):
+        noun = "objects" if kind is dict else "strings"
+        raise ModelError("%s: field '%s' must be a list of %s" % (where, key, noun))
+    return list(value)
+
+
 def load_model(path):
     """Load and validate a life-cycle model from a JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -121,6 +130,8 @@ def load_model(path):
 
 
 def model_from_dict(doc, source="<dict>"):
+    if not isinstance(doc, dict):
+        raise ModelError("%s: not a JSON object" % source)
     for key in ("component_kind", "states", "initial", "goal", "events", "transitions"):
         if key not in doc:
             raise ModelError("%s: missing required field '%s'" % (source, key))
@@ -129,7 +140,7 @@ def model_from_dict(doc, source="<dict>"):
         raise ModelError("%s: component_kind must be ACTIVITY or SERVICE, got %r" % (source, kind))
 
     states = {}
-    for raw in doc["states"]:
+    for raw in _list_of(dict, doc, "states", source):
         name, skind = raw.get("name"), raw.get("kind")
         if not name or skind not in (STATIC, TRANSIENT):
             raise ModelError("%s: bad state entry %r (field 'states')" % (source, raw))
@@ -144,12 +155,12 @@ def model_from_dict(doc, source="<dict>"):
         if states[value].kind != STATIC:
             raise ModelError("%s: %s state %r must be STATIC" % (source, label, value))
 
-    events = list(doc["events"])
-    callbacks = list(doc.get("callbacks", []))
+    events = _list_of(str, doc, "events", source)
+    callbacks = _list_of(str, doc, "callbacks", source)
     known_callbacks = set(callbacks)
 
     transitions = []
-    for i, raw in enumerate(doc["transitions"]):
+    for i, raw in enumerate(_list_of(dict, doc, "transitions", source)):
         where = "%s: transitions[%d]" % (source, i)
         src, dst = raw.get("from"), raw.get("to")
         if src not in states:
@@ -158,7 +169,7 @@ def model_from_dict(doc, source="<dict>"):
             raise ModelError("%s: unknown destination state %r (field 'to')" % (where, dst))
         guard = _parse_guard(raw.get("guard"), where)
         triggers = raw.get("triggers")
-        cbs = tuple(raw.get("callbacks", []))
+        cbs = tuple(_list_of(str, raw, "callbacks", where))
         for ev in (guard.event, guard.prev_event, triggers):
             if ev is not None and ev not in events:
                 raise ModelError("%s: event %r not in declared events" % (where, ev))

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from lifetaint.analysis import AnalysisContext, analyze_component
-from lifetaint.cli import RunConfig, analyze_app, main, run
+from lifetaint.cli import RunConfig, _data_path, analyze_app, main, run
 from lifetaint.errors import ConfigError
 from lifetaint.sequences import build_plan
 
@@ -267,8 +267,11 @@ class TestArgs:
             RunConfig(app_paths=["x"], m_max=0)
 
     def test_bad_budget(self):
-        with pytest.raises(ConfigError):
-            RunConfig(app_paths=["x"], budget_secs=0)
+        # NaN fails every comparison, so a `<= 0` check let it through and
+        # the analysis ran with no budget at all
+        for budget in (0, -1.0, float("nan")):
+            with pytest.raises(ConfigError):
+                RunConfig(app_paths=["x"], budget_secs=budget)
 
     def test_bad_format(self):
         with pytest.raises(ConfigError):
@@ -327,6 +330,17 @@ class TestArgs:
         finally:
             proc.kill()
         assert (proc.returncode, err) == (1, "")
+
+    def test_malformed_model_is_config_error(self, tmp_path, capsys):
+        # a state given by its name used to end the run with an AttributeError
+        base = _data_path("models")
+        doc = json.loads(base.joinpath("activity.json").read_text())
+        doc["states"] = [state["name"] for state in doc["states"]]
+        (tmp_path / "activity.json").write_text(json.dumps(doc))
+        (tmp_path / "service.json").write_text(base.joinpath("service.json").read_text())
+        status, text = run_cli([corpus_path("motivating_example")], models_dir=str(tmp_path))
+        assert (status, text) == (1, "")
+        assert "configuration error:" in capsys.readouterr().err
 
     def test_transient_cycle_model_keeps_the_batch(self, cyclic_models_dir):
         # the cycle only cuts derivation branches; the bundled createActivity

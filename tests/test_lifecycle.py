@@ -94,6 +94,33 @@ class TestLoading:
         with pytest.raises(ModelError, match="else"):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize("field,value", [
+        ("states", ["Init", "Mid", "Goal"]),
+        ("states", {"name": "Init", "kind": "STATIC"}),
+        ("transitions", [["Init", "Mid"]]),
+        ("events", "go"),
+        ("callbacks", "onGo"),
+    ])
+    def test_malformed_list_field(self, field, value):
+        # a string entry used to end in AttributeError, and a string list
+        # to become a list of its characters
+        with pytest.raises(ModelError, match="field '%s' must be a list of" % field):
+            model_from_dict(small_model(**{field: value}))
+
+    @pytest.mark.parametrize("callbacks", ["onGo", [["onGo"]], [None]])
+    def test_transition_callbacks_must_be_strings(self, callbacks):
+        # without a top-level callbacks list nothing else catches "onGo"
+        doc = small_model()
+        del doc["callbacks"]
+        doc["transitions"][0]["callbacks"] = callbacks
+        with pytest.raises(ModelError, match=r"transitions\[0\]: field 'callbacks'"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [None, 5, ["states"]])
+    def test_model_not_an_object(self, doc):
+        with pytest.raises(ModelError, match="not a JSON object"):
+            model_from_dict(doc)
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(small_model()))

@@ -59,7 +59,18 @@ def deduplicated(levels):
 
 
 def assert_memo_is_transparent(app, models, config, m_max):
-    with_memo = escalate(app, models, config, m_max, analyze_component)
+    memo, runs = {}, []
+    real_run = analysis._run_segments
+
+    def run(*args):
+        runs.append(args)
+        return real_run(*args)
+
+    with pytest.MonkeyPatch.context() as counting:
+        counting.setattr(analysis, "_run_segments", run)
+        with_memo = escalate(app, models, config, m_max, analyze_component, memo)
+    # each (component, unit, start state) ran once, over all the levels
+    assert len(runs) == len(memo)
     without = escalate(app, models, config, m_max, analyze_component, Forgetful())
     assert raw(with_memo) == raw(without)
     flat = escalate(app, models, config, m_max, flat_component)

@@ -145,6 +145,22 @@ class Work:
         monkeypatch.setattr(analysis, "_replay", replay)
 
 
+def nodes(n, m):
+    """The tree nodes of depth 1..m over n units."""
+    return sum(perm(n, k) for k in range(1, m + 1))
+
+
+def escalate(app, aui, work, ctx):
+    """Levels m = 1..len(aui) on `ctx`: (calls, runs, replays, copies) per level."""
+    levels = []
+    for m in range(1, len(aui) + 1):
+        before = (len(work.calls), len(work.runs), len(work.replays), len(work.copies))
+        analyze_component(app, app.components[0], unit_plan(aui, m), ctx)
+        after = (len(work.calls), len(work.runs), len(work.replays), len(work.copies))
+        levels.append(tuple(b - a for a, b in zip(before, after)))
+    return levels
+
+
 class TestWork:
     @pytest.mark.parametrize("n,m", [(1, 1), (4, 1), (4, 2), (4, 3), (5, 2), (3, 3)])
     def test_each_tree_node_runs_its_unit_once(self, n, m, config, monkeypatch):
@@ -159,42 +175,41 @@ class TestWork:
         # one prefix, then one unit run per node of depth 1..m; a flat
         # replay would make perm(n, m) * (1 + m) calls
         assert work.calls.count("onCreate") == 1
-        assert len(work.calls) == len(work.runs) == 1 + sum(perm(n, k) for k in range(1, m + 1))
-        # every unit runs on its own copy of its parent's state, which the
-        # memo keeps: one copy per node of depth 1..m
-        assert len(work.copies) == sum(perm(n, k) for k in range(1, m + 1))
-        # the memo keeps a run per node, and a state per node with children
-        assert len(ctx.memo) == len(work.runs)
-        assert len(ctx.states) == sum(perm(n, j) for j in range(m))
+        assert len(work.calls) == len(work.runs) == 1 + nodes(n, m)
+        # every run, the prefix's too, is on its own copy of its parent's
+        # state, and the memo keeps the run and the state it left
+        assert len(work.copies) == 1 + nodes(n, m)
+        assert len(ctx.memo) == len(ctx.states) == len(work.runs)
 
     @pytest.mark.parametrize("n", [1, 3, 4])
-    def test_escalation_reruns_only_leaves_that_get_children(self, n, config, monkeypatch):
+    def test_escalation_reruns_no_unit(self, n, config, monkeypatch):
         # no-op units leave the state they start from, so every node of
         # every level has the same start state
         app, aui = unit_app(n)
         work = Work(monkeypatch)
         ctx = AnalysisContext(app, config)
-        levels = []
-        for m in range(1, n + 1):
-            before = (len(work.calls), len(work.runs), len(work.replays), len(work.copies))
-            analyze_component(app, app.components[0], unit_plan(aui, m), ctx)
-            after = (len(work.calls), len(work.runs), len(work.replays), len(work.copies))
-            levels.append(tuple(b - a for a, b in zip(before, after)))
-        # level 1 runs the prefix and each unit once; a unit's first run
-        # keeps no state, it was a leaf.  Level 2 replays the prefix, runs
-        # each unit again to keep the state its children start from, and
-        # replays every other node; from level 3 on everything is replayed.
-        # (calls, runs, replays, copies) per level:
-        expected = [(1 + n, 1 + n, 0, n)]
-        if n >= 2:
-            expected.append((n, n, 1 + n * (n - 1), n))
-        for m in range(3, n + 1):
-            expected.append((0, 0, 1 + sum(perm(n, k) for k in range(1, m + 1)), 0))
-        assert levels == expected
-        assert work.calls.count("onCreate") == 1
+        # level 1 runs the prefix and each unit once, each on a copy; every
+        # node of a later level is replayed.  (calls, runs, replays, copies):
+        expected = [(1 + n, 1 + n, 0, 1 + n)]
+        expected += [(0, 0, 1 + nodes(n, m), 0) for m in range(2, n + 1)]
+        assert escalate(app, aui, work, ctx) == expected
         assert ctx.sequences_analyzed == sum(perm(n, m) for m in range(1, n + 1))
         # one run per unit and one for the prefix, all from one state
         assert len(ctx.memo) == 1 + n and len(ctx.states) == 1
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_escalation_runs_only_the_new_leaves(self, n, config, monkeypatch):
+        # every node has its own start state, so level m replays the nodes
+        # of the levels before it and runs only its new leaves, of depth m
+        app, aui = unit_app(n, distinct=True)
+        work = Work(monkeypatch)
+        ctx = AnalysisContext(app, config)
+        expected = [(1 + n, 1 + n, 0, 1 + n)]
+        expected += [(perm(n, m), perm(n, m), 1 + nodes(n, m - 1), perm(n, m))
+                     for m in range(2, n + 1)]
+        assert escalate(app, aui, work, ctx) == expected
+        # each (component, unit, start state) ran exactly once
+        assert len(work.runs) == len(ctx.memo) == len(ctx.states) == 1 + nodes(n, n)
 
 
 class KillAt:
@@ -248,14 +263,17 @@ class TestBudgetKill:
         app = corpus_app("motivating_example")
         component = app.components[0]
         level1, level2 = (build_plan(models["ACTIVITY"], component, m) for m in (1, 2))
-        # the last sequence of level 1 is the root's last child, which runs
-        # on the prefix state itself: the kill leaves that state half-run
+        # the kill comes inside the last sequence of level 1, a leaf: its
+        # unit's run, on a copy of the prefix's state, stops half done, and
+        # must leave no memo entry that level 2 would replay
         last = len(level1.units) - 1
         clock = KillAt(monkeypatch, last, read=2)
         ctx = AnalysisContext(app, config, 1.0, clock)
         analyze_component(app, component, level1, ctx)
         assert ctx.killed and ctx.sequences_analyzed == last and clock.reads == 2
         assert ctx.method_stack == [] and ctx.sequence is None
+        # the prefix and the units of the finished sequences, not the killed one
+        assert len(ctx.memo) == 1 + last
 
         clock.k = float("inf")
         ctx.killed = False
