@@ -12,8 +12,10 @@ from the state it left.  A unit run is memoised for the whole app, across m
 levels, on the component, the unit's callbacks and a canonical fingerprint
 of the state it starts from, in the spirit of IFDS summaries (Reps, Horwitz
 and Sagiv, POPL 1995): a node whose unit already ran from an equal state
-replays that run's warnings instead, and starts its children from the
-state the run left.
+reports that run's findings instead, and starts its children from the
+state the run left.  A run records only what it decides: each finding with
+the segment of the unit it was made in.  `_emit` turns findings into
+warnings, with the m and event trace of the sequence at hand.
 Each method is compiled once per app into a plan: its de-looped CFG's
 blocks in reverse post order, each with the merge it starts from.  A block
 with several predecessors merges its predecessors' OUT_d snapshots so taints
@@ -32,7 +34,7 @@ from .cfg import build_cfg, remove_back_edges, reverse_post_order
 from .detectors import (
     INFO_LEAK, Warning, detect_sms_attacks, sink_location, source_locations,
 )
-from .errors import AnalysisError, ConfigError
+from .errors import AnalysisError, ConfigError, list_of
 from .ir import resolve_method
 from .sequences import generate_m_way
 from .symbols import (
@@ -81,10 +83,7 @@ def load_config(path):
             raise ConfigError("%s: missing %r list" % (path, key))
 
     def strings(key):
-        value = doc.get(key, [])
-        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-            raise ConfigError("%s: %r must be a list of strings" % (path, key))
-        return value
+        return list_of(str, doc, key, path, ConfigError)
 
     rules = doc.get("sms_send_apis", [])
     if not isinstance(rules, list) or not all(
@@ -109,10 +108,8 @@ class AnalysisContext:
         self.sequences_analyzed = 0
         self._clock = clock
         self._deadline = clock() + budget_secs
-        # current sequence bookkeeping, used to describe warnings
-        self.component = None
-        self.m = 0
-        self.sequence = None
+        # the running unit's findings, by `warn`, and its current segment
+        self.found = []
         self.segment_index = 0
         self.plans = {}               # id(MethodDef) -> _compile(method)
         # (component class, a unit's callbacks by segment, fingerprint of the
@@ -127,19 +124,10 @@ class AnalysisContext:
         if self.out_of_time():
             raise _TimeBudgetExceeded()
 
-    def event_trace(self):
-        if self.sequence is None:
-            return ()
-        return self.sequence.event_trace(self.segment_index)
-
     def warn(self, kind, tags, sink_api, location):
-        """Record a `kind` warning of the taints `tags` reaching the sink
-        call at `location` in the current sequence."""
-        self.warnings.append(Warning(
-            kind, {t.source_api for t in tags}, sink_api,
-            source_locations(tags) + [sink_location(sink_api, location)],
-            self.component, self.m, self.event_trace(),
-        ))
+        """Record a `kind` finding of the taints `tags` reaching the sink
+        call at `location`, in the running unit's current segment."""
+        self.found.append((self.segment_index, kind, tags, sink_api, location))
 
 
 def analyze_component(app, component, plan, ctx):
@@ -150,12 +138,10 @@ def analyze_component(app, component, plan, ctx):
     them in lexicographic order, which walks that tree depth first, so a
     sequence visits only the nodes after the prefix it shares with the one
     before it, each from the state its parent left.  `_visit` runs a node's
-    unit or replays the memo's run of it.
+    unit or takes the memo's run of it.
     """
     if not plan.units:
         return []
-    ctx.component = component.class_name
-    ctx.m = plan.m
     before = len(ctx.warnings)
     # nodes[j]: the memo entry of the node after the prefix and previous[:j]
     nodes = []
@@ -166,7 +152,6 @@ def analyze_component(app, component, plan, ctx):
         while k < len(previous) and previous[k] == combo[k]:
             k += 1
         del nodes[k + 1:]
-        ctx.sequence = seq
         try:
             ctx.check_time()
             if not nodes:
@@ -179,17 +164,15 @@ def analyze_component(app, component, plan, ctx):
         except _TimeBudgetExceeded:
             ctx.killed = True
             break
-        finally:
-            ctx.sequence = None
         previous = combo
         ctx.sequences_analyzed += 1
     return ctx.warnings[before:]
 
 
-# a memoised unit run: the warnings it emitted, each with its segment offset
-# in the unit, the state the run left and that state's fingerprint; children
-# run on copies, so the state stays as the run left it
-_Node = namedtuple("_Node", "warnings state fingerprint")
+# a memoised unit run: its findings, each (segment index in the unit, kind,
+# tags, sink API, location), the state the run left and that state's
+# fingerprint; children run on copies, so the state stays as the run left it
+_Node = namedtuple("_Node", "found state fingerprint")
 
 
 def _fresh_state():
@@ -198,7 +181,7 @@ def _fresh_state():
     return SymbolSpace({"this": fresh_entry(), "savedState": fresh_entry()})
 
 
-# the prefix's parent: a run that emitted nothing and left the fresh
+# the prefix's parent: a run that found nothing and left the fresh
 # component state, which is only ever copied
 _ROOT = _Node((), _fresh_state(), fingerprint(_fresh_state()))
 
@@ -206,44 +189,53 @@ _ROOT = _Node((), _fresh_state(), fingerprint(_fresh_state()))
 def _visit(component, segments, parent, seq, start, ctx):
     """One tree node: the unit `segments`, at segment offset `start` of
     `seq`, from the state `parent` left.  A run of the same unit from an
-    equal state, in this app, is replayed from `ctx.memo`.  Otherwise the
-    unit runs on a copy of the parent's state, and the run is stored with
-    the state it left.  Returns the node's memo entry."""
+    equal state, in this app, is taken from `ctx.memo`.  Otherwise the unit
+    runs on a copy of the parent's state, and the run's findings are stored
+    with the state it left.  Either way `_emit` reports the findings as
+    warnings of `seq`.  Returns the node's memo entry."""
     key = (component.class_name, tuple(s.callbacks for s in segments), parent.fingerprint)
     node = ctx.memo.get(key)
     if node is not None:
-        _replay(node, seq, start, ctx)
+        _emit(node.found, component, seq, start, ctx)
         return node
     state = parent.state.deep_copy()
-    before = len(ctx.warnings)
-    _run_segments(component, seq, start, start + len(segments), state, ctx)
-    # a warning's event trace ends at the segment it was found in
-    found = [(len(w.event_trace) - 1 - start, w) for w in ctx.warnings[before:]]
+    try:
+        _run_segments(component, segments, state, ctx)
+    finally:
+        # a run that the budget kills reports what it found, and is not stored
+        _emit(ctx.found, component, seq, start, ctx)
     # a state equal to one already kept shares it, and its fingerprint
     fp = fingerprint(state)
     fp, state = ctx.states.setdefault(fp, (fp, state))
-    node = ctx.memo[key] = _Node(found, state, fp)
+    node = ctx.memo[key] = _Node(tuple(ctx.found), state, fp)
     return node
 
 
-def _replay(node, seq, start, ctx):
-    """Emit a memoised run's warnings again, as found at level `ctx.m` in
-    `seq`'s unit at segment offset `start`."""
-    for offset, w in node.warnings:
-        ctx.warnings.append(Warning(w.kind, w.source_apis, w.sink_api, w.locations,
-                                    w.component, ctx.m, seq.event_trace(start + offset)))
+def _emit(found, component, seq, start, ctx):
+    """Report a unit run's findings as warnings of `seq`, in which the unit
+    starts at segment `start`: each at m = the sequence's unit count, with
+    the event trace up to the segment it was found in."""
+    m = len(seq.unit_indexes)
+    for offset, kind, tags, sink_api, location in found:
+        ctx.warnings.append(Warning(
+            kind, {t.source_api for t in tags}, sink_api,
+            source_locations(tags) + [sink_location(sink_api, location)],
+            component.class_name, m, seq.event_trace(start + offset)))
 
 
-def _run_sequence(app, component, seq, ctx):
-    """Run one whole sequence from a fresh component state."""
-    _run_segments(component, seq, 0, len(seq.segments), _fresh_state(), ctx)
+def _run_sequence(component, seq, ctx):
+    """Run one whole sequence from a fresh component state, as one unit."""
+    _run_segments(component, seq.segments, _fresh_state(), ctx)
+    _emit(ctx.found, component, seq, 0, ctx)
 
 
-def _run_segments(component, seq, start, stop, state, ctx):
-    """Run the callbacks of seq.segments[start:stop] on the component state."""
-    for i in range(start, stop):
+def _run_segments(component, segments, state, ctx):
+    """Run the callbacks of a unit's `segments` on the component state;
+    what they find is recorded in a new `ctx.found`."""
+    ctx.found = []
+    for i, segment in enumerate(segments):
         ctx.segment_index = i
-        for callback in seq.segments[i].callbacks:
+        for callback in segment.callbacks:
             method = component.klass.method_by_name(callback)
             if method is not None:
                 bundle = [state.regs["savedState"]] if callback in BUNDLE_CALLBACKS else []

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the list check the loaders use."""
 
 
 class LifetaintError(Exception):
@@ -25,3 +25,13 @@ class AnalysisError(LifetaintError):
 
 class ConfigError(LifetaintError):
     """Bad run configuration (CLI arguments, source/sink config file)."""
+
+
+def list_of(kind, doc, key, where, error):
+    """A copy of doc[key] (default []), checked to be a list of `kind`
+    items; otherwise `error` is raised, naming the field."""
+    value = doc.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(v, kind) for v in value):
+        noun = {dict: "objects", str: "strings", list: "lists"}[kind]
+        raise error("%s: field '%s' must be a list of %s" % (where, key, noun))
+    return list(value)

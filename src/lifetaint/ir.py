@@ -10,31 +10,31 @@ API handlers.
 import json
 from dataclasses import dataclass
 
-from .errors import AppLoadError
+from .errors import AppLoadError, list_of
 
 PARENT_KINDS = ("ACTIVITY", "SERVICE", "RECEIVER", "THREAD", "ASYNC_TASK", "PLAIN")
 COMPONENT_KINDS = ("ACTIVITY", "SERVICE", "RECEIVER")
 
-# opcode -> (operand count, has receiver) for invokes; plain arity otherwise
-_ARITY = {
-    "CONST_STRING": 2,
-    "CONST_NUM": 2,
-    "MOVE": 2,
-    "NEW_INSTANCE": 2,
-    "IGET": 3,
-    "IPUT": 3,
-    "SGET": 2,
-    "SPUT": 2,
-    "COLLECTION_NEW": 1,
-    "COLLECTION_PUT": 3,
-    "COLLECTION_GET": 3,
-    "IF_GOTO": 2,
-    "GOTO": 1,
-    "RETURN": 1,
-    "RETURN_VOID": 0,
-    "INVOKE_VIRTUAL": 4,
-    "INVOKE_DIRECT": 4,
-    "INVOKE_STATIC": 3,
+# opcode -> its operands, one letter of _OPERAND each
+_OPERANDS = {
+    "CONST_STRING": "ns",
+    "CONST_NUM": "nf",
+    "MOVE": "nn",
+    "NEW_INSTANCE": "nn",
+    "IGET": "nnn",
+    "IPUT": "nnn",
+    "SGET": "nn",
+    "SPUT": "nn",
+    "COLLECTION_NEW": "n",
+    "COLLECTION_PUT": "nin",
+    "COLLECTION_GET": "nni",
+    "IF_GOTO": "nn",
+    "GOTO": "n",
+    "RETURN": "n",
+    "RETURN_VOID": "",
+    "INVOKE_VIRTUAL": "rnna",
+    "INVOKE_DIRECT": "rnna",
+    "INVOKE_STATIC": "rna",
 }
 
 
@@ -127,43 +127,6 @@ class AppModel:
     def klass(self, name):
         return self._classes.get(name)
 
-    def to_dict(self):
-        """Canonical dict form; load(to_dict(load(f))) is structurally stable."""
-        return {
-            "app_id": self.app_id,
-            "version": self.version,
-            "classes": [
-                {
-                    "name": c.name,
-                    "parent_kind": c.parent_kind,
-                    "static_fields": list(c.static_fields),
-                    "methods": [
-                        {
-                            "sig": m.sig,
-                            "params": list(m.params),
-                            "instructions": [
-                                [i.kind] + [list(op) if isinstance(op, tuple) else op
-                                            for op in i.operands]
-                                for i in m.instructions
-                            ],
-                            "labels": dict(sorted(m.labels.items())),
-                        }
-                        for m in c.methods
-                    ],
-                }
-                for c in self.classes
-            ],
-            "components": [
-                {
-                    "class": comp.class_name,
-                    "kind": comp.kind,
-                    "aui_callbacks": list(comp.aui_callbacks),
-                    "misc_callbacks": list(comp.misc_callbacks),
-                }
-                for comp in self.components
-            ],
-        }
-
 
 def resolve_method(app, signature):
     """MethodDef for a full signature, or None when it is an external API."""
@@ -183,33 +146,43 @@ _WRITES_DST = {"CONST_STRING", "CONST_NUM", "MOVE", "NEW_INSTANCE", "IGET",
                "INVOKE_VIRTUAL", "INVOKE_DIRECT", "INVOKE_STATIC"}
 
 
-# a constant's literal types (booleans are ints); constants are compared and
+# operand letter -> (what the operand must be, its check).  A name is a
+# register, field, static, class, signature or label; a constant's literal
+# type is checked (booleans are ints), since constants are compared and
 # hashed with the state they are part of
-_LITERAL = {"CONST_STRING": (str,), "CONST_NUM": (int, float)}
+_OPERAND = {
+    "n": ("a name", lambda op: isinstance(op, str)),
+    "r": ("a register name or null", lambda op: op is None or isinstance(op, str)),
+    "s": ("a string literal", lambda op: isinstance(op, str)),
+    "f": ("a number literal", lambda op: isinstance(op, (int, float))),
+    "i": ("a collection index", lambda op: True),
+    "a": ("a list of register names",
+          lambda op: isinstance(op, (list, tuple)) and all(isinstance(a, str) for a in op)),
+}
 
 
 def _parse_instruction(raw, idx, where):
-    if not isinstance(raw, list) or not raw:
-        raise AppLoadError("%s: instruction %d is not a non-empty list" % (where, idx))
+    if not raw:
+        raise AppLoadError("%s: instruction %d is empty" % (where, idx))
     kind, *ops = raw
-    if kind not in _ARITY:
+    spec = _OPERANDS.get(kind) if isinstance(kind, str) else None
+    if spec is None:
         raise AppLoadError("%s: unknown opcode %r at %d" % (where, kind, idx))
-    if len(ops) != _ARITY[kind]:
+    if len(ops) != len(spec):
         raise AppLoadError(
-            "%s: %s at %d takes %d operands, got %d" % (where, kind, idx, _ARITY[kind], len(ops))
+            "%s: %s at %d takes %d operands, got %d" % (where, kind, idx, len(spec), len(ops))
         )
+    for i, op in enumerate(ops):
+        noun, check = _OPERAND[spec[i]]
+        if not check(op):
+            raise AppLoadError("%s: %s at %d: operand %d must be %s, got %r"
+                               % (where, kind, idx, i + 1, noun, op))
     if kind in _WRITES_DST and ops[0] == "this":
         raise AppLoadError("%s: %s at %d cannot write to 'this'" % (where, kind, idx))
-    if kind in _LITERAL and not isinstance(ops[1], _LITERAL[kind]):
-        raise AppLoadError("%s: %s at %d needs a %s literal, got %r"
-                           % (where, kind, idx, _LITERAL[kind][0].__name__, ops[1]))
     if kind.startswith("INVOKE_"):
         args = ops[-1]
-        if not isinstance(args, (list, tuple)):
-            raise AppLoadError("%s: %s at %d needs an argument list" % (where, kind, idx))
         sig = ops[2] if kind != "INVOKE_STATIC" else ops[1]
-        full = sig if "." in sig else None
-        if full is None:
+        if "." not in sig:
             raise AppLoadError("%s: %s at %d needs a Class.method/argc signature" % (where, kind, idx))
         cls, _, msig = sig.rpartition(".")
         _check_sig(msig, where)
@@ -224,29 +197,30 @@ def _parse_instruction(raw, idx, where):
 
 def _parse_method(raw, class_name, where):
     sig = raw.get("sig")
-    _check_sig(sig if isinstance(sig, str) else "", where)
-    params = list(raw.get("params", []))
-    labels = dict(raw.get("labels", {}))
-    instrs = [
-        _parse_instruction(ins, i, "%s.%s" % (where, sig))
-        for i, ins in enumerate(raw.get("instructions", []))
-    ]
+    _check_sig(sig, where)
+    where = "%s.%s" % (where, sig)
+    params = list_of(str, raw, "params", where, AppLoadError)
+    labels = raw.get("labels", {})
+    if not isinstance(labels, dict):
+        raise AppLoadError("%s: field 'labels' must be an object" % where)
+    instrs = [_parse_instruction(ins, i, where)
+              for i, ins in enumerate(list_of(list, raw, "instructions", where, AppLoadError))]
     for lbl, target in labels.items():
         if not isinstance(target, int) or not 0 <= target <= len(instrs):
-            raise AppLoadError("%s.%s: label %r points outside the method" % (where, sig, lbl))
+            raise AppLoadError("%s: label %r points outside the method" % (where, lbl))
     for ins in instrs:
         if ins.kind in ("IF_GOTO", "GOTO"):
             lbl = ins.operands[-1]
             if lbl not in labels:
                 raise AppLoadError(
-                    "%s.%s: branch to missing label %r at %d" % (where, sig, lbl, ins.index)
+                    "%s: branch to missing label %r at %d" % (where, lbl, ins.index)
                 )
     method = MethodDef(class_name, sig, params, instrs, labels)
     declared_argc = method.argc
     explicit = len(params) - (1 if params and params[0] == "this" else 0)
     if explicit != declared_argc:
         raise AppLoadError(
-            "%s.%s: declares %d args but lists %d non-this params" % (where, sig, declared_argc, explicit)
+            "%s: declares %d args but lists %d non-this params" % (where, declared_argc, explicit)
         )
     return method
 
@@ -262,23 +236,28 @@ def load_app(path):
 
 
 def app_from_dict(doc, source="<dict>"):
+    if not isinstance(doc, dict):
+        raise AppLoadError("%s: not a JSON object" % source)
     app_id = doc.get("app_id")
-    if not app_id:
-        raise AppLoadError("%s: missing app_id" % source)
+    if not app_id or not isinstance(app_id, str):
+        raise AppLoadError("%s: field 'app_id' must be a non-empty string" % source)
     classes = []
-    for rawc in doc.get("classes", []):
+    for rawc in list_of(dict, doc, "classes", source, AppLoadError):
         name = rawc.get("name")
         kind = rawc.get("parent_kind", "PLAIN")
-        if not name:
+        if not name or not isinstance(name, str):
             raise AppLoadError("%s: class without a name" % source)
+        where = "%s:%s" % (source, name)
         if kind not in PARENT_KINDS:
             raise AppLoadError("%s: class %s has unknown parent_kind %r" % (source, name, kind))
-        methods = [_parse_method(m, name, "%s:%s" % (source, name)) for m in rawc.get("methods", [])]
+        methods = [_parse_method(m, name, where)
+                   for m in list_of(dict, rawc, "methods", where, AppLoadError)]
         sigs = [m.sig for m in methods]
         for sig in sigs:
             if sigs.count(sig) > 1:
                 raise AppLoadError("%s: ambiguous signature %s.%s" % (source, name, sig))
-        classes.append(ClassDef(name, kind, list(rawc.get("static_fields", [])), methods))
+        static_fields = list_of(str, rawc, "static_fields", where, AppLoadError)
+        classes.append(ClassDef(name, kind, static_fields, methods))
     names = [c.name for c in classes]
     for n in names:
         if names.count(n) > 1:
@@ -286,17 +265,18 @@ def app_from_dict(doc, source="<dict>"):
 
     by_name = {c.name: c for c in classes}
     components = []
-    for rawcomp in doc.get("components", []):
+    for rawcomp in list_of(dict, doc, "components", source, AppLoadError):
         cname = rawcomp.get("class")
         kind = rawcomp.get("kind")
-        if cname not in by_name:
+        if not isinstance(cname, str) or cname not in by_name:
             raise AppLoadError("%s: component references unknown class %r" % (source, cname))
         if kind not in COMPONENT_KINDS:
             raise AppLoadError("%s: component %s has unknown kind %r" % (source, cname, kind))
+        where = "%s: component %s" % (source, cname)
         comp = ComponentDef(
             cname, kind,
-            list(rawcomp.get("aui_callbacks", [])),
-            list(rawcomp.get("misc_callbacks", [])),
+            list_of(str, rawcomp, "aui_callbacks", where, AppLoadError),
+            list_of(str, rawcomp, "misc_callbacks", where, AppLoadError),
             by_name[cname],
         )
         for cb in comp.aui_callbacks + comp.misc_callbacks:

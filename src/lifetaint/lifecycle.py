@@ -14,7 +14,7 @@ transient state it already passed is cut.  Derivation only reads the model.
 import json
 from dataclasses import dataclass
 
-from .errors import ModelError
+from .errors import ModelError, list_of
 
 STATIC = "STATIC"
 TRANSIENT = "TRANSIENT"
@@ -110,15 +110,6 @@ def _parse_guard(raw, where):
     return Guard(raw.get("event"), raw.get("prev_event"), is_else)
 
 
-def _list_of(kind, doc, key, where):
-    """A copy of doc[key] (default []), checked to be a list of `kind` items."""
-    value = doc.get(key, [])
-    if not isinstance(value, list) or not all(isinstance(v, kind) for v in value):
-        noun = "objects" if kind is dict else "strings"
-        raise ModelError("%s: field '%s' must be a list of %s" % (where, key, noun))
-    return list(value)
-
-
 def load_model(path):
     """Load and validate a life-cycle model from a JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -140,7 +131,7 @@ def model_from_dict(doc, source="<dict>"):
         raise ModelError("%s: component_kind must be ACTIVITY or SERVICE, got %r" % (source, kind))
 
     states = {}
-    for raw in _list_of(dict, doc, "states", source):
+    for raw in list_of(dict, doc, "states", source, ModelError):
         name, skind = raw.get("name"), raw.get("kind")
         if not name or skind not in (STATIC, TRANSIENT):
             raise ModelError("%s: bad state entry %r (field 'states')" % (source, raw))
@@ -155,12 +146,12 @@ def model_from_dict(doc, source="<dict>"):
         if states[value].kind != STATIC:
             raise ModelError("%s: %s state %r must be STATIC" % (source, label, value))
 
-    events = _list_of(str, doc, "events", source)
-    callbacks = _list_of(str, doc, "callbacks", source)
+    events = list_of(str, doc, "events", source, ModelError)
+    callbacks = list_of(str, doc, "callbacks", source, ModelError)
     known_callbacks = set(callbacks)
 
     transitions = []
-    for i, raw in enumerate(_list_of(dict, doc, "transitions", source)):
+    for i, raw in enumerate(list_of(dict, doc, "transitions", source, ModelError)):
         where = "%s: transitions[%d]" % (source, i)
         src, dst = raw.get("from"), raw.get("to")
         if src not in states:
@@ -169,7 +160,7 @@ def model_from_dict(doc, source="<dict>"):
             raise ModelError("%s: unknown destination state %r (field 'to')" % (where, dst))
         guard = _parse_guard(raw.get("guard"), where)
         triggers = raw.get("triggers")
-        cbs = tuple(_list_of(str, raw, "callbacks", where))
+        cbs = tuple(list_of(str, raw, "callbacks", where, ModelError))
         for ev in (guard.event, guard.prev_event, triggers):
             if ev is not None and ev not in events:
                 raise ModelError("%s: event %r not in declared events" % (where, ev))

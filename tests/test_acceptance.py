@@ -70,8 +70,7 @@ def test_criterion_2_motivating_example(models, config):
     equivalence = True
     for seq in generate_m_way(plan):
         ctx = AnalysisContext(app, config)
-        ctx.component, ctx.m, ctx.sequence = comp.class_name, 2, seq
-        _run_sequence(app, comp, seq, ctx)
+        _run_sequence(comp, seq, ctx)
         warned = any(w.kind == "INFO_LEAK" for w in ctx.warnings)
         if warned != contains(seq.callbacks):
             equivalence = False
@@ -109,8 +108,7 @@ def _replay_column_triggers(app, comp, model, column, config):
     )
     seq = FlattenedSequence((0,), segments)
     ctx = AnalysisContext(app, config)
-    ctx.component, ctx.m, ctx.sequence = comp.class_name, 0, seq
-    _run_sequence(app, comp, seq, ctx)
+    _run_sequence(comp, seq, ctx)
     return any(w.kind == "INFO_LEAK" for w in ctx.warnings)
 
 

@@ -126,6 +126,24 @@ class TestRun:
         assert "ghost" in docs[0]["error"]
         assert docs[1]["warnings"]
 
+    def test_malformed_app_error_names_the_field(self, tmp_app):
+        # a component's callbacks given as a string, not a list: the loader
+        # used to read it as the one-letter callback 'o'
+        malformed = tmp_app({
+            "app_id": "malformed",
+            "classes": [{"name": "Main", "parent_kind": "ACTIVITY", "methods": [
+                {"sig": "onClick/0", "params": ["this"], "labels": {},
+                 "instructions": [["RETURN_VOID"]]}]}],
+            "components": [{"class": "Main", "kind": "ACTIVITY",
+                            "aui_callbacks": "onClick", "misc_callbacks": []}],
+        })
+        status, text = run_cli([malformed, corpus_path("activity_eveseq1")])
+        assert status == 0
+        docs = [json.loads(chunk) for chunk in _split_json(text)]
+        assert "field 'aui_callbacks' must be a list of strings" in docs[0]["error"]
+        assert "Error:" not in docs[0]["error"]
+        assert "error" not in docs[1] and docs[1]["warnings"]
+
     def test_merge_that_adopts_its_own_input_gets_a_report(self, tmp_app):
         # found by a random differential run: a merge adopted an object whose
         # fields it was still iterating, and the batch died with RuntimeError

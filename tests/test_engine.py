@@ -3,14 +3,11 @@ import random
 import pytest
 
 from lifetaint import analysis
-from lifetaint.analysis import (
-    AnalysisContext, _run_sequence, analyze_component, analyze_method,
-)
+from lifetaint.analysis import AnalysisContext, _run_sequence, analyze_component
 from lifetaint.cli import analyze_app
 from lifetaint.errors import AnalysisError
-from lifetaint.ir import app_from_dict, resolve_method
+from lifetaint.ir import app_from_dict
 from lifetaint.sequences import FlattenedSequence, Segment, build_plan
-from lifetaint.symbols import SymbolSpace, fresh_entry
 
 from conftest import corpus_app
 
@@ -39,13 +36,11 @@ def make_app(instructions, extra_methods=(), extra_classes=(), labels=None):
 
 
 def run_main(app, config):
-    """Analyze Main.main/0 once and return the raw warnings."""
+    """Run Main's `main` callback once, as a one-segment sequence, and
+    return the raw warnings."""
     ctx = AnalysisContext(app, config)
-    ctx.component, ctx.m = "Main", 1
-    method = resolve_method(app, "Main.main/0")
-    frame = SymbolSpace()
-    frame.regs["this"] = fresh_entry()
-    analyze_method(method, ctx, frame)
+    _run_sequence(app.components[0], FlattenedSequence((0,), (Segment("main", ("main",)),)),
+                  ctx)
     return ctx.warnings
 
 
@@ -689,8 +684,7 @@ class TestSequenceState:
             Segment("boot", ("onCreate", "onResume")),
         ))
         ctx = AnalysisContext(app, config)
-        ctx.component, ctx.m, ctx.sequence = "A", 1, seq
-        _run_sequence(app, app.components[0], seq, ctx)
+        _run_sequence(app.components[0], seq, ctx)
         assert len(ctx.warnings) == 1
 
     def test_bundle_round_trip_through_branchy_callback(self, config):
@@ -731,8 +725,7 @@ class TestSequenceState:
             Segment("restore", ("onRestoreInstanceState",)),
         ))
         ctx = AnalysisContext(app, config)
-        ctx.component, ctx.m, ctx.sequence = "A", 1, seq
-        _run_sequence(app, app.components[0], seq, ctx)
+        _run_sequence(app.components[0], seq, ctx)
         assert len(ctx.warnings) == 1
 
 

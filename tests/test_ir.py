@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from lifetaint.errors import AppLoadError
@@ -24,6 +26,25 @@ def minimal(**method_overrides):
     }
 
 
+def as_json(app):
+    """The loaded model in the IR's JSON shape."""
+    return {
+        "app_id": app.app_id,
+        "version": app.version,
+        "classes": [{
+            "name": c.name, "parent_kind": c.parent_kind, "static_fields": c.static_fields,
+            "methods": [{
+                "sig": m.sig, "params": m.params, "labels": m.labels,
+                "instructions": [[i.kind, *(list(op) if isinstance(op, tuple) else op
+                                            for op in i.operands)]
+                                 for i in m.instructions],
+            } for m in c.methods],
+        } for c in app.classes],
+        "components": [{"class": k.class_name, "kind": k.kind, "aui_callbacks": k.aui_callbacks,
+                        "misc_callbacks": k.misc_callbacks} for k in app.components],
+    }
+
+
 class TestLoading:
     @pytest.mark.parametrize("path", all_corpus_paths())
     def test_corpus_loads(self, path):
@@ -33,6 +54,9 @@ class TestLoading:
             assert comp.klass is not None
             for cb in comp.aui_callbacks + comp.misc_callbacks:
                 assert comp.klass.method_by_name(cb) is not None
+        # the model holds exactly what the file says
+        with open(path, encoding="utf-8") as fh:
+            assert as_json(app) == json.load(fh)
 
     def test_motivating_shape(self):
         app = corpus_app("motivating_example")
@@ -134,10 +158,57 @@ class TestResolution:
         assert m is not None and m.class_name == "Node"
 
 
-class TestRoundTrip:
-    @pytest.mark.parametrize("path", all_corpus_paths())
-    def test_canonical_round_trip(self, path):
-        app = load_app(path)
-        first = app.to_dict()
-        again = app_from_dict(first).to_dict()
-        assert first == again
+class TestMalformed:
+    """A malformed container or operand is an AppLoadError that names the
+    field, not a Python exception from deep inside the loader."""
+
+    @pytest.mark.parametrize("edit,field", [
+        (lambda doc: [doc], "not a JSON object"),
+        (lambda doc: {**doc, "app_id": ["x"]}, "field 'app_id'"),
+        (lambda doc: {**doc, "classes": 5}, "field 'classes'"),
+        (lambda doc: {**doc, "classes": [5]}, "field 'classes'"),
+        (lambda doc: {**doc, "components": [5]}, "field 'components'"),
+    ])
+    def test_malformed_document(self, edit, field):
+        with pytest.raises(AppLoadError, match=field):
+            app_from_dict(edit(minimal()))
+
+    @pytest.mark.parametrize("key,value", [("static_fields", "ab"), ("methods", {}),
+                                           ("methods", ["go/0"])])
+    def test_malformed_class_field(self, key, value):
+        doc = minimal()
+        doc["classes"][0][key] = value
+        with pytest.raises(AppLoadError, match="field '%s'" % key):
+            app_from_dict(doc)
+
+    @pytest.mark.parametrize("key,value", [("labels", [1]), ("params", "this"),
+                                           ("instructions", [["RETURN_VOID"], "GOTO"])])
+    def test_malformed_method_field(self, key, value):
+        with pytest.raises(AppLoadError, match="field '%s'" % key):
+            app_from_dict(minimal(**{key: value}))
+
+    @pytest.mark.parametrize("key", ["aui_callbacks", "misc_callbacks"])
+    def test_callbacks_must_be_a_list(self, key):
+        doc = minimal()
+        doc["components"] = [{"class": "C", "kind": "ACTIVITY", "aui_callbacks": [],
+                              "misc_callbacks": [], key: "go"}]
+        with pytest.raises(AppLoadError, match="field '%s'" % key):
+            app_from_dict(doc)
+
+    @pytest.mark.parametrize("instr,operand", [
+        (["INVOKE_STATIC", "r", 5, []], 2),
+        (["INVOKE_STATIC", 5, "Log.e/0", []], 1),
+        (["INVOKE_STATIC", None, "Log.e/1", [5]], 3),
+        (["INVOKE_VIRTUAL", None, "this", "Log.e/0", "x"], 4),
+        (["IF_GOTO", "r", ["x"]], 2),
+        (["MOVE", "a", None], 2),
+        (["IGET", "a", "this", 0], 3),
+    ])
+    def test_operand_of_the_wrong_type(self, instr, operand):
+        doc = minimal(instructions=[instr, ["RETURN_VOID"]], labels={"x": 0})
+        with pytest.raises(AppLoadError, match="%s at 0: operand %d" % (instr[0], operand)):
+            app_from_dict(doc)
+
+    def test_an_opcode_must_be_a_string(self):
+        with pytest.raises(AppLoadError, match="unknown opcode"):
+            app_from_dict(minimal(instructions=[[["GOTO"]], ["RETURN_VOID"]]))

@@ -219,14 +219,22 @@ def random_activity(seed):
 
 class TestRandomActivities:
     def test_memo_matches_runs_without_it(self, models, config, monkeypatch):
-        replays = []
-        real_replay = analysis._replay
+        runs, replays = [], []
+        real_run, real_visit = analysis._run_segments, analysis._visit
 
-        def replay(node, seq, start, ctx):
-            replays.append(node)
-            return real_replay(node, seq, start, ctx)
+        def run(*args):
+            runs.append(None)
+            return real_run(*args)
 
-        monkeypatch.setattr(analysis, "_replay", replay)
+        def visit(*args):
+            before = len(runs)
+            node = real_visit(*args)
+            if len(runs) == before:
+                replays.append(node)
+            return node
+
+        monkeypatch.setattr(analysis, "_run_segments", run)
+        monkeypatch.setattr(analysis, "_visit", visit)
         warned = 0
         for seed in range(200):
             app = random_activity(seed)
@@ -234,7 +242,7 @@ class TestRandomActivities:
             # three levels where they stay cheap to replay flat
             levels = assert_memo_is_transparent(app, models, config, 3 if units <= 5 else 2)
             warned += any(found for _, _, found, _ in levels)
-        replayed_warnings = sum(1 for node in replays if node.warnings)
+        replayed_warnings = sum(1 for node in replays if node.found)
         # the differential means something only if the apps leak and the
         # memo replays runs, warnings among them
         assert warned >= 50

@@ -6,6 +6,7 @@ that start with it.  Both must give the same deduplicated warnings and
 count the same sequences, and the walk must run each tree node's unit once.
 """
 
+import itertools
 import os
 from math import perm
 
@@ -26,15 +27,12 @@ from conftest import ROOT, all_corpus_paths, corpus_app
 
 def flat_component(app, component, plan, ctx):
     """analyze_component as a flat replay: each sequence from a fresh state."""
-    ctx.component, ctx.m = component.class_name, plan.m
     before = len(ctx.warnings)
     for seq in analysis.generate_m_way(plan):
         if ctx.out_of_time():
             ctx.killed = True
             break
-        ctx.sequence = seq
-        _run_sequence(app, component, seq, ctx)
-        ctx.sequence = None
+        _run_sequence(component, seq, ctx)
         ctx.sequences_analyzed += 1
     return ctx.warnings[before:]
 
@@ -115,12 +113,12 @@ def unit_plan(aui, m):
 
 class Work:
     """Top-level callback calls, state copies, unit runs (`_run_segments`)
-    and memo replays (`_replay`) of an analysis."""
+    and memo replays (tree nodes visited without a run) of an analysis."""
 
     def __init__(self, monkeypatch):
         self.calls, self.copies, self.runs, self.replays = [], [], [], []
         real_call, real_copy = analysis._call, SymbolSpace.deep_copy
-        real_run, real_replay = analysis._run_segments, analysis._replay
+        real_run, real_visit = analysis._run_segments, analysis._visit
 
         def call(target, ctx, *args):
             if not ctx.method_stack:
@@ -131,18 +129,21 @@ class Work:
             self.copies.append(space)
             return real_copy(space)
 
-        def run(component, seq, start, stop, state, ctx):
-            self.runs.append(seq.segments[start].callbacks)
-            return real_run(component, seq, start, stop, state, ctx)
+        def run(component, segments, state, ctx):
+            self.runs.append(segments)
+            return real_run(component, segments, state, ctx)
 
-        def replay(node, seq, start, ctx):
-            self.replays.append(seq.segments[start].callbacks)
-            return real_replay(node, seq, start, ctx)
+        def visit(component, segments, *args):
+            runs = len(self.runs)
+            node = real_visit(component, segments, *args)
+            if len(self.runs) == runs:
+                self.replays.append(segments)
+            return node
 
         monkeypatch.setattr(analysis, "_call", call)
         monkeypatch.setattr(SymbolSpace, "deep_copy", copy)
         monkeypatch.setattr(analysis, "_run_segments", run)
-        monkeypatch.setattr(analysis, "_replay", replay)
+        monkeypatch.setattr(analysis, "_visit", visit)
 
 
 def nodes(n, m):
@@ -235,6 +236,12 @@ class KillAt:
         return 0.0 if self.reads < self.read else 1e9
 
 
+def out_at_read(n):
+    """A clock whose budget runs out at its n-th read."""
+    reads = itertools.count(1)
+    return lambda: 0.0 if next(reads) < n else 1e9
+
+
 def report_dict(report):
     return ([w.to_dict() for w in report.warnings], report.sequences_analyzed,
             report.m_reached, report.finished)
@@ -271,7 +278,7 @@ class TestBudgetKill:
         ctx = AnalysisContext(app, config, 1.0, clock)
         analyze_component(app, component, level1, ctx)
         assert ctx.killed and ctx.sequences_analyzed == last and clock.reads == 2
-        assert ctx.method_stack == [] and ctx.sequence is None
+        assert ctx.method_stack == []
         # the prefix and the units of the finished sequences, not the killed one
         assert len(ctx.memo) == 1 + last
 
@@ -282,3 +289,37 @@ class TestBudgetKill:
         expected = analyze_component(app, component, level2, fresh)
         assert resumed and [w.to_dict() for w in resumed] == [w.to_dict() for w in expected]
         assert ctx.sequences_analyzed == last + fresh.sequences_analyzed
+
+    def test_killed_unit_keeps_what_it_found(self, models, config):
+        # onCreate leaks, then calls a helper; the budget runs out at the
+        # helper's check_time, inside the prefix's run, after the leak
+        app = app_from_dict({
+            "app_id": "killed",
+            "classes": [{"name": "A", "parent_kind": "ACTIVITY", "static_fields": [],
+                         "methods": [
+                {"sig": "onCreate/1", "params": ["this", "b"], "labels": {}, "instructions": [
+                    ["INVOKE_STATIC", "w", "TelephonyManager.getDeviceId/0", []],
+                    ["CONST_STRING", "t", "t"],
+                    ["INVOKE_STATIC", None, "Log.d/2", ["t", "w"]],
+                    ["INVOKE_DIRECT", None, "this", "A.helper/0", []],
+                    ["RETURN_VOID"]]},
+                {"sig": "helper/0", "params": ["this"], "labels": {},
+                 "instructions": [["RETURN_VOID"]]}]}],
+            "components": [{"class": "A", "kind": "ACTIVITY",
+                            "aui_callbacks": [], "misc_callbacks": []}],
+        })
+        # analyze_app reads the clock for its start time, the deadline, the
+        # sequence boundary, onCreate and then the helper
+        report = analyze_app(app, models, config, m_max=2, budget_secs=1.0,
+                             clock=out_at_read(5))
+        assert [(w.kind, w.event_trace) for w in report.warnings] == [
+            ("INFO_LEAK", ("createActivity",))]
+        assert not report.finished and report.sequences_analyzed == 0
+
+        # the same kill point one read earlier: a context reads no start time
+        component = app.components[0]
+        ctx = AnalysisContext(app, config, 1.0, out_at_read(4))
+        analyze_component(app, component, build_plan(models["ACTIVITY"], component, 1), ctx)
+        assert ctx.killed and ctx.sequences_analyzed == 0
+        assert [(w.kind, w.sink_api, w.m) for w in ctx.warnings] == [("INFO_LEAK", "Log.d/2", 1)]
+        assert ctx.memo == {}
