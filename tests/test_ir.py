@@ -54,9 +54,6 @@ class TestLoading:
             assert comp.klass is not None
             for cb in comp.aui_callbacks + comp.misc_callbacks:
                 assert comp.klass.method_by_name(cb) is not None
-        # the model holds exactly what the file says
-        with open(path, encoding="utf-8") as fh:
-            assert as_json(app) == json.load(fh)
 
     def test_motivating_shape(self):
         app = corpus_app("motivating_example")
@@ -156,6 +153,18 @@ class TestResolution:
         app = corpus_app("linked_list")
         m = resolve_method(app, "Node.getNext/0")
         assert m is not None and m.class_name == "Node"
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("path", all_corpus_paths())
+    def test_canonical_round_trip(self, path):
+        first = as_json(load_app(path))
+        # the model holds exactly what the file says ...
+        with open(path, encoding="utf-8") as fh:
+            assert first == json.load(fh)
+        # ... and loading that shape again gives the same model
+        again = as_json(app_from_dict(first))
+        assert first == again
 
 
 class TestMalformed:
