@@ -7,15 +7,15 @@ the component state, the sequence's outermost symbol space, and each
 callback runs one level deeper on its method stack, as does every app
 method call: a call hands its caller the callee's whole exit heap.
 Sequences that start with the same prefix and units share them: the
-sequences are walked as a permutation tree, and a node's children start
-from the state it left.  A unit run is memoised for the whole app, across m
-levels, on the component, the unit's callbacks and a canonical fingerprint
-of the state it starts from, in the spirit of IFDS summaries (Reps, Horwitz
-and Sagiv, POPL 1995): a node whose unit already ran from an equal state
-reports that run's findings instead, and starts its children from the
-state the run left.  A run records only what it decides: each finding with
-the segment of the unit it was made in.  `_emit` turns findings into
-warnings, with the m and event trace of the sequence at hand.
+sequences are walked as a permutation tree, and a node's children start from
+the state it left.  Each top-level callback run is memoised for the whole
+app, across m levels, on the component, the callback and the number of its
+start state (equal states, by a canonical fingerprint, share one), in the
+spirit of IFDS summaries (Reps, Horwitz and Sagiv, POPL 1995): units built
+from life-cycle paths often share callbacks, and a callback that already ran
+from an equal state reports that run's findings and hands on the state it
+left.  A run records only its findings; `_emit` turns them into warnings,
+with the m and event trace of the sequence at hand.
 Each method is compiled once per app into a plan: its de-looped CFG's
 blocks in reverse post order, each with the merge it starts from.  A block
 with several predecessors merges its predecessors' OUT_d snapshots so taints
@@ -108,14 +108,12 @@ class AnalysisContext:
         self.sequences_analyzed = 0
         self._clock = clock
         self._deadline = clock() + budget_secs
-        # the running unit's findings, by `warn`, and its current segment
-        self.found = []
-        self.segment_index = 0
+        self.found = []               # the running callback's findings, by `warn`
         self.plans = {}               # id(MethodDef) -> _compile(method)
-        # (component class, a unit's callbacks by segment, fingerprint of the
-        # state it starts from) -> _Node, kept across m levels
+        # (component class, callback name, number of the state it starts
+        # from) -> _Node, kept across m levels
         self.memo = {}
-        self.states = {}              # fingerprint -> (itself, a state), for the memo
+        self.states = {}              # fingerprint -> (number, a state), for the memo
 
     def out_of_time(self):
         return self._clock() > self._deadline
@@ -126,8 +124,8 @@ class AnalysisContext:
 
     def warn(self, kind, tags, sink_api, location):
         """Record a `kind` finding of the taints `tags` reaching the sink
-        call at `location`, in the running unit's current segment."""
-        self.found.append((self.segment_index, kind, tags, sink_api, location))
+        call at `location`, in the running callback."""
+        self.found.append((kind, tags, sink_api, location))
 
 
 def analyze_component(app, component, plan, ctx):
@@ -137,8 +135,8 @@ def analyze_component(app, component, plan, ctx):
     prefix and whose depth-j nodes hold j units.  `generate_m_way` yields
     them in lexicographic order, which walks that tree depth first, so a
     sequence visits only the nodes after the prefix it shares with the one
-    before it, each from the state its parent left.  `_visit` runs a node's
-    unit or takes the memo's run of it.
+    before it, each from the state its parent left.  `_visit` runs each
+    callback of a node's unit or takes the memo's run of it.
     """
     if not plan.units:
         return []
@@ -154,8 +152,9 @@ def analyze_component(app, component, plan, ctx):
         del nodes[k + 1:]
         try:
             ctx.check_time()
-            if not nodes:
-                nodes.append(_visit(component, plan.prefix, _ROOT, seq, 0, ctx))
+            if not nodes:  # the prefix runs from the fresh component state
+                root = _Node((), *_keep(_fresh_state(), ctx))
+                nodes.append(_visit(component, plan.prefix, root, seq, 0, ctx))
             start = len(plan.prefix) + sum(len(plan.units[u].segments) for u in combo[:k])
             for j in range(k, len(combo)):
                 segments = plan.units[combo[j]].segments
@@ -169,10 +168,9 @@ def analyze_component(app, component, plan, ctx):
     return ctx.warnings[before:]
 
 
-# a memoised unit run: its findings, each (segment index in the unit, kind,
-# tags, sink API, location), the state the run left and that state's
-# fingerprint; children run on copies, so the state stays as the run left it
-_Node = namedtuple("_Node", "found state fingerprint")
+# a memoised callback run: its findings, each (kind, tags, sink API,
+# location), and the state it left, with its number; later runs only copy it
+_Node = namedtuple("_Node", "found number state")
 
 
 def _fresh_state():
@@ -181,65 +179,66 @@ def _fresh_state():
     return SymbolSpace({"this": fresh_entry(), "savedState": fresh_entry()})
 
 
-# the prefix's parent: a run that found nothing and left the fresh
-# component state, which is only ever copied
-_ROOT = _Node((), _fresh_state(), fingerprint(_fresh_state()))
+def _keep(state, ctx):
+    """(number, state) kept for `state`'s fingerprint in this app: a state
+    equal to one already kept shares that one and its number."""
+    return ctx.states.setdefault(fingerprint(state), (len(ctx.states), state))
 
 
-def _visit(component, segments, parent, seq, start, ctx):
-    """One tree node: the unit `segments`, at segment offset `start` of
-    `seq`, from the state `parent` left.  A run of the same unit from an
-    equal state, in this app, is taken from `ctx.memo`.  Otherwise the unit
-    runs on a copy of the parent's state, and the run's findings are stored
-    with the state it left.  Either way `_emit` reports the findings as
-    warnings of `seq`.  Returns the node's memo entry."""
-    key = (component.class_name, tuple(s.callbacks for s in segments), parent.fingerprint)
-    node = ctx.memo.get(key)
-    if node is not None:
-        _emit(node.found, component, seq, start, ctx)
-        return node
-    state = parent.state.deep_copy()
-    try:
-        _run_segments(component, segments, state, ctx)
-    finally:
-        # a run that the budget kills reports what it found, and is not stored
-        _emit(ctx.found, component, seq, start, ctx)
-    # a state equal to one already kept shares it, and its fingerprint
-    fp = fingerprint(state)
-    fp, state = ctx.states.setdefault(fp, (fp, state))
-    node = ctx.memo[key] = _Node(tuple(ctx.found), state, fp)
+def _visit(component, segments, node, seq, start, ctx):
+    """One tree node: the unit `segments`, at segment `start` of `seq`, from
+    the state `node` left.  Each callback steps from the state the step
+    before left: its run from an equal state, in this app, is taken from
+    `ctx.memo`, or it runs on a copy of that state and the run's findings
+    are stored with the state it left.  `_emit` reports the findings as
+    warnings of `seq`.  Returns the unit's last step (`node` if none)."""
+    for i, segment in enumerate(segments, start):
+        for callback in segment.callbacks:
+            key = (component.class_name, callback, node.number)
+            step = ctx.memo.get(key)
+            if step is None:
+                state = node.state.deep_copy()
+                try:
+                    _run_callback(component, callback, state, ctx)
+                finally:  # a killed run reports what it found, and is not stored
+                    _emit(ctx.found, component, seq, i, ctx)
+                step = ctx.memo[key] = _Node(tuple(ctx.found), *_keep(state, ctx))
+            else:
+                _emit(step.found, component, seq, i, ctx)
+            node = step
     return node
 
 
-def _emit(found, component, seq, start, ctx):
-    """Report a unit run's findings as warnings of `seq`, in which the unit
-    starts at segment `start`: each at m = the sequence's unit count, with
-    the event trace up to the segment it was found in."""
+def _emit(found, component, seq, segment, ctx):
+    """Report a callback run's findings as warnings of `seq`, in which the
+    callback runs in segment `segment`: each at m = the sequence's unit
+    count, with the event trace up to that segment."""
     m = len(seq.unit_indexes)
-    for offset, kind, tags, sink_api, location in found:
+    for kind, tags, sink_api, location in found:
         ctx.warnings.append(Warning(
             kind, {t.source_api for t in tags}, sink_api,
             source_locations(tags) + [sink_location(sink_api, location)],
-            component.class_name, m, seq.event_trace(start + offset)))
+            component.class_name, m, seq.event_trace(segment)))
 
 
 def _run_sequence(component, seq, ctx):
-    """Run one whole sequence from a fresh component state, as one unit."""
-    _run_segments(component, seq.segments, _fresh_state(), ctx)
-    _emit(ctx.found, component, seq, 0, ctx)
-
-
-def _run_segments(component, segments, state, ctx):
-    """Run the callbacks of a unit's `segments` on the component state;
-    what they find is recorded in a new `ctx.found`."""
-    ctx.found = []
-    for i, segment in enumerate(segments):
-        ctx.segment_index = i
+    """Run one whole sequence from a fresh component state, each callback
+    on the state the one before left, without the memo."""
+    state = _fresh_state()
+    for i, segment in enumerate(seq.segments):
         for callback in segment.callbacks:
-            method = component.klass.method_by_name(callback)
-            if method is not None:
-                bundle = [state.regs["savedState"]] if callback in BUNDLE_CALLBACKS else []
-                _call(method, ctx, state, state.regs["this"], bundle)
+            _run_callback(component, callback, state, ctx)
+            _emit(ctx.found, component, seq, i, ctx)
+
+
+def _run_callback(component, callback, state, ctx):
+    """Run one top-level callback on the component state; what it finds is
+    recorded in a new `ctx.found`."""
+    ctx.found = []
+    method = component.klass.method_by_name(callback)
+    if method is not None:
+        bundle = [state.regs["savedState"]] if callback in BUNDLE_CALLBACKS else []
+        _call(method, ctx, state, state.regs["this"], bundle)
 
 
 def analyze_method(method, ctx, frame):

@@ -137,7 +137,8 @@ def _check_sig(sig, where):
     if not isinstance(sig, str) or "/" not in sig:
         raise AppLoadError("%s: bad method signature %r" % (where, sig))
     name, _, argc = sig.partition("/")
-    if not name or not argc.isdigit():
+    # "0" or ASCII digits with no leading zero, as a "/argc" invoke spells it
+    if not name or not (argc.isascii() and argc.isdigit() and str(int(argc)) == argc):
         raise AppLoadError("%s: bad method signature %r" % (where, sig))
 
 
@@ -206,7 +207,7 @@ def _parse_method(raw, class_name, where):
     instrs = [_parse_instruction(ins, i, where)
               for i, ins in enumerate(list_of(list, raw, "instructions", where, AppLoadError))]
     for lbl, target in labels.items():
-        if not isinstance(target, int) or not 0 <= target <= len(instrs):
+        if type(target) is not int or not 0 <= target <= len(instrs):
             raise AppLoadError("%s: label %r points outside the method" % (where, lbl))
     for ins in instrs:
         if ins.kind in ("IF_GOTO", "GOTO"):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -216,6 +217,29 @@ class TestMalformed:
     def test_operand_of_the_wrong_type(self, instr, operand):
         doc = minimal(instructions=[instr, ["RETURN_VOID"]], labels={"x": 0})
         with pytest.raises(AppLoadError, match="%s at 0: operand %d" % (instr[0], operand)):
+            app_from_dict(doc)
+
+    @pytest.mark.parametrize("argc", ["00", "01", "²", "٣", " 1", "-1", "+1"])
+    def test_argc_is_plain_ascii_digits(self, argc):
+        # "go/00" would name no method that a "C.go/0" invoke resolves to,
+        # and "²" is a digit to str.isdigit that int() rejects
+        named = re.escape("bad method signature 'go/%s'" % argc)
+        with pytest.raises(AppLoadError, match=named):
+            app_from_dict(minimal(sig="go/" + argc))
+        call = ["INVOKE_STATIC", None, "C.go/" + argc, []]
+        with pytest.raises(AppLoadError, match=named):
+            app_from_dict(minimal(instructions=[call, ["RETURN_VOID"]]))
+
+    @pytest.mark.parametrize("argc", ["0", "1", "10"])
+    def test_argc_without_a_leading_zero_loads(self, argc):
+        params = ["this"] + ["p%d" % i for i in range(int(argc))]
+        app = app_from_dict(minimal(sig="go/" + argc, params=params))
+        assert app.classes[0].methods[0].argc == int(argc)
+
+    @pytest.mark.parametrize("target", [True, False, 1.0])
+    def test_a_label_target_is_an_int_not_a_bool(self, target):
+        doc = minimal(instructions=[["GOTO", "x"], ["RETURN_VOID"]], labels={"x": target})
+        with pytest.raises(AppLoadError, match="label 'x' points outside the method"):
             app_from_dict(doc)
 
     def test_an_opcode_must_be_a_string(self):

@@ -1,8 +1,9 @@
-"""The unit-run memo of `analyze_component` against runs without it.
+"""The callback-run memo of `analyze_component` against runs without it.
 
-Each tree node looks up the run of its unit from an equal start state in
-the app's memo, across m levels.  A replayed run must emit what running the
-unit would: the raw warnings of an analysis with the memo equal those of
+Each callback of a tree node's unit looks up its run from an equal start
+state in the app's memo, across m levels and across the units that share
+it.  A replayed run must emit what running the callback would: the raw
+warnings of an analysis with the memo equal those of
 one whose memo keeps nothing, and the deduplicated warnings equal flat
 replay's.
 """
@@ -17,14 +18,18 @@ from lifetaint.analysis import AnalysisContext, analyze_component
 from lifetaint.cli import analyze_app
 from lifetaint.detectors import dedup_warnings
 from lifetaint.ir import app_from_dict
-from lifetaint.sequences import build_plan
+from lifetaint.sequences import (
+    LIFECYCLE_SUBSEQUENCE, PermutationPlan, PermutationUnit, Segment, build_plan,
+)
 from lifetaint.symbols import (
     IMMUTABLE_REF, PRIMITIVE, SymbolSpace, TaintTag, const_entry, fingerprint, fresh_entry,
     value_entry,
 )
 
 from conftest import all_corpus_paths
-from test_prefix_sharing import family_paths, flat_component, plans, report_dict
+from test_prefix_sharing import (
+    KillAt, Work, family_paths, flat_component, plans, report_dict,
+)
 
 
 class Forgetful(dict):
@@ -60,16 +65,16 @@ def deduplicated(levels):
 
 def assert_memo_is_transparent(app, models, config, m_max):
     memo, runs = {}, []
-    real_run = analysis._run_segments
+    real_run = analysis._run_callback
 
     def run(*args):
         runs.append(args)
         return real_run(*args)
 
     with pytest.MonkeyPatch.context() as counting:
-        counting.setattr(analysis, "_run_segments", run)
+        counting.setattr(analysis, "_run_callback", run)
         with_memo = escalate(app, models, config, m_max, analyze_component, memo)
-    # each (component, unit, start state) ran once, over all the levels
+    # each (component, callback, start state) ran once, over all the levels
     assert len(runs) == len(memo)
     without = escalate(app, models, config, m_max, analyze_component, Forgetful())
     assert raw(with_memo) == raw(without)
@@ -102,6 +107,94 @@ class TestEscalation:
             app = load_app(path)
             assert_memo_is_transparent(app, models, config, m_max)
             assert_report_matches_flat_replay(app, models, config, m_max, monkeypatch)
+
+
+# -- units that share a leading callback --------------------------------------
+
+def shared_lead_app():
+    """An activity whose callbacks leak the device id and leave the state
+    they start from, so every callback of every sequence starts from one
+    state; onResume leaks, then calls a helper."""
+    leak = [["INVOKE_STATIC", "w", "TelephonyManager.getDeviceId/0", []],
+            ["CONST_STRING", "t", "t"],
+            ["INVOKE_STATIC", None, "Log.d/2", ["t", "w"]]]
+    methods = [
+        {"sig": "onCreate/1", "params": ["this", "b"], "labels": {},
+         "instructions": [["RETURN_VOID"]]},
+        {"sig": "onPause/0", "params": ["this"], "labels": {},
+         "instructions": leak + [["RETURN_VOID"]]},
+        {"sig": "onResume/0", "params": ["this"], "labels": {},
+         "instructions": leak + [["INVOKE_DIRECT", None, "this", "A.helper/0", []],
+                                 ["RETURN_VOID"]]},
+        {"sig": "onStop/0", "params": ["this"], "labels": {},
+         "instructions": [["RETURN_VOID"]]},
+        {"sig": "helper/0", "params": ["this"], "labels": {},
+         "instructions": [["RETURN_VOID"]]},
+    ]
+    return app_from_dict({
+        "app_id": "shared",
+        "classes": [{"name": "A", "parent_kind": "ACTIVITY", "static_fields": [],
+                     "methods": methods}],
+        "components": [{"class": "A", "kind": "ACTIVITY",
+                        "aui_callbacks": [], "misc_callbacks": []}],
+    })
+
+
+def shared_lead_plan(m):
+    """Units (onPause, onResume) and (onPause, onStop) after onCreate."""
+    units = tuple(
+        PermutationUnit(LIFECYCLE_SUBSEQUENCE, ("pauseActivity", event), (
+            Segment("pauseActivity", ("onPause",)), Segment(event, (callback,))))
+        for event, callback in (("resumeActivity", "onResume"), ("stopActivity", "onStop")))
+    return PermutationPlan(m, units, (Segment("createActivity", ("onCreate",)),))
+
+
+def warnings_of(found):
+    return [w.to_dict() for w in dedup_warnings(found)]
+
+
+class TestSharedCallbacks:
+    def test_a_shared_callback_runs_once(self, config, monkeypatch):
+        app = shared_lead_app()
+        component = app.components[0]
+        work = Work(monkeypatch)
+        ctx = AnalysisContext(app, config)
+        runs = []
+        for m in (1, 2):
+            before = len(work.runs)
+            tree = analyze_component(app, component, shared_lead_plan(m), ctx)
+            runs += work.runs[before:]
+            flat = flat_component(app, component, shared_lead_plan(m),
+                                  AnalysisContext(app, config))
+            assert tree and warnings_of(tree) == warnings_of(flat)
+        # both units start with onPause from one state, at both levels
+        assert runs == ["onCreate", "onPause", "onResume", "onStop"]
+        assert ctx.sequences_analyzed == 2 + 2
+
+    def test_a_kill_in_the_second_callback_keeps_the_first(self, config, monkeypatch):
+        app = shared_lead_app()
+        component = app.components[0]
+        work = Work(monkeypatch)
+        # the first sequence reads the clock at its boundary, then in
+        # onCreate, onPause, onResume and, fifth, in onResume's helper
+        clock = KillAt(monkeypatch, 0, read=5)
+        ctx = AnalysisContext(app, config, 1.0, clock)
+        killed = analyze_component(app, component, shared_lead_plan(1), ctx)
+        assert ctx.killed and ctx.sequences_analyzed == 0 and ctx.method_stack == []
+        assert work.runs == ["onCreate", "onPause", "onResume"]
+        # the killed onResume reports its leak, and only onPause's run and
+        # the prefix's are kept
+        assert [w.event_trace[-1] for w in killed] == ["pauseActivity", "resumeActivity"]
+        assert sorted(callback for _, callback, _ in ctx.memo) == ["onCreate", "onPause"]
+
+        clock.k = float("inf")
+        ctx.killed = False
+        resumed = analyze_component(app, component, shared_lead_plan(2), ctx)
+        # onPause ran once, before the kill; onResume once more, to the end
+        assert work.runs == ["onCreate", "onPause", "onResume", "onResume", "onStop"]
+        fresh = AnalysisContext(app, config)
+        expected = analyze_component(app, component, shared_lead_plan(2), fresh)
+        assert resumed and [w.to_dict() for w in resumed] == [w.to_dict() for w in expected]
 
 
 # -- seeded random activities -------------------------------------------------
@@ -220,7 +313,7 @@ def random_activity(seed):
 class TestRandomActivities:
     def test_memo_matches_runs_without_it(self, models, config, monkeypatch):
         runs, replays = [], []
-        real_run, real_visit = analysis._run_segments, analysis._visit
+        real_run, real_visit = analysis._run_callback, analysis._visit
 
         def run(*args):
             runs.append(None)
@@ -233,7 +326,7 @@ class TestRandomActivities:
                 replays.append(node)
             return node
 
-        monkeypatch.setattr(analysis, "_run_segments", run)
+        monkeypatch.setattr(analysis, "_run_callback", run)
         monkeypatch.setattr(analysis, "_visit", visit)
         warned = 0
         for seed in range(200):

@@ -3,7 +3,8 @@
 A flat run analyzes every generated sequence from a fresh component state
 through `_run_sequence`; the walk shares each prefix between the sequences
 that start with it.  Both must give the same deduplicated warnings and
-count the same sequences, and the walk must run each tree node's unit once.
+count the same sequences, and the walk must run each tree node's callbacks
+once.
 """
 
 import itertools
@@ -112,13 +113,14 @@ def unit_plan(aui, m):
 
 
 class Work:
-    """Top-level callback calls, state copies, unit runs (`_run_segments`)
-    and memo replays (tree nodes visited without a run) of an analysis."""
+    """Top-level callback calls, state copies, callback runs
+    (`_run_callback`) and memo replays (tree nodes visited without a run)
+    of an analysis."""
 
     def __init__(self, monkeypatch):
         self.calls, self.copies, self.runs, self.replays = [], [], [], []
         real_call, real_copy = analysis._call, SymbolSpace.deep_copy
-        real_run, real_visit = analysis._run_segments, analysis._visit
+        real_run, real_visit = analysis._run_callback, analysis._visit
 
         def call(target, ctx, *args):
             if not ctx.method_stack:
@@ -129,9 +131,9 @@ class Work:
             self.copies.append(space)
             return real_copy(space)
 
-        def run(component, segments, state, ctx):
-            self.runs.append(segments)
-            return real_run(component, segments, state, ctx)
+        def run(component, callback, state, ctx):
+            self.runs.append(callback)
+            return real_run(component, callback, state, ctx)
 
         def visit(component, segments, *args):
             runs = len(self.runs)
@@ -142,7 +144,7 @@ class Work:
 
         monkeypatch.setattr(analysis, "_call", call)
         monkeypatch.setattr(SymbolSpace, "deep_copy", copy)
-        monkeypatch.setattr(analysis, "_run_segments", run)
+        monkeypatch.setattr(analysis, "_run_callback", run)
         monkeypatch.setattr(analysis, "_visit", visit)
 
 
@@ -173,7 +175,7 @@ class TestWork:
         analyze_component(app, app.components[0], unit_plan(aui, m), ctx)
         assert ctx.sequences_analyzed == perm(n, m)
         assert work.replays == []
-        # one prefix, then one unit run per node of depth 1..m; a flat
+        # one prefix, then one callback run per node of depth 1..m; a flat
         # replay would make perm(n, m) * (1 + m) calls
         assert work.calls.count("onCreate") == 1
         assert len(work.calls) == len(work.runs) == 1 + nodes(n, m)
@@ -209,7 +211,7 @@ class TestWork:
         expected += [(perm(n, m), perm(n, m), 1 + nodes(n, m - 1), perm(n, m))
                      for m in range(2, n + 1)]
         assert escalate(app, aui, work, ctx) == expected
-        # each (component, unit, start state) ran exactly once
+        # each (component, callback, start state) ran exactly once
         assert len(work.runs) == len(ctx.memo) == len(ctx.states) == 1 + nodes(n, n)
 
 
@@ -265,22 +267,33 @@ class TestBudgetKill:
             assert tree.sequences_analyzed == k and not tree.finished
             assert report_dict(tree) == report_dict(flat)
 
-    def test_kill_inside_a_unit_leaves_nothing_for_the_next_level(self, models, config,
-                                                                  monkeypatch):
+    def test_kill_inside_a_callback_keeps_the_runs_finished_before_it(self, models, config,
+                                                                      monkeypatch):
         app = corpus_app("motivating_example")
         component = app.components[0]
         level1, level2 = (build_plan(models["ACTIVITY"], component, m) for m in (1, 2))
-        # the kill comes inside the last sequence of level 1, a leaf: its
-        # unit's run, on a copy of the prefix's state, stops half done, and
-        # must leave no memo entry that level 2 would replay
+        # the kill comes inside the last sequence of level 1, a leaf: the
+        # run of its unit's first callback, on a copy of the prefix's state,
+        # stops half done, and must leave no memo entry that level 2 would
+        # replay
+        runs, finished = [], []
+        real_run = analysis._run_callback
+
+        def run(*args):
+            runs.append(args[1])
+            real_run(*args)
+            finished.append(args[1])
+
+        monkeypatch.setattr(analysis, "_run_callback", run)
         last = len(level1.units) - 1
         clock = KillAt(monkeypatch, last, read=2)
         ctx = AnalysisContext(app, config, 1.0, clock)
         analyze_component(app, component, level1, ctx)
         assert ctx.killed and ctx.sequences_analyzed == last and clock.reads == 2
         assert ctx.method_stack == []
-        # the prefix and the units of the finished sequences, not the killed one
-        assert len(ctx.memo) == 1 + last
+        # every callback run that finished before the kill, not the killed one
+        assert len(runs) == len(finished) + 1
+        assert len(ctx.memo) == len(finished)
 
         clock.k = float("inf")
         ctx.killed = False
