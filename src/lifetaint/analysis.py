@@ -128,12 +128,12 @@ class AnalysisContext:
         self.found.append((kind, tags, sink_api, location))
 
 
-def analyze_component(app, component, plan, ctx):
+def analyze_component(app, component, plan, m, ctx):
     """Analyze every m-way sequence of the plan; returns the new warnings.
 
-    The sequences are the leaves of a permutation tree whose root is the
-    prefix and whose depth-j nodes hold j units.  `generate_m_way` yields
-    them in lexicographic order, which walks that tree depth first, so a
+    The sequences are the leaves of a permutation tree of depth m whose root
+    is the prefix and whose depth-j nodes hold j units.  `generate_m_way`
+    yields them in lexicographic order, which walks that tree depth first, so a
     sequence visits only the nodes after the prefix it shares with the one
     before it, each from the state its parent left.  `_visit` runs each
     callback of a node's unit or takes the memo's run of it.
@@ -144,7 +144,7 @@ def analyze_component(app, component, plan, ctx):
     # nodes[j]: the memo entry of the node after the prefix and previous[:j]
     nodes = []
     previous = ()
-    for seq in generate_m_way(plan):
+    for seq in generate_m_way(plan, m):
         combo = seq.unit_indexes
         k = 0
         while k < len(previous) and previous[k] == combo[k]:

@@ -1,9 +1,9 @@
 """Batch driver: load models, apps and config, run the m-escalating analysis.
 
-Per app, all components are analyzed iteratively at m=1; if nothing is found,
-m < m-max and some component has more than m units, m is raised by one and
-the app is analyzed again.  Any warning
-stops the escalation for that app and the run moves on to the next one.
+Per app, each component's permutation units are built once, and m is only
+the depth of the walk over them: it starts at 1 and is raised by one while
+nothing is found, m < m-max and some component has more than m units.  Any
+warning stops the escalation for that app and the run moves on to the next.
 """
 
 import argparse
@@ -75,22 +75,22 @@ def analyze_app(app, models, config, m_max=2, budget_secs=600.0, clock=time.mono
     """Escalating analysis of one app; returns its Report."""
     started = clock()
     ctx = AnalysisContext(app, config, budget_secs, clock)
+    plans = [(component, receiver_plan(component) if component.kind == "RECEIVER"
+              else build_plan(models[component.kind], component))
+             for component in app.components]
     m_reached = 0
     for m in range(1, m_max + 1):
-        for component in app.components:
-            if component.kind == "RECEIVER":
-                plan = receiver_plan(component, m)
-            else:
-                plan = build_plan(models[component.kind], component, m)
-            if not plan.units or m > len(plan.units):
-                continue
-            m_reached = m
-            analyze_component(app, component, plan, ctx)
+        # a level runs the components with at least m units; a warning, the
+        # budget or a level with no such component ends the escalation
+        plans = [(component, plan) for component, plan in plans if len(plan.units) >= m]
+        if not plans:
+            break
+        m_reached = m
+        for component, plan in plans:
+            analyze_component(app, component, plan, m, ctx)
             if ctx.killed:
                 break
-        # a warning or the budget ends the escalation, and so does a level
-        # that no component has enough units for
-        if ctx.warnings or ctx.killed or m_reached < m:
+        if ctx.warnings or ctx.killed:
             break
     return Report(
         app.app_id,

@@ -79,9 +79,6 @@ class LifecycleModel:
     def outgoing(self, state_name):
         return self._by_source.get(state_name, [])
 
-    def goal_is_terminal(self):
-        return not self.outgoing(self.goal)
-
 
 @dataclass(frozen=True)
 class EventSequence:
@@ -104,10 +101,20 @@ def _parse_guard(raw, where):
     unknown = set(raw) - {"event", "prev_event", "else"}
     if unknown:
         raise ModelError("%s: unknown guard field %r" % (where, sorted(unknown)[0]))
-    is_else = bool(raw.get("else", False))
+    is_else = _field(raw, "else", where, bool, False)
     if is_else and (raw.get("event") or raw.get("prev_event")):
         raise ModelError("%s: guard 'else' excludes 'event'/'prev_event'" % where)
     return Guard(raw.get("event"), raw.get("prev_event"), is_else)
+
+
+def _field(raw, key, where, kind=str, default=None):
+    """raw[key] (default `default`), checked to be a `kind`: a string or a
+    JSON bool; otherwise a ModelError naming the field."""
+    value = raw.get(key, default)
+    if not isinstance(value, kind):
+        raise ModelError("%s: field '%s' must be a %s, got %r"
+                         % (where, key, {str: "string", bool: "JSON bool"}[kind], value))
+    return value
 
 
 def load_model(path):
@@ -131,15 +138,15 @@ def model_from_dict(doc, source="<dict>"):
         raise ModelError("%s: component_kind must be ACTIVITY or SERVICE, got %r" % (source, kind))
 
     states = {}
-    for raw in list_of(dict, doc, "states", source, ModelError):
-        name, skind = raw.get("name"), raw.get("kind")
+    for i, raw in enumerate(list_of(dict, doc, "states", source, ModelError)):
+        name, skind = _field(raw, "name", "%s: states[%d]" % (source, i)), raw.get("kind")
         if not name or skind not in (STATIC, TRANSIENT):
             raise ModelError("%s: bad state entry %r (field 'states')" % (source, raw))
         if name in states:
             raise ModelError("%s: duplicate state name %r" % (source, name))
         states[name] = LifecycleState(name, skind)
 
-    initial, goal = doc["initial"], doc["goal"]
+    initial, goal = _field(doc, "initial", source), _field(doc, "goal", source)
     for label, value in (("initial", initial), ("goal", goal)):
         if value not in states:
             raise ModelError("%s: %s state %r is not a declared state" % (source, label, value))
@@ -153,7 +160,7 @@ def model_from_dict(doc, source="<dict>"):
     transitions = []
     for i, raw in enumerate(list_of(dict, doc, "transitions", source, ModelError)):
         where = "%s: transitions[%d]" % (source, i)
-        src, dst = raw.get("from"), raw.get("to")
+        src, dst = _field(raw, "from", where), _field(raw, "to", where)
         if src not in states:
             raise ModelError("%s: unknown source state %r (field 'from')" % (where, src))
         if dst not in states:
@@ -242,7 +249,7 @@ def _walk(model, name, incoming, visits, path, paths):
     """Extend `path`, which ends in static state `name` after event
     `incoming`; `visits` counts each static state's visits on `path`."""
     seen = visits.get(name, 0)
-    if name == model.goal and (seen or model.goal_is_terminal()):
+    if name == model.goal and (seen or not model.outgoing(name)):
         paths.append(list(path))
         return
     if seen == 2:

@@ -3,9 +3,10 @@
 A component's analyzable executions are built in three stages: derived event
 paths are resolved to the callbacks the component actually implements, the
 resulting callback sequences are deduplicated, and the deduplicated pieces
-become permutation units.  An m-way permutation arranges m distinct units
-after a fixed prefix (the creation callbacks for an activity), which keeps
-every generated ordering feasible with respect to the life-cycle model.
+become permutation units, which do not depend on m.  An m-way permutation
+arranges m distinct units after a fixed prefix (the creation callbacks for an
+activity), which keeps every generated ordering feasible with respect to the
+life-cycle model.
 """
 
 import itertools
@@ -44,7 +45,8 @@ class PermutationUnit:
 
 @dataclass(frozen=True)
 class PermutationPlan:
-    m: int
+    """A component's units and prefix; one plan serves every m."""
+
     units: tuple
     prefix: tuple      # Segments preceding every generated sequence
 
@@ -79,22 +81,29 @@ def _restrict(path, implemented):
     )
 
 
-def derive_callback_sequences(model, component):
-    """Unique callback sequences for the component, one per distinct result.
-
-    Each derived path is restricted to the callbacks the component's class
-    implements; identical results are deduplicated keeping the first, and a
-    fully empty result is discarded.
-    """
+def _distinct_paths(model, component, drop=0):
+    """(segments, callbacks) of each derived path after its first `drop`
+    steps, restricted to the callbacks the component's class implements;
+    identical results are deduplicated keeping the first, and a fully empty
+    result is discarded."""
     implemented = _implemented(component)
     seen = set()
-    out = []
     for path in derive_paths(model):
-        cbs = tuple(cb for step in path for cb in step.callbacks if cb in implemented)
-        if cbs and cbs not in seen:
-            seen.add(cbs)
-            out.append(CallbackSequence(cbs))
-    return out
+        segs = _restrict(path[drop:], implemented)
+        key = tuple(cb for seg in segs for cb in seg.callbacks)
+        if key and key not in seen:
+            seen.add(key)
+            yield segs, key
+
+
+def derive_callback_sequences(model, component):
+    """Unique callback sequences for the component, one per distinct result."""
+    return [CallbackSequence(key) for _, key in _distinct_paths(model, component)]
+
+
+def _callback_unit(kind, name):
+    """The unit of one declared callback, in an event of its own name."""
+    return PermutationUnit(kind, (name,), (Segment(name, (name,)),))
 
 
 def build_permutation_units(model, component):
@@ -105,66 +114,48 @@ def build_permutation_units(model, component):
     lifecycle units are the per-path segments after the leading creation
     event; for services they are whole paths.
     """
-    implemented = _implemented(component)
-    units = []
-    seen = set()
-    if model is not None:
-        drop = 1 if model.component_kind == "ACTIVITY" else 0
-        for path in derive_paths(model):
-            segs = _restrict(path[drop:], implemented)
-            key = tuple(cb for seg in segs for cb in seg.callbacks)
-            if not key or key in seen:
-                continue
-            seen.add(key)
-            units.append(
-                PermutationUnit(LIFECYCLE_SUBSEQUENCE, tuple(s.event for s in segs), segs)
-            )
-    for kind, names in ((AUI_CALLBACK, component.aui_callbacks),
-                        (MISC_CALLBACK, component.misc_callbacks)):
-        for name in names:
-            if name not in implemented:
-                continue
-            seg = Segment(name, (name,))
-            units.append(PermutationUnit(kind, (name,), (seg,)))
+    drop = 1 if model.component_kind == "ACTIVITY" else 0
+    units = [PermutationUnit(LIFECYCLE_SUBSEQUENCE, tuple(s.event for s in segs), segs)
+             for segs, _ in _distinct_paths(model, component, drop)]
+    units += [_callback_unit(AUI_CALLBACK, name) for name in component.aui_callbacks]
+    units += [_callback_unit(MISC_CALLBACK, name) for name in component.misc_callbacks]
     return units
 
 
-def build_plan(model, component, m):
-    """Assemble the m-way plan: creation prefix (activities) plus units."""
-    if model is not None and model.component_kind == "ACTIVITY":
+def build_plan(model, component):
+    """A component's plan: the creation prefix (activities) and the units.
+    It does not depend on m, so one plan serves every level of an app."""
+    prefix = ()
+    if model.component_kind == "ACTIVITY":
         paths = derive_paths(model)
-        prefix = _restrict(paths[0][:1], _implemented(component)) if paths else ()
-    else:
-        prefix = ()
-    units = build_permutation_units(model, component)
-    return PermutationPlan(m, tuple(units), tuple(prefix))
+        if paths:
+            prefix = _restrict(paths[0][:1], _implemented(component))
+    return PermutationPlan(tuple(build_permutation_units(model, component)), prefix)
 
 
-def receiver_plan(component, m):
+def receiver_plan(component):
     """Degenerate plan for a broadcast receiver: its one-state model has a
-    single onReceive callback, so units are just the declared callbacks."""
-    implemented = _implemented(component)
+    single onReceive callback, so the units are onReceive, if implemented,
+    and the declared miscellaneous callbacks; AUI callbacks are ignored."""
     units = []
-    if "onReceive" in implemented:
+    if "onReceive" in _implemented(component):
         seg = Segment("receiveBroadcast", ("onReceive",))
         units.append(PermutationUnit(LIFECYCLE_SUBSEQUENCE, ("receiveBroadcast",), (seg,)))
-    for name in component.misc_callbacks:
-        if name in implemented:
-            seg = Segment(name, (name,))
-            units.append(PermutationUnit(MISC_CALLBACK, (name,), (seg,)))
-    return PermutationPlan(m, tuple(units), ())
+    units += [_callback_unit(MISC_CALLBACK, name) for name in component.misc_callbacks]
+    return PermutationPlan(tuple(units), ())
 
 
-def generate_m_way(plan):
-    """Yield every ordered arrangement of m distinct units, prefixed.
+def generate_m_way(plan, m):
+    """Yield every ordered arrangement of m distinct units of the plan,
+    each after its prefix.
 
     Arrangements follow unit index order (for units A,B,C and m=2:
     AB, AC, BA, BC, CA, CB); the total count is N!/(N-m)!.
     """
     n = len(plan.units)
-    if not 1 <= plan.m <= n:
-        raise ValueError("m must satisfy 1 <= m <= %d, got %d" % (n, plan.m))
-    for combo in itertools.permutations(range(n), plan.m):
+    if not 1 <= m <= n:
+        raise ValueError("m must satisfy 1 <= m <= %d, got %d" % (n, m))
+    for combo in itertools.permutations(range(n), m):
         segments = list(plan.prefix)
         for idx in combo:
             segments.extend(plan.units[idx].segments)

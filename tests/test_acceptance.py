@@ -66,9 +66,9 @@ def test_criterion_2_motivating_example(models, config):
         it = iter(callbacks)
         return all(any(c == want for c in it) for want in pattern)
 
-    plan = build_plan(models["ACTIVITY"], comp, 2)
+    plan = build_plan(models["ACTIVITY"], comp)
     equivalence = True
-    for seq in generate_m_way(plan):
+    for seq in generate_m_way(plan, 2):
         ctx = AnalysisContext(app, config)
         _run_sequence(comp, seq, ctx)
         warned = any(w.kind == "INFO_LEAK" for w in ctx.warnings)
@@ -185,10 +185,10 @@ def test_criterion_6_property_suites(models, config):
     checks["recursion"] = rec.finished
 
     checks["permutation"] = all(
-        sum(1 for _ in generate_m_way(PermutationPlan(m, tuple(
+        sum(1 for _ in generate_m_way(PermutationPlan(tuple(
             PermutationUnit("LIFECYCLE_SUBSEQUENCE", ("e%d" % i,),
                             (Segment("e%d" % i, ("cb%d" % i,)),))
-            for i in range(n)), ()))) == math.factorial(n) // math.factorial(n - m)
+            for i in range(n)), ()), m)) == math.factorial(n) // math.factorial(n - m)
         for n in range(1, 7) for m in range(1, n + 1)
     )
 

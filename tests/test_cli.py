@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from lifetaint import cli, load_app
 from lifetaint.analysis import AnalysisContext, analyze_component
 from lifetaint.cli import RunConfig, _data_path, analyze_app, main, run
 from lifetaint.errors import ConfigError
@@ -43,6 +44,23 @@ class TestRun:
         app = corpus_app("activity_eveseq1")
         report = analyze_app(app, models, config, m_max=2)
         assert report.m_reached == 1
+
+    def test_plans_are_built_once_per_component(self, monkeypatch):
+        # units do not depend on m: every component's plan is built once per
+        # app, in component order, however many levels the app runs
+        # (motivating_example reaches m=2; sms_autoreply has a receiver)
+        paths = [corpus_path("motivating_example"), corpus_path("sms_autoreply")]
+        expected = run_cli(paths, m_max=3)
+        built = []
+        for name in ("build_plan", "receiver_plan"):
+            def counting(*args, real=getattr(cli, name)):
+                built.append((args[-1].class_name, args[-1].kind))
+                return real(*args)
+            monkeypatch.setattr(cli, name, counting)
+        assert run_cli(paths, m_max=3) == expected
+        assert [json.loads(doc)["m_reached"] for doc in _split_json(expected[1])] == [2, 1]
+        assert built == [(c.class_name, c.kind)
+                         for path in paths for c in load_app(path).components]
 
     def test_mixed_components_analyzed_iteratively(self):
         # a clean activity plus a leaking service in one app: the service
@@ -262,7 +280,7 @@ class TestRun:
         app = corpus_app("activity_eveseq1")
         ctx = AnalysisContext(app, config)
         got = analyze_component(app, app.components[0],
-                                PermutationPlan(1, (), ()), ctx)
+                                PermutationPlan((), ()), 1, ctx)
         assert got == [] and ctx.sequences_analyzed == 0
 
     def test_budget_killed_partial_warnings(self, models, config):
@@ -270,12 +288,12 @@ class TestRun:
         app = corpus_app("activity_eveseq2")
         comp = app.components[0]
         ctx = AnalysisContext(app, config, budget_secs=1e9)
-        plan = build_plan(models["ACTIVITY"], comp, 1)
-        analyze_component(app, comp, plan, ctx)
+        plan = build_plan(models["ACTIVITY"], comp)
+        analyze_component(app, comp, plan, 1, ctx)
         assert ctx.warnings  # sanity: this app warns at m=1
 
         ctx2 = AnalysisContext(app, config, budget_secs=-1.0)
-        analyze_component(app, comp, plan, ctx2)
+        analyze_component(app, comp, plan, 1, ctx2)
         assert ctx2.killed and ctx2.sequences_analyzed == 0
 
 
@@ -349,11 +367,24 @@ class TestArgs:
             proc.kill()
         assert (proc.returncode, err) == (1, "")
 
-    def test_malformed_model_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("malform", [
         # a state given by its name used to end the run with an AttributeError
+        lambda doc: doc.update(states=[state["name"] for state in doc["states"]]),
+        # a list or an object where a state name belongs, with a TypeError
+        lambda doc: doc["states"][0].update(name=["AndroidRobot"]),
+        lambda doc: doc.update(initial=[]),
+        lambda doc: doc.update(goal={"name": "StaticPostResumed"}),
+        lambda doc: doc["transitions"][0].update({"from": []}),
+        lambda doc: doc["transitions"][0].update(to=[]),
+        # an else guard that is not a JSON bool
+        lambda doc: doc["transitions"][0].update(guard={"else": "no"}),
+        lambda doc: doc["transitions"][0].update(guard={"else": 0}),
+    ], ids=["state-names", "state-name", "initial", "goal", "from", "to",
+            "else-string", "else-int"])
+    def test_malformed_model_is_config_error(self, malform, tmp_path, capsys):
         base = _data_path("models")
         doc = json.loads(base.joinpath("activity.json").read_text())
-        doc["states"] = [state["name"] for state in doc["states"]]
+        malform(doc)
         (tmp_path / "activity.json").write_text(json.dumps(doc))
         (tmp_path / "service.json").write_text(base.joinpath("service.json").read_text())
         status, text = run_cli([corpus_path("motivating_example")], models_dir=str(tmp_path))

@@ -645,8 +645,8 @@ class TestSequenceState:
         app = corpus_app("activity_eveseq1")
         comp = app.components[0]
         ctx = AnalysisContext(app, config)
-        plan = build_plan(models["ACTIVITY"], comp, 1)
-        analyze_component(app, comp, plan, ctx)
+        plan = build_plan(models["ACTIVITY"], comp)
+        analyze_component(app, comp, plan, 1, ctx)
         traces = {w.event_trace for w in ctx.warnings}
         # every raw warning saw the taint created within its own sequence
         assert all(t[0] == "createActivity" for t in traces)

@@ -94,6 +94,33 @@ class TestLoading:
         with pytest.raises(ModelError, match="else"):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize("path,field", [
+        (("states", 0, "name"), r"states\[0\]: field 'name'"),
+        (("initial",), "field 'initial'"),
+        (("goal",), "field 'goal'"),
+        (("transitions", 0, "from"), r"transitions\[0\]: field 'from'"),
+        (("transitions", 1, "to"), r"transitions\[1\]: field 'to'"),
+    ])
+    @pytest.mark.parametrize("value", [[], ["Init"], {"name": "Init"}])
+    def test_state_reference_must_be_a_string(self, path, field, value):
+        # a list or an object used to end in TypeError: unhashable type
+        doc = small_model()
+        *outer, key = path
+        target = doc
+        for step in outer:
+            target = target[step]
+        target[key] = value
+        with pytest.raises(ModelError, match=field + " must be a string"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("value", ["no", 0, 1, None])
+    def test_else_must_be_a_bool(self, value):
+        # "no" used to load as an else guard, and 0 as an always-true one
+        doc = small_model()
+        doc["transitions"][1]["guard"] = {"else": value}
+        with pytest.raises(ModelError, match="field 'else' must be a JSON bool"):
+            model_from_dict(doc)
+
     @pytest.mark.parametrize("field,value", [
         ("states", ["Init", "Mid", "Goal"]),
         ("states", {"name": "Init", "kind": "STATIC"}),

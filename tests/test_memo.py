@@ -47,10 +47,10 @@ def escalate(app, models, config, m_max, analyze, memo=None):
     if memo is not None:
         ctx.memo = memo
     out = []
-    for component, plan in plans(app, models, m_max):
+    for component, plan, m in plans(app, models, m_max):
         before = ctx.sequences_analyzed
-        found = analyze(app, component, plan, ctx)
-        out.append((component.class_name, plan.m, found, ctx.sequences_analyzed - before))
+        found = analyze(app, component, plan, m, ctx)
+        out.append((component.class_name, m, found, ctx.sequences_analyzed - before))
     return out
 
 
@@ -140,13 +140,13 @@ def shared_lead_app():
     })
 
 
-def shared_lead_plan(m):
+def shared_lead_plan():
     """Units (onPause, onResume) and (onPause, onStop) after onCreate."""
     units = tuple(
         PermutationUnit(LIFECYCLE_SUBSEQUENCE, ("pauseActivity", event), (
             Segment("pauseActivity", ("onPause",)), Segment(event, (callback,))))
         for event, callback in (("resumeActivity", "onResume"), ("stopActivity", "onStop")))
-    return PermutationPlan(m, units, (Segment("createActivity", ("onCreate",)),))
+    return PermutationPlan(units, (Segment("createActivity", ("onCreate",)),))
 
 
 def warnings_of(found):
@@ -162,9 +162,9 @@ class TestSharedCallbacks:
         runs = []
         for m in (1, 2):
             before = len(work.runs)
-            tree = analyze_component(app, component, shared_lead_plan(m), ctx)
+            tree = analyze_component(app, component, shared_lead_plan(), m, ctx)
             runs += work.runs[before:]
-            flat = flat_component(app, component, shared_lead_plan(m),
+            flat = flat_component(app, component, shared_lead_plan(), m,
                                   AnalysisContext(app, config))
             assert tree and warnings_of(tree) == warnings_of(flat)
         # both units start with onPause from one state, at both levels
@@ -179,7 +179,7 @@ class TestSharedCallbacks:
         # onCreate, onPause, onResume and, fifth, in onResume's helper
         clock = KillAt(monkeypatch, 0, read=5)
         ctx = AnalysisContext(app, config, 1.0, clock)
-        killed = analyze_component(app, component, shared_lead_plan(1), ctx)
+        killed = analyze_component(app, component, shared_lead_plan(), 1, ctx)
         assert ctx.killed and ctx.sequences_analyzed == 0 and ctx.method_stack == []
         assert work.runs == ["onCreate", "onPause", "onResume"]
         # the killed onResume reports its leak, and only onPause's run and
@@ -189,11 +189,11 @@ class TestSharedCallbacks:
 
         clock.k = float("inf")
         ctx.killed = False
-        resumed = analyze_component(app, component, shared_lead_plan(2), ctx)
+        resumed = analyze_component(app, component, shared_lead_plan(), 2, ctx)
         # onPause ran once, before the kill; onResume once more, to the end
         assert work.runs == ["onCreate", "onPause", "onResume", "onResume", "onStop"]
         fresh = AnalysisContext(app, config)
-        expected = analyze_component(app, component, shared_lead_plan(2), fresh)
+        expected = analyze_component(app, component, shared_lead_plan(), 2, fresh)
         assert resumed and [w.to_dict() for w in resumed] == [w.to_dict() for w in expected]
 
 
@@ -331,7 +331,7 @@ class TestRandomActivities:
         warned = 0
         for seed in range(200):
             app = random_activity(seed)
-            units = len(build_plan(models["ACTIVITY"], app.components[0], 1).units)
+            units = len(build_plan(models["ACTIVITY"], app.components[0]).units)
             # three levels where they stay cheap to replay flat
             levels = assert_memo_is_transparent(app, models, config, 3 if units <= 5 else 2)
             warned += any(found for _, _, found, _ in levels)

@@ -26,10 +26,10 @@ from lifetaint.symbols import SymbolSpace
 from conftest import ROOT, all_corpus_paths, corpus_app
 
 
-def flat_component(app, component, plan, ctx):
+def flat_component(app, component, plan, m, ctx):
     """analyze_component as a flat replay: each sequence from a fresh state."""
     before = len(ctx.warnings)
-    for seq in analysis.generate_m_way(plan):
+    for seq in analysis.generate_m_way(plan, m):
         if ctx.out_of_time():
             ctx.killed = True
             break
@@ -42,11 +42,11 @@ def plans(app, models, m_max):
     for m in range(1, m_max + 1):
         for component in app.components:
             if component.kind == "RECEIVER":
-                plan = receiver_plan(component, m)
+                plan = receiver_plan(component)
             else:
-                plan = build_plan(models[component.kind], component, m)
+                plan = build_plan(models[component.kind], component)
             if plan.units and m <= len(plan.units):
-                yield component, plan
+                yield component, plan, m
 
 
 def per_level(path, models, config, m_max, analyze):
@@ -54,10 +54,10 @@ def per_level(path, models, config, m_max, analyze):
     at every m up to m_max, each level on a fresh context."""
     app = load_app(path)
     out = []
-    for component, plan in plans(app, models, m_max):
+    for component, plan, m in plans(app, models, m_max):
         ctx = AnalysisContext(app, config)
-        found = analyze(app, component, plan, ctx)
-        out.append((component.class_name, plan.m,
+        found = analyze(app, component, plan, m, ctx)
+        out.append((component.class_name, m,
                     [w.to_dict() for w in dedup_warnings(found)], ctx.sequences_analyzed))
     return out
 
@@ -106,10 +106,10 @@ def unit_app(n, distinct=False):
     }), aui
 
 
-def unit_plan(aui, m):
+def unit_plan(aui):
     units = tuple(PermutationUnit(AUI_CALLBACK, (name,), (Segment(name, (name,)),))
                   for name in aui)
-    return PermutationPlan(m, units, (Segment("create", ("onCreate",)),))
+    return PermutationPlan(units, (Segment("create", ("onCreate",)),))
 
 
 class Work:
@@ -158,7 +158,7 @@ def escalate(app, aui, work, ctx):
     levels = []
     for m in range(1, len(aui) + 1):
         before = (len(work.calls), len(work.runs), len(work.replays), len(work.copies))
-        analyze_component(app, app.components[0], unit_plan(aui, m), ctx)
+        analyze_component(app, app.components[0], unit_plan(aui), m, ctx)
         after = (len(work.calls), len(work.runs), len(work.replays), len(work.copies))
         levels.append(tuple(b - a for a, b in zip(before, after)))
     return levels
@@ -172,7 +172,7 @@ class TestWork:
         app, aui = unit_app(n, distinct=True)
         work = Work(monkeypatch)
         ctx = AnalysisContext(app, config)
-        analyze_component(app, app.components[0], unit_plan(aui, m), ctx)
+        analyze_component(app, app.components[0], unit_plan(aui), m, ctx)
         assert ctx.sequences_analyzed == perm(n, m)
         assert work.replays == []
         # one prefix, then one callback run per node of depth 1..m; a flat
@@ -224,8 +224,8 @@ class KillAt:
         self.k, self.read = k, read
         self.yielded = self.reads = 0
 
-        def counting(plan):
-            for seq in generate_m_way(plan):
+        def counting(plan, m):
+            for seq in generate_m_way(plan, m):
                 self.yielded += 1
                 yield seq
 
@@ -271,7 +271,7 @@ class TestBudgetKill:
                                                                       monkeypatch):
         app = corpus_app("motivating_example")
         component = app.components[0]
-        level1, level2 = (build_plan(models["ACTIVITY"], component, m) for m in (1, 2))
+        plan = build_plan(models["ACTIVITY"], component)
         # the kill comes inside the last sequence of level 1, a leaf: the
         # run of its unit's first callback, on a copy of the prefix's state,
         # stops half done, and must leave no memo entry that level 2 would
@@ -285,10 +285,10 @@ class TestBudgetKill:
             finished.append(args[1])
 
         monkeypatch.setattr(analysis, "_run_callback", run)
-        last = len(level1.units) - 1
+        last = len(plan.units) - 1
         clock = KillAt(monkeypatch, last, read=2)
         ctx = AnalysisContext(app, config, 1.0, clock)
-        analyze_component(app, component, level1, ctx)
+        analyze_component(app, component, plan, 1, ctx)
         assert ctx.killed and ctx.sequences_analyzed == last and clock.reads == 2
         assert ctx.method_stack == []
         # every callback run that finished before the kill, not the killed one
@@ -297,9 +297,9 @@ class TestBudgetKill:
 
         clock.k = float("inf")
         ctx.killed = False
-        resumed = analyze_component(app, component, level2, ctx)
+        resumed = analyze_component(app, component, plan, 2, ctx)
         fresh = AnalysisContext(app, config)
-        expected = analyze_component(app, component, level2, fresh)
+        expected = analyze_component(app, component, plan, 2, fresh)
         assert resumed and [w.to_dict() for w in resumed] == [w.to_dict() for w in expected]
         assert ctx.sequences_analyzed == last + fresh.sequences_analyzed
 
@@ -332,7 +332,7 @@ class TestBudgetKill:
         # the same kill point one read earlier: a context reads no start time
         component = app.components[0]
         ctx = AnalysisContext(app, config, 1.0, out_at_read(4))
-        analyze_component(app, component, build_plan(models["ACTIVITY"], component, 1), ctx)
+        analyze_component(app, component, build_plan(models["ACTIVITY"], component), 1, ctx)
         assert ctx.killed and ctx.sequences_analyzed == 0
         assert [(w.kind, w.sink_api, w.m) for w in ctx.warnings] == [("INFO_LEAK", "Log.d/2", 1)]
         assert ctx.memo == {}

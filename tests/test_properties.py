@@ -126,8 +126,8 @@ class TestPermutationCountLaw:
     @settings(max_examples=40)
     def test_count_is_falling_factorial(self, nm):
         n, m = nm
-        plan = PermutationPlan(m, _units(n), ())
-        seqs = list(generate_m_way(plan))
+        plan = PermutationPlan(_units(n), ())
+        seqs = list(generate_m_way(plan, m))
         assert len(seqs) == math.factorial(n) // math.factorial(n - m)
         # all arrangements distinct
         assert len({s.unit_indexes for s in seqs}) == len(seqs)

@@ -91,22 +91,22 @@ class TestUnits:
 
     def test_activity_prefix_is_restricted_create(self, models):
         app = corpus_app("motivating_example")
-        plan = build_plan(models["ACTIVITY"], app.components[0], 1)
+        plan = build_plan(models["ACTIVITY"], app.components[0])
         assert plan.prefix_callbacks.callbacks == ("onCreate", "onResume")
 
     def test_service_plan_has_no_prefix(self, models):
         comp = component_with(SERVICE_CALLBACKS, kind="SERVICE")
-        plan = build_plan(models["SERVICE"], comp, 1)
+        plan = build_plan(models["SERVICE"], comp)
         assert plan.prefix == ()
 
     def test_receiver_plan(self):
         comp = component_with(["onReceive"], kind="RECEIVER")
-        plan = receiver_plan(comp, 1)
+        plan = receiver_plan(comp)
         assert [u.callbacks.callbacks for u in plan.units] == [("onReceive",)]
 
 
-def _plan(units, m, prefix=()):
-    return PermutationPlan(m, tuple(units), tuple(prefix))
+def _plan(units, prefix=()):
+    return PermutationPlan(tuple(units), tuple(prefix))
 
 
 def _unit(label):
@@ -116,16 +116,16 @@ def _unit(label):
 
 class TestMWay:
     def test_three_choose_two_order(self):
-        plan = _plan([_unit("A"), _unit("B"), _unit("C")], 2)
-        got = [seq.callbacks for seq in generate_m_way(plan)]
+        plan = _plan([_unit("A"), _unit("B"), _unit("C")])
+        got = [seq.callbacks for seq in generate_m_way(plan, 2)]
         assert got == [
             ("A", "B"), ("A", "C"), ("B", "A"), ("B", "C"), ("C", "A"), ("C", "B"),
         ]
 
     def test_m_equals_one_prefixes(self):
         prefix = (Segment("boot", ("p",)),)
-        plan = _plan([_unit("A"), _unit("B")], 1, prefix)
-        got = [seq.callbacks for seq in generate_m_way(plan)]
+        plan = _plan([_unit("A"), _unit("B")], prefix)
+        got = [seq.callbacks for seq in generate_m_way(plan, 1)]
         assert got == [("p", "A"), ("p", "B")]
 
     def test_count_law_brute_force(self):
@@ -133,18 +133,18 @@ class TestMWay:
             units = [_unit("u%d" % i) for i in range(n)]
             for m in range(1, n + 1):
                 expected = math.factorial(n) // math.factorial(n - m)
-                assert sum(1 for _ in generate_m_way(_plan(units, m))) == expected
+                assert sum(1 for _ in generate_m_way(_plan(units), m)) == expected
 
     def test_m_out_of_range(self):
-        plan = _plan([_unit("A")], 2)
+        plan = _plan([_unit("A")])
         with pytest.raises(ValueError):
-            next(generate_m_way(plan))
+            next(generate_m_way(plan, 2))
         with pytest.raises(ValueError):
-            next(generate_m_way(_plan([_unit("A")], 0)))
+            next(generate_m_way(plan, 0))
 
     def test_motivating_pairs_include_attack_order(self, models):
         app = corpus_app("motivating_example")
-        plan = build_plan(models["ACTIVITY"], app.components[0], 2)
+        plan = build_plan(models["ACTIVITY"], app.components[0])
         want = ["onUserLeaveHint", "onUserLeaveHint", "onSaveInstanceState",
                 "onRestoreInstanceState", "onResume"]
 
@@ -152,14 +152,14 @@ class TestMWay:
             it = iter(callbacks)
             return all(any(c == w for c in it) for w in want)
 
-        assert any(contains(seq.callbacks) for seq in generate_m_way(plan))
+        assert any(contains(seq.callbacks) for seq in generate_m_way(plan, 2))
 
     def test_generated_sequences_are_feasible(self, models):
         # each unit's event subsequence replays against the model, and for
         # activities a pair of units replays as one run after createActivity
         app = corpus_app("motivating_example")
         comp = app.components[0]
-        plan = build_plan(models["ACTIVITY"], comp, 2)
+        plan = build_plan(models["ACTIVITY"], comp)
         model = models["ACTIVITY"]
         lifecycle_units = [u for u in plan.units if u.kind == "LIFECYCLE_SUBSEQUENCE"]
         for unit in lifecycle_units:
@@ -173,8 +173,8 @@ class TestMWay:
 
     def test_event_trace_covers_prefix_and_units(self, models):
         app = corpus_app("motivating_example")
-        plan = build_plan(models["ACTIVITY"], app.components[0], 1)
-        seq = next(generate_m_way(plan))
+        plan = build_plan(models["ACTIVITY"], app.components[0])
+        seq = next(generate_m_way(plan, 1))
         assert seq.event_trace(0) == ("createActivity",)
         full = seq.event_trace(len(seq.segments) - 1)
         assert full[0] == "createActivity"
