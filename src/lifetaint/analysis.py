@@ -39,8 +39,8 @@ from .ir import resolve_method
 from .sequences import generate_m_way
 from .symbols import (
     COLLECTION, IMMUTABLE_REF, PRIMITIVE, SymbolSpace, TaintTag,
-    bind_copy, collect_taints, const_entry, fingerprint, fresh_entry, merge_spaces,
-    value_entry,
+    add_taints, bind_copy, collect_taints, const_entry, fingerprint, fresh_entry,
+    merge_spaces, value_entry,
 )
 
 # life-cycle callbacks that receive the component's saved-state bundle as
@@ -213,6 +213,8 @@ def _emit(found, component, seq, segment, ctx):
     """Report a callback run's findings as warnings of `seq`, in which the
     callback runs in segment `segment`: each at m = the sequence's unit
     count, with the event trace up to that segment."""
+    if not found:
+        return
     m = len(seq.unit_indexes)
     for kind, tags, sink_api, location in found:
         ctx.warnings.append(Warning(
@@ -355,7 +357,7 @@ def handle_instruction(instr, ctx, frame, method):
         coll = _lookup(frame, ops[0], method, instr)
         src = _lookup(frame, ops[2], method, instr)
         # index is irrelevant: element taint always taints the whole object
-        coll.details.taints |= collect_taints(src)
+        add_taints(coll.details, collect_taints(src))
     elif kind == "COLLECTION_GET":
         coll = _lookup(frame, ops[1], method, instr)
         frame.regs[ops[0]] = value_entry(coll.details.taints)
@@ -417,7 +419,7 @@ def handle_invoke(instr, ctx, frame, method):
     # the result, and never clears anything
     tags = collect_taints(*args)
     if receiver is not None:
-        receiver.details.taints |= tags
+        add_taints(receiver.details, tags)
         tags = collect_taints(receiver)
     return value_entry(tags)
 

@@ -6,7 +6,7 @@ everything not listed here, falls through to the default invoke rule, which
 marks the receiver and the result tainted whenever any input is tainted.
 """
 
-from .symbols import collect_taints, value_entry
+from .symbols import add_taints, collect_taints, value_entry
 
 
 def _concat_const(a, b):
@@ -20,7 +20,7 @@ def _concat_const(a, b):
 
 def builder_append(receiver, args):
     arg = args[0]
-    receiver.details.taints |= collect_taints(arg)
+    add_taints(receiver.details, collect_taints(arg))
     const, from_code = _concat_const(receiver.details, arg.details)
     receiver.details.const_value = const
     receiver.details.const_from_code = from_code
@@ -51,7 +51,7 @@ def string_format(receiver, args):
 
 def array_copy(receiver, args):
     # System.arraycopy(src, srcPos, dst, dstPos, length)
-    args[2].details.taints |= collect_taints(args[0])
+    add_taints(args[2].details, collect_taints(args[0]))
     return None
 
 

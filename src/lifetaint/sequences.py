@@ -81,24 +81,24 @@ def _restrict(path, implemented):
     )
 
 
-def _distinct_paths(model, component, drop=0):
-    """(segments, callbacks) of each derived path after its first `drop`
-    steps, restricted to the callbacks the component's class implements;
-    identical results are deduplicated keeping the first, and a fully empty
-    result is discarded."""
-    implemented = _implemented(component)
+def _distinct_paths(paths, implemented, drop=0):
+    """(segments, callbacks) of each path after its first `drop` steps,
+    restricted to the `implemented` callbacks; a path whose callbacks are
+    empty or repeat an earlier path's is skipped, keeping the first, before
+    its segments are built."""
     seen = set()
-    for path in derive_paths(model):
-        segs = _restrict(path[drop:], implemented)
-        key = tuple(cb for seg in segs for cb in seg.callbacks)
+    for path in paths:
+        steps = path[drop:]
+        key = tuple(cb for step in steps for cb in step.callbacks if cb in implemented)
         if key and key not in seen:
             seen.add(key)
-            yield segs, key
+            yield _restrict(steps, implemented), key
 
 
 def derive_callback_sequences(model, component):
     """Unique callback sequences for the component, one per distinct result."""
-    return [CallbackSequence(key) for _, key in _distinct_paths(model, component)]
+    paths = _distinct_paths(derive_paths(model), _implemented(component))
+    return [CallbackSequence(key) for _, key in paths]
 
 
 def _callback_unit(kind, name):
@@ -107,30 +107,33 @@ def _callback_unit(kind, name):
 
 
 def build_permutation_units(model, component):
-    """Permutation units for a component, in deterministic order.
-
-    Lifecycle units come first (derivation order), then AUI callbacks in
-    declaration order, then miscellaneous callbacks.  For activities the
-    lifecycle units are the per-path segments after the leading creation
-    event; for services they are whole paths.
-    """
-    drop = 1 if model.component_kind == "ACTIVITY" else 0
-    units = [PermutationUnit(LIFECYCLE_SUBSEQUENCE, tuple(s.event for s in segs), segs)
-             for segs, _ in _distinct_paths(model, component, drop)]
-    units += [_callback_unit(AUI_CALLBACK, name) for name in component.aui_callbacks]
-    units += [_callback_unit(MISC_CALLBACK, name) for name in component.misc_callbacks]
-    return units
+    """Permutation units for a component, in deterministic order (see
+    `build_plan`)."""
+    return list(build_plan(model, component).units)
 
 
 def build_plan(model, component):
     """A component's plan: the creation prefix (activities) and the units.
-    It does not depend on m, so one plan serves every level of an app."""
-    prefix = ()
+    It does not depend on m, so one plan serves every level of an app.
+
+    Lifecycle units come first (derivation order), then AUI callbacks in
+    declaration order, then miscellaneous callbacks.  For activities the
+    prefix is the first path's leading creation event and the lifecycle
+    units are the per-path segments after it; for services they are whole
+    paths.
+    """
+    paths = derive_paths(model)
+    implemented = _implemented(component)
+    prefix, drop = (), 0
     if model.component_kind == "ACTIVITY":
-        paths = derive_paths(model)
+        drop = 1
         if paths:
-            prefix = _restrict(paths[0][:1], _implemented(component))
-    return PermutationPlan(tuple(build_permutation_units(model, component)), prefix)
+            prefix = _restrict(paths[0][:1], implemented)
+    units = [PermutationUnit(LIFECYCLE_SUBSEQUENCE, tuple(s.event for s in segs), segs)
+             for segs, _ in _distinct_paths(paths, implemented, drop)]
+    units += [_callback_unit(AUI_CALLBACK, name) for name in component.aui_callbacks]
+    units += [_callback_unit(MISC_CALLBACK, name) for name in component.misc_callbacks]
+    return PermutationPlan(tuple(units), prefix)
 
 
 def receiver_plan(component):

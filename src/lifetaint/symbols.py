@@ -7,6 +7,12 @@ structure while preserving the sharing inside it, one Entry per copied
 object, which is what gives each reader of a held state but the last a
 private copy.  Copies, merges and taint collection walk the heap with
 explicit stacks, so a heap of any depth fits.
+
+Taint sets are immutable frozensets, shared by copies and replaced on write
+(`add_taints`), so a write through one copy never shows in another, and an
+object that nothing changed since a copy holds the very set its source
+holds, which a merge of the two then skips.  Copies are built without
+running constructors.
 """
 
 from dataclasses import dataclass
@@ -23,12 +29,19 @@ class TaintTag:
     location: tuple   # (class name, method signature, instruction index)
 
 
+_NO_TAINTS = frozenset()
+_new = object.__new__
+
+
 class EntryDetails:
+    """One heap object.  Equality is identity; `taints` is a frozenset that
+    copies share and a write replaces."""
+
     __slots__ = ("taints", "fields", "value_kind", "const_value", "const_from_code")
 
     def __init__(self, value_kind=MUTABLE_REF, taints=None, const_value=None,
                  const_from_code=False):
-        self.taints = set(taints or ())
+        self.taints = frozenset(taints) if taints else _NO_TAINTS
         self.fields = {}
         self.value_kind = value_kind
         self.const_value = const_value
@@ -42,25 +55,46 @@ class Entry:
         self.details = details
 
     def deep_copy(self):
-        return _copy({0: self}, {})[0]
+        det = self.details
+        if det.fields:
+            return _copy({0: self}, {})[0]
+        # a string or a number: nothing to walk
+        new = _new(EntryDetails)
+        new.taints = det.taints
+        new.fields = {}
+        new.value_kind = det.value_kind
+        new.const_value = det.const_value
+        new.const_from_code = det.const_from_code
+        dup = _new(Entry)
+        dup.details = new
+        return dup
 
 
 def _copy(table, memo):
-    """A copy of a table of entries under `memo` (id(details) -> copied
+    """A copy of a table of entries under `memo` (EntryDetails -> copied
     Entry): each object is copied when first reached, and its fields are
-    filled in the same walk."""
+    filled in the same walk.  The duplicates share their sources' taint
+    sets."""
     out = {}
     stack = [(table, out)]
     while stack:
         src, dst = stack.pop()
         for name, entry in src.items():
             det = entry.details
-            dup = memo.get(id(det))
+            dup = memo.get(det)
             if dup is None:
-                dup = memo[id(det)] = Entry(EntryDetails(
-                    det.value_kind, det.taints, det.const_value, det.const_from_code))
+                # Entry.deep_copy's duplicate, inlined: a call per object
+                # would cost about a tenth of the copy
+                new = _new(EntryDetails)
+                new.taints = det.taints
+                new.fields = fields = {}
+                new.value_kind = det.value_kind
+                new.const_value = det.const_value
+                new.const_from_code = det.const_from_code
+                dup = memo[det] = _new(Entry)
+                dup.details = new
                 if det.fields:
-                    stack.append((det.fields, dup.details.fields))
+                    stack.append((det.fields, fields))
             dst[name] = dup
     return out
 
@@ -86,6 +120,13 @@ def bind_copy(entry):
     return entry.deep_copy()
 
 
+def add_taints(det, tags):
+    """Let the object `det` also carry `tags`.  Its set is replaced, never
+    changed in place, and left alone when `tags` adds nothing."""
+    if not tags <= det.taints:
+        det.taints = det.taints | tags if det.taints else frozenset(tags)
+
+
 def collect_taints(*entries):
     """All tags reachable from the entries through their fields (cycle-safe)."""
     tags = set()
@@ -93,9 +134,9 @@ def collect_taints(*entries):
     stack = [e.details for e in entries]
     while stack:
         det = stack.pop()
-        if id(det) in seen:
+        if det in seen:
             continue
-        seen.add(id(det))
+        seen.add(det)
         tags |= det.taints
         stack.extend(f.details for f in det.fields.values())
     return tags
@@ -143,28 +184,26 @@ def fingerprint(space):
     fields the same way as a table.  The constant's type keeps 1, 1.0 and
     True apart.
     """
-    number = {}                   # id(details) -> its number
-    reached = []                  # the numbered details, in number order
+    returned = {} if space.returned is None else {0: space.returned}
+    # the root tables, then each object as it is numbered; one walk writes
+    # them all in that order
+    queue = [space.regs, space.statics, *space.outer, returned]
+    roots = len(queue)
+    number = {}                   # EntryDetails -> its number
     out = [len(space.outer)]
-
-    def edges(table):
-        out.append(len(table))
-        for name, entry in table.items():
+    for item in queue:            # grows as the tables reach new objects
+        if item.__class__ is EntryDetails:
+            const = item.const_value
+            out += (item.value_kind, item.taints, type(const), const, item.const_from_code)
+            item = item.fields
+        out.append(len(item))
+        for name, entry in item.items():
             det = entry.details
-            n = number.get(id(det))
+            n = number.get(det)
             if n is None:
-                n = number[id(det)] = len(reached)
-                reached.append(det)
-            out.append(name)
-            out.append(n)
-
-    for table in (space.regs, space.statics) + space.outer:
-        edges(table)
-    edges({} if space.returned is None else {0: space.returned})
-    for det in reached:           # grows as the fields reach new objects
-        const = det.const_value
-        out += (det.value_kind, frozenset(det.taints), type(const), const, det.const_from_code)
-        edges(det.fields)
+                n = number[det] = len(queue) - roots
+                queue.append(det)
+            out += (name, n)
     return tuple(out)
 
 
@@ -183,10 +222,11 @@ def _join(table, pairs, seen):
                 table[name] = entry
                 continue
             base, other = mine.details, entry.details
-            if (id(base), id(other)) in seen:
+            if (base, other) in seen:
                 continue
-            seen.add((id(base), id(other)))
-            base.taints |= other.taints
+            seen.add((base, other))
+            if other.taints is not base.taints:   # the same set: unchanged since a copy
+                add_taints(base, other.taints)
             if (base.const_value != other.const_value
                     or base.const_from_code != other.const_from_code):
                 base.const_value = None

@@ -170,7 +170,7 @@ def test_criterion_6_property_suites(models, config):
     base = fresh_entry(MUTABLE_REF)
     alias = bind_copy(base)
     tag = TaintTag(GET_DEVICE_ID, ("C", "m/0", 0))
-    alias.details.taints.add(tag)
+    alias.details.taints |= {tag}
     checks["alias"] = tag in collect_taints(base)
 
     from test_engine import TestListings
@@ -178,7 +178,7 @@ def test_criterion_6_property_suites(models, config):
     checks["merge"] = True
 
     coll = fresh_entry("COLLECTION")
-    coll.details.taints.add(tag)
+    coll.details.taints |= {tag}
     checks["collection"] = tag in coll.details.taints  # nothing ever removes it
 
     rec = analyze_app(corpus_app("recursion"), models, config, m_max=1)

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from lifetaint.detectors import Warning, dedup_warnings
 from lifetaint.sequences import PermutationPlan, PermutationUnit, Segment, generate_m_way
 from lifetaint.symbols import (
-    COLLECTION, IMMUTABLE_REF, MUTABLE_REF,
-    Entry, EntryDetails, SymbolSpace, TaintTag, bind_copy, collect_taints, fresh_entry,
-    merge_spaces,
+    COLLECTION, IMMUTABLE_REF, MUTABLE_REF, PRIMITIVE,
+    Entry, EntryDetails, SymbolSpace, TaintTag, add_taints, bind_copy, collect_taints,
+    const_entry, fingerprint, fresh_entry, merge_spaces, value_entry,
 )
 
 TAG = TaintTag("Api.src/0", ("C", "m/0", 0))
@@ -41,7 +41,7 @@ class TestAliasSoundness:
     def test_taint_through_alias_is_visible(self, chain):
         base = fresh_entry(MUTABLE_REF)
         alias = bind_copy(base)   # shallow: shares details
-        dig(alias, chain).details.taints.add(TAG)
+        dig(alias, chain).details.taints |= {TAG}
         assert TAG in collect_taints(base)
 
     @given(field_chains())
@@ -49,14 +49,14 @@ class TestAliasSoundness:
         base = fresh_entry(MUTABLE_REF)
         dig(base, chain)
         dup = base.deep_copy()
-        dig(dup, chain).details.taints.add(TAG)
+        dig(dup, chain).details.taints |= {TAG}
         assert TAG not in collect_taints(base)
 
     @given(field_chains(), st.sampled_from([MUTABLE_REF, COLLECTION]))
     def test_reassignment_isolation(self, chain, kind):
         # binding a new object to the alias's name leaves the original untouched
         base = fresh_entry(kind)
-        dig(base, chain).details.taints.add(TAG)
+        dig(base, chain).details.taints |= {TAG}
         before = collect_taints(base)
         regs = {"a": base}
         regs["b"] = bind_copy(regs["a"])
@@ -70,7 +70,7 @@ class TestAliasSoundness:
         base.details.fields["a"] = bind_copy(shared)
         base.details.fields["b"] = bind_copy(shared)
         dup = base.deep_copy()
-        dup.details.fields["a"].details.taints.add(TAG)
+        dup.details.fields["a"].details.taints |= {TAG}
         assert TAG in collect_taints(dup.details.fields["b"])
         assert TAG not in collect_taints(base)
 
@@ -94,6 +94,83 @@ class TestMergeOrder:
         assert y_b.details.taints == {TAG, OTHER}
 
 
+def cyclic_space():
+    """Every table of a space over a heap with a field cycle (a.next.next is
+    a), a collection aliased from a register, a static and a field, taints
+    and constants."""
+    a, b, items = fresh_entry(), fresh_entry(), fresh_entry(COLLECTION)
+    a.details.fields["next"] = b
+    b.details.fields["next"] = a
+    a.details.fields["items"] = items
+    items.details.taints |= {TAG}
+    b.details.fields["name"] = value_entry({OTHER}, "text", True)
+    space = SymbolSpace({"a": a, "items": items, "n": const_entry(1, PRIMITIVE)},
+                        {"S.box": items}, ({"this": b},))
+    space.returned = value_entry({TAG})
+    return space
+
+
+def heap_pairs(space, dup):
+    """{object of `space`: its counterpart in `dup`}, walking both heaps
+    along the same names; an object reached twice has one counterpart."""
+    tables = [(space.regs, dup.regs), (space.statics, dup.statics),
+              *zip(space.outer, dup.outer), ({0: space.returned}, {0: dup.returned})]
+    pairs = {}
+    while tables:
+        src, dst = tables.pop()
+        assert list(src) == list(dst)
+        for name, entry in src.items():
+            det, other = entry.details, dst[name].details
+            if det not in pairs:
+                pairs[det] = other
+                tables.append((det.fields, other.fields))
+            assert pairs[det] is other
+    return pairs
+
+
+class TestSharedTaints:
+    def test_deep_copy_shares_taints_and_no_fields(self):
+        space = cyclic_space()
+        pairs = heap_pairs(space, space.deep_copy())
+        assert len(pairs) == 6
+        for det, dup in pairs.items():
+            assert dup is not det and dup.fields is not det.fields
+            assert dup.taints is det.taints   # immutable, so shared
+            before = det.taints
+            dup.taints |= {OTHER, TaintTag("Api.new/0", ("C", "m/0", 2))}
+            assert det.taints is before and dup.taints > before
+
+    @given(st.sampled_from([IMMUTABLE_REF, PRIMITIVE, MUTABLE_REF, COLLECTION]),
+           st.sets(st.sampled_from([TAG, OTHER])), st.sampled_from([None, "s", 1]))
+    def test_entry_copy_without_fields(self, kind, tags, const):
+        entry = Entry(EntryDetails(kind, tags, const, const is not None))
+        dup = entry.deep_copy()
+        det, new = entry.details, dup.details
+        assert dup is not entry and new is not det and new.fields is not det.fields
+        assert new.taints is det.taints and new.taints == tags
+        assert (new.value_kind, new.const_value, new.const_from_code) == (
+            kind, const, const is not None)
+        new.fields["f"] = fresh_entry()
+        new.taints |= {TaintTag("Api.new/0", ("C", "m/0", 2))}
+        assert det.fields == {} and det.taints == tags
+
+    def test_a_write_replaces_the_set_only_when_it_adds(self):
+        det = EntryDetails(MUTABLE_REF, {TAG})
+        before = det.taints
+        add_taints(det, {TAG})
+        add_taints(det, set())
+        assert det.taints is before
+        add_taints(det, {OTHER})
+        assert det.taints == {TAG, OTHER} and before == {TAG}
+
+    def test_merge_of_two_copies_is_the_space(self):
+        space = cyclic_space()
+        merged = merge_spaces([space.deep_copy(), space.deep_copy()])
+        assert fingerprint(merged) == fingerprint(space)
+        # no union was built: every object keeps the very set it shares
+        assert all(m.taints is det.taints for det, m in heap_pairs(space, merged).items())
+
+
 class TestCollectionMonotonicity:
     @given(st.lists(st.sampled_from(["put_tainted", "put_clean", "get"]),
                     min_size=1, max_size=30))
@@ -102,7 +179,7 @@ class TestCollectionMonotonicity:
         high = 0
         for op in ops:
             if op == "put_tainted":
-                coll.details.taints.add(TAG)
+                coll.details.taints |= {TAG}
             elif op == "put_clean":
                 pass  # element overwrite never clears object taint
             else:

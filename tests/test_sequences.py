@@ -1,16 +1,18 @@
 import math
+import os
 
 import pytest
 
+from lifetaint import load_app, sequences
 from lifetaint.ir import app_from_dict
-from lifetaint.lifecycle import replay_events
+from lifetaint.lifecycle import derive_paths, replay_events
 from lifetaint.sequences import (
     AUI_CALLBACK, MISC_CALLBACK, PermutationPlan, Segment, PermutationUnit,
-    build_permutation_units, build_plan, derive_callback_sequences,
-    generate_m_way, receiver_plan,
+    _distinct_paths, _implemented, build_permutation_units, build_plan,
+    derive_callback_sequences, generate_m_way, receiver_plan,
 )
 
-from conftest import corpus_app
+from conftest import ROOT, all_corpus_paths, corpus_app
 
 
 def component_with(names, kind="ACTIVITY", aui=(), misc=()):
@@ -103,6 +105,64 @@ class TestUnits:
         comp = component_with(["onReceive"], kind="RECEIVER")
         plan = receiver_plan(comp)
         assert [u.callbacks.callbacks for u in plan.units] == [("onReceive",)]
+
+
+def restrict_then_key(paths, implemented, drop):
+    """The reference walk: build each path's restricted segments, then key
+    and deduplicate them."""
+    seen = set()
+    for path in paths:
+        segs = tuple(Segment(step.event, tuple(cb for cb in step.callbacks if cb in implemented))
+                     for step in path[drop:])
+        key = tuple(cb for seg in segs for cb in seg.callbacks)
+        if key and key not in seen:
+            seen.add(key)
+            yield segs, key
+
+
+def generated_components(family, monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import gen
+    return [c for _, doc, _ in gen.generate(family, 1)
+            for c in app_from_dict(doc).components]
+
+
+class TestDistinctPaths:
+    """`_distinct_paths` keys a path before it builds its segments; it must
+    yield what building them first yields."""
+
+    def assert_like_reference(self, models, components):
+        for model in (models["ACTIVITY"], models["SERVICE"]):
+            paths = derive_paths(model)
+            for comp in components:
+                implemented = _implemented(comp)
+                for drop in (0, 1):
+                    assert (list(_distinct_paths(paths, implemented, drop))
+                            == list(restrict_then_key(paths, implemented, drop)))
+
+    def test_corpus_components(self, models):
+        comps = [c for p in all_corpus_paths() for c in load_app(p).components]
+        every = {cb for kind in ("ACTIVITY", "SERVICE") for path in derive_paths(models[kind])
+                 for step in path for cb in step.callbacks}
+        comps += [component_with(sorted(every)), component_with([])]
+        self.assert_like_reference(models, comps)
+
+    @pytest.mark.parametrize("family", ["wide", "deep"])
+    def test_generated_components(self, family, models, monkeypatch):
+        self.assert_like_reference(models, generated_components(family, monkeypatch))
+
+    def test_plan_takes_the_paths_once(self, models, monkeypatch):
+        calls = []
+
+        def counting(model):
+            calls.append(model)
+            return derive_paths(model)
+
+        monkeypatch.setattr(sequences, "derive_paths", counting)
+        comp = corpus_app("motivating_example").components[0]
+        plan = build_plan(models["ACTIVITY"], comp)
+        assert calls == [models["ACTIVITY"]]
+        assert plan.prefix_callbacks.callbacks == ("onCreate", "onResume")
 
 
 def _plan(units, prefix=()):
