@@ -12,16 +12,15 @@ from .lifecycle import (
 )
 from .sequences import (
     CallbackSequence, PermutationPlan, PermutationUnit,
-    build_permutation_units, build_plan, derive_callback_sequences, generate_m_way,
+    build_plan, derive_callback_sequences, generate_m_way,
 )
 
 __all__ = [
     "AnalysisConfig", "AnalysisContext", "AppModel", "CallbackSequence",
     "EventSequence", "LifecycleModel", "PermutationPlan", "PermutationUnit",
     "Report", "Warning", "analyze_app", "analyze_component",
-    "build_permutation_units", "build_plan", "callbacks_for_event",
-    "dedup_warnings", "default_config", "derive_callback_sequences",
-    "derive_event_sequences", "generate_m_way", "load_app", "load_config",
-    "load_model", "load_models", "render_report", "replay_events",
-    "resolve_method",
+    "build_plan", "callbacks_for_event", "dedup_warnings", "default_config",
+    "derive_callback_sequences", "derive_event_sequences", "generate_m_way",
+    "load_app", "load_config", "load_model", "load_models", "render_report",
+    "replay_events", "resolve_method",
 ]

@@ -333,15 +333,15 @@ def handle_instruction(instr, ctx, frame, method):
         frame.regs[ops[0]] = fresh_entry()
     elif kind == "IGET":
         obj = _lookup(frame, ops[1], method, instr)
-        field = obj.details.fields.get(ops[2])
+        field = obj.fields.get(ops[2])
         if field is None:
             field = fresh_entry()
-            obj.details.fields[ops[2]] = field
+            obj.fields[ops[2]] = field
         frame.regs[ops[0]] = bind_copy(field)
     elif kind == "IPUT":
         obj = _lookup(frame, ops[0], method, instr)
         src = _lookup(frame, ops[2], method, instr)
-        obj.details.fields[ops[1]] = bind_copy(src)
+        obj.fields[ops[1]] = bind_copy(src)
     elif kind == "SGET":
         slot = frame.statics.get(ops[1])
         if slot is None:
@@ -357,10 +357,10 @@ def handle_instruction(instr, ctx, frame, method):
         coll = _lookup(frame, ops[0], method, instr)
         src = _lookup(frame, ops[2], method, instr)
         # index is irrelevant: element taint always taints the whole object
-        add_taints(coll.details, collect_taints(src))
+        add_taints(coll, collect_taints(src))
     elif kind == "COLLECTION_GET":
         coll = _lookup(frame, ops[1], method, instr)
-        frame.regs[ops[0]] = value_entry(coll.details.taints)
+        frame.regs[ops[0]] = value_entry(coll.taints)
     elif kind == "IF_GOTO":
         _lookup(frame, ops[0], method, instr)  # condition must exist; control only
     elif kind == "GOTO" or kind == "RETURN_VOID":
@@ -419,7 +419,7 @@ def handle_invoke(instr, ctx, frame, method):
     # the result, and never clears anything
     tags = collect_taints(*args)
     if receiver is not None:
-        add_taints(receiver.details, tags)
+        add_taints(receiver, tags)
         tags = collect_taints(receiver)
     return value_entry(tags)
 

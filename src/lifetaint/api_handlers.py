@@ -20,28 +20,25 @@ def _concat_const(a, b):
 
 def builder_append(receiver, args):
     arg = args[0]
-    add_taints(receiver.details, collect_taints(arg))
-    const, from_code = _concat_const(receiver.details, arg.details)
-    receiver.details.const_value = const
-    receiver.details.const_from_code = from_code
+    add_taints(receiver, collect_taints(arg))
+    receiver.const_value, receiver.const_from_code = _concat_const(receiver, arg)
     return receiver  # append returns the builder itself
 
 
 def builder_to_string(receiver, args):
-    det = receiver.details
-    return value_entry(collect_taints(receiver), det.const_value, det.const_from_code)
+    return value_entry(collect_taints(receiver), receiver.const_value,
+                       receiver.const_from_code)
 
 
 def string_concat(receiver, args):
     taints = collect_taints(receiver, args[0])
-    const, from_code = _concat_const(receiver.details, args[0].details)
+    const, from_code = _concat_const(receiver, args[0])
     return value_entry(taints, const, from_code)
 
 
 def string_value_of(receiver, args):
     src = args[0]
-    det = src.details
-    return value_entry(collect_taints(src), det.const_value, det.const_from_code)
+    return value_entry(collect_taints(src), src.const_value, src.const_from_code)
 
 
 def string_format(receiver, args):
@@ -51,7 +48,7 @@ def string_format(receiver, args):
 
 def array_copy(receiver, args):
     # System.arraycopy(src, srcPos, dst, dstPos, length)
-    add_taints(args[2].details, collect_taints(args[0]))
+    add_taints(args[2], collect_taints(args[0]))
     return None
 
 

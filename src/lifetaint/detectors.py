@@ -89,8 +89,7 @@ def detect_sms_attacks(sms_rule, arg_entries, config):
         return []
     recipient = arg_entries[idx]
     out = []
-    det = recipient.details
-    if det.const_from_code and isinstance(det.const_value, str):
+    if recipient.const_from_code and isinstance(recipient.const_value, str):
         out.append((SMS_HARDCODED, set()))
     origin_tags = {
         t for t in collect_taints(recipient)

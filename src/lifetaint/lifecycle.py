@@ -239,33 +239,49 @@ def derive_paths(model):
     model.
     """
     if model._paths_cache is None:
-        paths = []
-        _walk(model, model.initial, None, {}, [], paths)
-        model._paths_cache = paths
+        model._paths_cache = _walk(model)
     return model._paths_cache
 
 
-def _walk(model, name, incoming, visits, path, paths):
-    """Extend `path`, which ends in static state `name` after event
-    `incoming`; `visits` counts each static state's visits on `path`."""
-    seen = visits.get(name, 0)
-    if name == model.goal and (seen or not model.outgoing(name)):
-        paths.append(list(path))
-        return
-    if seen == 2:
-        return
-    visits[name] = seen + 1
-    # In a static state the walk of the incoming event has finished, so that
-    # event is what prev_event guards are checked against.
-    for tr in _exits(model, name, None, incoming):
-        if tr.destination == name:  # avoid self-loop
-            continue
-        callbacks, end = _settle(model, tr, incoming)
-        if end is not None:  # a transient cycle cuts the branch
+def _walk(model):
+    """Every path of the derivation, in depth-first order.
+
+    `stack` holds the static states the current path passes through, each
+    with its visit count from before the path entered it and its exits still
+    to follow, so a path of any length fits; `visits` counts each static
+    state's visits on the path, and `path` holds one Step into each state on
+    the stack but the first.
+    """
+    paths, path, visits, stack = [], [], {}, []
+    name, incoming = model.initial, None
+    while True:
+        # `path` ends in static state `name` after event `incoming`
+        seen = visits.get(name, 0)
+        if name == model.goal and (seen or not model.outgoing(name)):
+            paths.append(list(path))
+        elif seen < 2:
+            visits[name] = seen + 1
+            # In a static state the walk of the incoming event has finished,
+            # so that event is what prev_event guards are checked against.
+            stack.append((name, seen, incoming, iter(_exits(model, name, None, incoming))))
+        # follow the next exit of the deepest state that has one left
+        while stack:
+            name, seen, incoming, exits = stack[-1]
+            del path[len(stack) - 1:]
+            for tr in exits:
+                if tr.destination != name:  # avoid self-loop
+                    callbacks, end = _settle(model, tr, incoming)
+                    if end is not None:  # a transient cycle cuts the branch
+                        break
+            else:
+                visits[name] = seen
+                stack.pop()
+                continue
             path.append(Step(tr.triggers, callbacks))
-            _walk(model, end, tr.triggers, visits, path, paths)
-            path.pop()
-    visits[name] = seen
+            name, incoming = end, tr.triggers
+            break
+        else:
+            return paths
 
 
 def derive_event_sequences(model):

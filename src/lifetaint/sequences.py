@@ -106,12 +106,6 @@ def _callback_unit(kind, name):
     return PermutationUnit(kind, (name,), (Segment(name, (name,)),))
 
 
-def build_permutation_units(model, component):
-    """Permutation units for a component, in deterministic order (see
-    `build_plan`)."""
-    return list(build_plan(model, component).units)
-
-
 def build_plan(model, component):
     """A component's plan: the creation prefix (activities) and the units.
     It does not depend on m, so one plan serves every level of an app.

@@ -1,12 +1,11 @@
 """Layered symbol tables: entries, alias-preserving copies, merges.
 
-Aliases are realized by identity: names that alias one object hold one
-Entry, whose EntryDetails is never replaced, so a mutation through any alias
-is seen by all of them.  A deep copy duplicates the whole reachable
-structure while preserving the sharing inside it, one Entry per copied
-object, which is what gives each reader of a held state but the last a
-private copy.  Copies, merges and taint collection walk the heap with
-explicit stacks, so a heap of any depth fits.
+Aliases are realized by identity: names that alias one object hold the same
+Entry, so a mutation through any alias is seen by all of them.  A deep copy
+duplicates the whole reachable structure while preserving the sharing inside
+it, one new Entry per copied object, which is what gives each reader of a
+held state but the last a private copy.  Copies, merges and taint collection
+walk the heap with explicit stacks, so a heap of any depth fits.
 
 Taint sets are immutable frozensets, shared by copies and replaced on write
 (`add_taints`), so a write through one copy never shows in another, and an
@@ -33,7 +32,7 @@ _NO_TAINTS = frozenset()
 _new = object.__new__
 
 
-class EntryDetails:
+class Entry:
     """One heap object.  Equality is identity; `taints` is a frozenset that
     copies share and a write replaces."""
 
@@ -47,98 +46,90 @@ class EntryDetails:
         self.const_value = const_value
         self.const_from_code = const_from_code
 
-
-class Entry:
-    __slots__ = ("details",)
-
-    def __init__(self, details):
-        self.details = details
+    @property
+    def details(self):
+        # the entry itself; only perfbench/tracer.py's _count_details reads
+        # it, and ROADMAP item 2's benchmark step deletes it
+        return self
 
     def deep_copy(self):
-        det = self.details
-        if det.fields:
+        if self.fields:
             return _copy({0: self}, {})[0]
         # a string or a number: nothing to walk
-        new = _new(EntryDetails)
-        new.taints = det.taints
-        new.fields = {}
-        new.value_kind = det.value_kind
-        new.const_value = det.const_value
-        new.const_from_code = det.const_from_code
         dup = _new(Entry)
-        dup.details = new
+        dup.taints = self.taints
+        dup.fields = {}
+        dup.value_kind = self.value_kind
+        dup.const_value = self.const_value
+        dup.const_from_code = self.const_from_code
         return dup
 
 
 def _copy(table, memo):
-    """A copy of a table of entries under `memo` (EntryDetails -> copied
-    Entry): each object is copied when first reached, and its fields are
-    filled in the same walk.  The duplicates share their sources' taint
-    sets."""
+    """A copy of a table of entries under `memo` (Entry -> its copy): each
+    object is copied when first reached, and its fields are filled in the
+    same walk.  The duplicates share their sources' taint sets."""
     out = {}
     stack = [(table, out)]
     while stack:
         src, dst = stack.pop()
         for name, entry in src.items():
-            det = entry.details
-            dup = memo.get(det)
+            dup = memo.get(entry)
             if dup is None:
                 # Entry.deep_copy's duplicate, inlined: a call per object
                 # would cost about a tenth of the copy
-                new = _new(EntryDetails)
-                new.taints = det.taints
-                new.fields = fields = {}
-                new.value_kind = det.value_kind
-                new.const_value = det.const_value
-                new.const_from_code = det.const_from_code
-                dup = memo[det] = _new(Entry)
-                dup.details = new
-                if det.fields:
-                    stack.append((det.fields, fields))
+                dup = memo[entry] = _new(Entry)
+                dup.taints = entry.taints
+                dup.fields = fields = {}
+                dup.value_kind = entry.value_kind
+                dup.const_value = entry.const_value
+                dup.const_from_code = entry.const_from_code
+                if entry.fields:
+                    stack.append((entry.fields, fields))
             dst[name] = dup
     return out
 
 
 def fresh_entry(kind=MUTABLE_REF):
-    return Entry(EntryDetails(kind))
+    return Entry(kind)
 
 
 def value_entry(taints=(), const_value=None, const_from_code=False):
     """A new immutable value: a string or another result the engine builds."""
-    return Entry(EntryDetails(IMMUTABLE_REF, taints, const_value, const_from_code))
+    return Entry(IMMUTABLE_REF, taints, const_value, const_from_code)
 
 
 def const_entry(value, kind):
-    return Entry(EntryDetails(kind, const_value=value, const_from_code=True))
+    return Entry(kind, const_value=value, const_from_code=True)
 
 
 def bind_copy(entry):
     """Copy semantics for assignment: a mutable object or collection is
     shared, a primitive or immutable reference is duplicated."""
-    if entry.details.value_kind in (MUTABLE_REF, COLLECTION):
+    if entry.value_kind in (MUTABLE_REF, COLLECTION):
         return entry
     return entry.deep_copy()
 
 
-def add_taints(det, tags):
-    """Let the object `det` also carry `tags`.  Its set is replaced, never
+def add_taints(entry, tags):
+    """Let the object `entry` also carry `tags`.  Its set is replaced, never
     changed in place, and left alone when `tags` adds nothing."""
-    if not tags <= det.taints:
-        det.taints = det.taints | tags if det.taints else frozenset(tags)
+    if not tags <= entry.taints:
+        entry.taints = entry.taints | tags if entry.taints else frozenset(tags)
 
 
 def collect_taints(*entries):
     """All tags reachable from the entries through their fields (cycle-safe)."""
     tags = set()
     seen = set()
-    stack = [e.details for e in entries]
+    stack = list(entries)
     while stack:
-        det = stack.pop()
-        if det in seen:
+        entry = stack.pop()
+        if entry in seen:
             continue
-        seen.add(det)
-        tags |= det.taints
-        stack.extend(f.details for f in det.fields.values())
+        seen.add(entry)
+        tags |= entry.taints
+        stack.extend(entry.fields.values())
     return tags
 
 
@@ -176,7 +167,7 @@ def fingerprint(space):
     hold the same names, in the same order, bound to the same alias graph of
     objects with the same contents, so every run from either behaves alike.
 
-    Each EntryDetails is numbered at its first visit, and an edge to it is
+    Each Entry is numbered at its first visit, and an edge to it is
     written as its number.  The tables `regs`, `statics`, `outer` and
     `returned` are written first, each as its length and its (name, number)
     pairs in insertion order; then every object in number order as its
@@ -189,20 +180,19 @@ def fingerprint(space):
     # them all in that order
     queue = [space.regs, space.statics, *space.outer, returned]
     roots = len(queue)
-    number = {}                   # EntryDetails -> its number
+    number = {}                   # Entry -> its number
     out = [len(space.outer)]
     for item in queue:            # grows as the tables reach new objects
-        if item.__class__ is EntryDetails:
+        if item.__class__ is Entry:
             const = item.const_value
             out += (item.value_kind, item.taints, type(const), const, item.const_from_code)
             item = item.fields
         out.append(len(item))
         for name, entry in item.items():
-            det = entry.details
-            n = number.get(det)
+            n = number.get(entry)
             if n is None:
-                n = number[det] = len(queue) - roots
-                queue.append(det)
+                n = number[entry] = len(queue) - roots
+                queue.append(entry)
             out += (name, n)
     return tuple(out)
 
@@ -216,12 +206,11 @@ def _join(table, pairs, seen):
     stack = [(table, iter(pairs))]
     while stack:
         table, pending = stack[-1]
-        for name, entry in pending:
-            mine = table.get(name)
-            if mine is None:
-                table[name] = entry
+        for name, other in pending:
+            base = table.get(name)
+            if base is None:
+                table[name] = other
                 continue
-            base, other = mine.details, entry.details
             if (base, other) in seen:
                 continue
             seen.add((base, other))

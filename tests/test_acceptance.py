@@ -170,7 +170,7 @@ def test_criterion_6_property_suites(models, config):
     base = fresh_entry(MUTABLE_REF)
     alias = bind_copy(base)
     tag = TaintTag(GET_DEVICE_ID, ("C", "m/0", 0))
-    alias.details.taints |= {tag}
+    alias.taints |= {tag}
     checks["alias"] = tag in collect_taints(base)
 
     from test_engine import TestListings
@@ -178,8 +178,8 @@ def test_criterion_6_property_suites(models, config):
     checks["merge"] = True
 
     coll = fresh_entry("COLLECTION")
-    coll.details.taints |= {tag}
-    checks["collection"] = tag in coll.details.taints  # nothing ever removes it
+    coll.taints |= {tag}
+    checks["collection"] = tag in coll.taints  # nothing ever removes it
 
     rec = analyze_app(corpus_app("recursion"), models, config, m_max=1)
     checks["recursion"] = rec.finished

@@ -8,7 +8,7 @@ from lifetaint.detectors import (
     Report, Warning, dedup_warnings, detect_sms_attacks, render_report,
 )
 from lifetaint.analysis import AnalysisConfig
-from lifetaint.symbols import Entry, EntryDetails, IMMUTABLE_REF, TaintTag
+from lifetaint.symbols import Entry, IMMUTABLE_REF, TaintTag
 
 
 def w(sources, sink, kind=INFO_LEAK, m=1, trace=("createActivity",)):
@@ -87,25 +87,24 @@ RULE = {"signature": "SmsManager.sendTextMessage/5", "recipient_arg_index": 0}
 
 class TestSmsDetection:
     def test_hardcoded_number(self):
-        recipient = Entry(EntryDetails(
-            IMMUTABLE_REF, const_value="1066156686", const_from_code=True))
+        recipient = Entry(IMMUTABLE_REF, const_value="1066156686", const_from_code=True)
         out = detect_sms_attacks(RULE, [recipient], _config())
         assert out == [(SMS_HARDCODED, set())]
 
     def test_autoreply_from_originating_address(self):
         tag = TaintTag("SmsMessage.getOriginatingAddress/0", ("C", "onReceive/2", 1))
-        recipient = Entry(EntryDetails(IMMUTABLE_REF, taints={tag}))
+        recipient = Entry(IMMUTABLE_REF, taints={tag})
         out = detect_sms_attacks(RULE, [recipient], _config())
         assert out == [(SMS_AUTOREPLY, {tag})]
 
     def test_config_file_number_not_reported(self):
-        recipient = Entry(EntryDetails(IMMUTABLE_REF))  # no const, no taint
+        recipient = Entry(IMMUTABLE_REF)  # no const, no taint
         out = detect_sms_attacks(RULE, [recipient], _config())
         assert out == []
 
     def test_other_taint_is_not_autoreply(self):
         tag = TaintTag("TelephonyManager.getDeviceId/0", ("C", "m/0", 0))
-        recipient = Entry(EntryDetails(IMMUTABLE_REF, taints={tag}))
+        recipient = Entry(IMMUTABLE_REF, taints={tag})
         out = detect_sms_attacks(RULE, [recipient], _config())
         assert out == []
 

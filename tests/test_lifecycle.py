@@ -6,13 +6,14 @@ import pickle
 import pytest
 
 from lifetaint import load_models
+from lifetaint.cli import analyze_app
 from lifetaint.errors import ModelError
 from lifetaint.lifecycle import (
     callbacks_for_event, derive_event_sequences, derive_paths, load_model,
     model_from_dict, replay_events,
 )
 
-from conftest import run_isolated
+from conftest import corpus_app, run_isolated
 
 
 def small_model(**overrides):
@@ -268,6 +269,34 @@ class TestDerivation:
         seqs = [s.events for s in derive_event_sequences(model_from_dict(doc))]
         assert ("x", "fin") in seqs   # explicit guard takes the x event to A
         assert ("y",) in seqs         # else route straight to the goal
+
+
+def chain_model(n):
+    """A line of `n` static states, each left by one `next` event."""
+    return model_from_dict({
+        "component_kind": "ACTIVITY",
+        "states": [{"name": "s%d" % i, "kind": "STATIC"} for i in range(n)],
+        "initial": "s0",
+        "goal": "s%d" % (n - 1),
+        "events": ["next"],
+        "callbacks": ["onCreate"],
+        "transitions": [{"from": "s%d" % i, "to": "s%d" % (i + 1), "triggers": "next",
+                         "callbacks": ["onCreate"] if i == 0 else []}
+                        for i in range(n - 1)],
+    })
+
+
+class TestLongPaths:
+    def test_a_long_chain_derives_one_path(self):
+        # deeper than the interpreter's recursion limit allows a recursive walk
+        paths = derive_paths(chain_model(1200))
+        assert len(paths) == 1 and len(paths[0]) == 1199
+        assert paths[0][0].callbacks == ("onCreate",)
+
+    def test_an_app_under_a_long_chain_gets_a_report(self, models, config):
+        chained = dict(models, ACTIVITY=chain_model(1200))
+        report = analyze_app(corpus_app("motivating_example"), chained, config)
+        assert report.error is None and report.finished
 
 
 def cyclic_model():

@@ -347,7 +347,7 @@ class TestRandomActivities:
 def space_with_fields(order):
     this = fresh_entry()
     for name in order:
-        this.details.fields[name] = const_entry("v", IMMUTABLE_REF)
+        this.fields[name] = const_entry("v", IMMUTABLE_REF)
     return SymbolSpace({"this": this})
 
 
@@ -374,14 +374,14 @@ class TestFingerprint:
         assert fingerprint(aliased) != fingerprint(copied)
         # the same holds for an alias reached through a field
         this = fresh_entry()
-        this.details.fields["f"] = obj
+        this.fields["f"] = obj
         assert (fingerprint(SymbolSpace({"this": this}, {"S.x": obj}))
                 != fingerprint(SymbolSpace({"this": this}, {"S.x": obj.deep_copy()})))
 
     def test_a_field_cycle_is_not_a_chain(self):
         cyclic, chained = fresh_entry(), fresh_entry()
-        cyclic.details.fields["next"] = cyclic
-        chained.details.fields["next"] = fresh_entry()
+        cyclic.fields["next"] = cyclic
+        chained.fields["next"] = fresh_entry()
         assert (fingerprint(SymbolSpace({"this": cyclic}))
                 != fingerprint(SymbolSpace({"this": chained})))
 

@@ -9,7 +9,7 @@ from lifetaint.detectors import Warning, dedup_warnings
 from lifetaint.sequences import PermutationPlan, PermutationUnit, Segment, generate_m_way
 from lifetaint.symbols import (
     COLLECTION, IMMUTABLE_REF, MUTABLE_REF, PRIMITIVE,
-    Entry, EntryDetails, SymbolSpace, TaintTag, add_taints, bind_copy, collect_taints,
+    Entry, SymbolSpace, TaintTag, add_taints, bind_copy, collect_taints,
     const_entry, fingerprint, fresh_entry, merge_spaces, value_entry,
 )
 
@@ -26,12 +26,12 @@ def field_chains(draw):
 def dig(entry, chain, create=True):
     cur = entry
     for name in chain:
-        nxt = cur.details.fields.get(name)
+        nxt = cur.fields.get(name)
         if nxt is None:
             if not create:
                 return None
             nxt = fresh_entry(MUTABLE_REF)
-            cur.details.fields[name] = nxt
+            cur.fields[name] = nxt
         cur = nxt
     return cur
 
@@ -40,8 +40,8 @@ class TestAliasSoundness:
     @given(field_chains())
     def test_taint_through_alias_is_visible(self, chain):
         base = fresh_entry(MUTABLE_REF)
-        alias = bind_copy(base)   # shallow: shares details
-        dig(alias, chain).details.taints |= {TAG}
+        alias = bind_copy(base)   # shallow: the entry itself
+        dig(alias, chain).taints |= {TAG}
         assert TAG in collect_taints(base)
 
     @given(field_chains())
@@ -49,29 +49,29 @@ class TestAliasSoundness:
         base = fresh_entry(MUTABLE_REF)
         dig(base, chain)
         dup = base.deep_copy()
-        dig(dup, chain).details.taints |= {TAG}
+        dig(dup, chain).taints |= {TAG}
         assert TAG not in collect_taints(base)
 
     @given(field_chains(), st.sampled_from([MUTABLE_REF, COLLECTION]))
     def test_reassignment_isolation(self, chain, kind):
         # binding a new object to the alias's name leaves the original untouched
         base = fresh_entry(kind)
-        dig(base, chain).details.taints |= {TAG}
+        dig(base, chain).taints |= {TAG}
         before = collect_taints(base)
         regs = {"a": base}
         regs["b"] = bind_copy(regs["a"])
         assert regs["b"] is base   # an alias is the entry itself
-        regs["b"] = Entry(EntryDetails(MUTABLE_REF, taints={OTHER}))
+        regs["b"] = Entry(MUTABLE_REF, taints={OTHER})
         assert collect_taints(regs["a"]) == before
 
     def test_deep_copy_preserves_internal_sharing(self):
         base = fresh_entry(MUTABLE_REF)
         shared = fresh_entry(MUTABLE_REF)
-        base.details.fields["a"] = bind_copy(shared)
-        base.details.fields["b"] = bind_copy(shared)
+        base.fields["a"] = bind_copy(shared)
+        base.fields["b"] = bind_copy(shared)
         dup = base.deep_copy()
-        dup.details.fields["a"].details.taints |= {TAG}
-        assert TAG in collect_taints(dup.details.fields["b"])
+        dup.fields["a"].taints |= {TAG}
+        assert TAG in collect_taints(dup.fields["b"])
         assert TAG not in collect_taints(base)
 
 
@@ -81,17 +81,17 @@ class TestMergeOrder:
         # Merging a reaches x again through p and adopts y's b before x's
         # own b is taken, so x's b is y's object, joined with the other's
         b = fresh_entry(MUTABLE_REF)
-        b.details.fields["a"] = fresh_entry(MUTABLE_REF)
-        b.details.fields["a"].details.fields["p"] = b
+        b.fields["a"] = fresh_entry(MUTABLE_REF)
+        b.fields["a"].fields["p"] = b
         o, y = fresh_entry(MUTABLE_REF), fresh_entry(MUTABLE_REF)
-        o.details.fields["a"] = fresh_entry(MUTABLE_REF)
-        o.details.fields["a"].details.fields["p"] = y
-        o.details.fields["b"] = Entry(EntryDetails(IMMUTABLE_REF, taints={TAG}))
-        y.details.fields["b"] = Entry(EntryDetails(IMMUTABLE_REF, taints={OTHER}))
-        y_b = y.details.fields["b"]
+        o.fields["a"] = fresh_entry(MUTABLE_REF)
+        o.fields["a"].fields["p"] = y
+        o.fields["b"] = Entry(IMMUTABLE_REF, taints={TAG})
+        y.fields["b"] = Entry(IMMUTABLE_REF, taints={OTHER})
+        y_b = y.fields["b"]
         merged = merge_spaces([SymbolSpace({"x": b}), SymbolSpace({"x": o})])
-        assert merged.regs["x"].details.fields["b"] is y_b
-        assert y_b.details.taints == {TAG, OTHER}
+        assert merged.regs["x"].fields["b"] is y_b
+        assert y_b.taints == {TAG, OTHER}
 
 
 def cyclic_space():
@@ -99,11 +99,11 @@ def cyclic_space():
     a), a collection aliased from a register, a static and a field, taints
     and constants."""
     a, b, items = fresh_entry(), fresh_entry(), fresh_entry(COLLECTION)
-    a.details.fields["next"] = b
-    b.details.fields["next"] = a
-    a.details.fields["items"] = items
-    items.details.taints |= {TAG}
-    b.details.fields["name"] = value_entry({OTHER}, "text", True)
+    a.fields["next"] = b
+    b.fields["next"] = a
+    a.fields["items"] = items
+    items.taints |= {TAG}
+    b.fields["name"] = value_entry({OTHER}, "text", True)
     space = SymbolSpace({"a": a, "items": items, "n": const_entry(1, PRIMITIVE)},
                         {"S.box": items}, ({"this": b},))
     space.returned = value_entry({TAG})
@@ -120,11 +120,11 @@ def heap_pairs(space, dup):
         src, dst = tables.pop()
         assert list(src) == list(dst)
         for name, entry in src.items():
-            det, other = entry.details, dst[name].details
-            if det not in pairs:
-                pairs[det] = other
-                tables.append((det.fields, other.fields))
-            assert pairs[det] is other
+            other = dst[name]
+            if entry not in pairs:
+                pairs[entry] = other
+                tables.append((entry.fields, other.fields))
+            assert pairs[entry] is other
     return pairs
 
 
@@ -133,42 +133,41 @@ class TestSharedTaints:
         space = cyclic_space()
         pairs = heap_pairs(space, space.deep_copy())
         assert len(pairs) == 6
-        for det, dup in pairs.items():
-            assert dup is not det and dup.fields is not det.fields
-            assert dup.taints is det.taints   # immutable, so shared
-            before = det.taints
+        for obj, dup in pairs.items():
+            assert dup is not obj and dup.fields is not obj.fields
+            assert dup.taints is obj.taints   # immutable, so shared
+            before = obj.taints
             dup.taints |= {OTHER, TaintTag("Api.new/0", ("C", "m/0", 2))}
-            assert det.taints is before and dup.taints > before
+            assert obj.taints is before and dup.taints > before
 
     @given(st.sampled_from([IMMUTABLE_REF, PRIMITIVE, MUTABLE_REF, COLLECTION]),
            st.sets(st.sampled_from([TAG, OTHER])), st.sampled_from([None, "s", 1]))
     def test_entry_copy_without_fields(self, kind, tags, const):
-        entry = Entry(EntryDetails(kind, tags, const, const is not None))
+        entry = Entry(kind, tags, const, const is not None)
         dup = entry.deep_copy()
-        det, new = entry.details, dup.details
-        assert dup is not entry and new is not det and new.fields is not det.fields
-        assert new.taints is det.taints and new.taints == tags
-        assert (new.value_kind, new.const_value, new.const_from_code) == (
+        assert dup is not entry and dup.fields is not entry.fields
+        assert dup.taints is entry.taints and dup.taints == tags
+        assert (dup.value_kind, dup.const_value, dup.const_from_code) == (
             kind, const, const is not None)
-        new.fields["f"] = fresh_entry()
-        new.taints |= {TaintTag("Api.new/0", ("C", "m/0", 2))}
-        assert det.fields == {} and det.taints == tags
+        dup.fields["f"] = fresh_entry()
+        dup.taints |= {TaintTag("Api.new/0", ("C", "m/0", 2))}
+        assert entry.fields == {} and entry.taints == tags
 
     def test_a_write_replaces_the_set_only_when_it_adds(self):
-        det = EntryDetails(MUTABLE_REF, {TAG})
-        before = det.taints
-        add_taints(det, {TAG})
-        add_taints(det, set())
-        assert det.taints is before
-        add_taints(det, {OTHER})
-        assert det.taints == {TAG, OTHER} and before == {TAG}
+        entry = Entry(MUTABLE_REF, {TAG})
+        before = entry.taints
+        add_taints(entry, {TAG})
+        add_taints(entry, set())
+        assert entry.taints is before
+        add_taints(entry, {OTHER})
+        assert entry.taints == {TAG, OTHER} and before == {TAG}
 
     def test_merge_of_two_copies_is_the_space(self):
         space = cyclic_space()
         merged = merge_spaces([space.deep_copy(), space.deep_copy()])
         assert fingerprint(merged) == fingerprint(space)
         # no union was built: every object keeps the very set it shares
-        assert all(m.taints is det.taints for det, m in heap_pairs(space, merged).items())
+        assert all(m.taints is obj.taints for obj, m in heap_pairs(space, merged).items())
 
 
 class TestCollectionMonotonicity:
@@ -179,14 +178,14 @@ class TestCollectionMonotonicity:
         high = 0
         for op in ops:
             if op == "put_tainted":
-                coll.details.taints |= {TAG}
+                coll.taints |= {TAG}
             elif op == "put_clean":
                 pass  # element overwrite never clears object taint
             else:
-                got = Entry(EntryDetails(IMMUTABLE_REF, taints=coll.details.taints))
+                got = Entry(IMMUTABLE_REF, taints=coll.taints)
                 assert len(collect_taints(got)) >= (1 if high else 0)
-            assert len(coll.details.taints) >= high
-            high = len(coll.details.taints)
+            assert len(coll.taints) >= high
+            high = len(coll.taints)
 
 
 def _units(n):

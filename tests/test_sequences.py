@@ -8,7 +8,7 @@ from lifetaint.ir import app_from_dict
 from lifetaint.lifecycle import derive_paths, replay_events
 from lifetaint.sequences import (
     AUI_CALLBACK, MISC_CALLBACK, PermutationPlan, Segment, PermutationUnit,
-    _distinct_paths, _implemented, build_permutation_units, build_plan,
+    _distinct_paths, _implemented, build_plan,
     derive_callback_sequences, generate_m_way, receiver_plan,
 )
 
@@ -73,21 +73,21 @@ class TestUnits:
     def test_motivating_units(self, models):
         app = corpus_app("motivating_example")
         comp = app.components[0]
-        units = build_permutation_units(models["ACTIVITY"], comp)
+        units = build_plan(models["ACTIVITY"], comp).units
         assert len(units) == 13
         assert sum(1 for u in units if u.kind == AUI_CALLBACK) == 1
         assert units[-1].callbacks.callbacks == ("onBtnClicked",)
 
     def test_zero_aui_units_are_lifecycle_only(self, models):
         comp = component_with(MOTIV_CALLBACKS)
-        units = build_permutation_units(models["ACTIVITY"], comp)
+        units = build_plan(models["ACTIVITY"], comp).units
         assert all(u.kind == "LIFECYCLE_SUBSEQUENCE" for u in units)
         assert len(units) == 12
 
     def test_service_misc_callback_unit(self, models):
         comp = component_with(SERVICE_CALLBACKS + ["onLowMemory"], kind="SERVICE",
                               misc=["onLowMemory"])
-        units = build_permutation_units(models["SERVICE"], comp)
+        units = build_plan(models["SERVICE"], comp).units
         assert units[-1].kind == MISC_CALLBACK
         assert units[-1].callbacks.callbacks == ("onLowMemory",)
 
@@ -228,7 +228,7 @@ class TestMWay:
         assert replay_events(model, ("createActivity",) + u1.events + u2.events)
 
         svc_comp = component_with(SERVICE_CALLBACKS, kind="SERVICE")
-        for unit in build_permutation_units(models["SERVICE"], svc_comp):
+        for unit in build_plan(models["SERVICE"], svc_comp).units:
             assert replay_events(models["SERVICE"], unit.events)
 
     def test_event_trace_covers_prefix_and_units(self, models):

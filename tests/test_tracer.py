@@ -9,6 +9,7 @@ import io
 import os
 
 from lifetaint.cli import RunConfig, run
+from lifetaint.symbols import SymbolSpace, fresh_entry, value_entry
 
 from conftest import ROOT, corpus_path
 
@@ -38,3 +39,19 @@ def test_traced_pass_calls_every_boundary(monkeypatch):
     assert counts["symbols.sampled_copies"] > 0
     assert traced == untraced
     assert seconds < 1.0
+
+
+def test_count_details_counts_each_object_once(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import tracer
+
+    # a.next.next is a; `a` is bound twice and `b` is also a static.  The
+    # space has no caller tables (`outer`), which the count does not walk.
+    a, b, c = fresh_entry(), fresh_entry(), fresh_entry()
+    a.fields["next"] = b
+    b.fields["next"] = a
+    b.fields["name"] = value_entry((), "text", True)
+    space = SymbolSpace({"a": a, "alias": a}, {"S.b": b, "S.c": c})
+    space.returned = value_entry()
+    assert tracer._count_details(space) == 5
+    assert tracer._count_details(space.deep_copy()) == 5
