@@ -8,10 +8,6 @@ at the loop exit still sees the body's effects.  The result is a
 DAG suitable for a single reverse-post-order pass.
 """
 
-import logging
-
-log = logging.getLogger(__name__)
-
 
 class BasicBlock:
     def __init__(self, bid, start, end):
@@ -172,8 +168,10 @@ def remove_back_edges(cfg):
     loops = [(b.id, s) for b in cfg.blocks for s in b.successors
              if (b.id, s) in retreating and b.id not in _reachable(cfg.blocks, cfg.entry, s)]
     if len(loops) < len(retreating):
-        log.warning("%s: irreducible control flow, its retreating edges dropped",
-                    cfg.method.full_signature)
+        import logging  # only here: importing it costs more than a run of most apps
+        logging.getLogger(__name__).warning(
+            "%s: irreducible control flow, its retreating edges dropped",
+            cfg.method.full_signature)
 
     for (tail, header) in loops:
         body = _natural_loop(cfg, tail, header)

@@ -6,15 +6,10 @@ nothing is found, m < m-max and some component has more than m units.  Any
 warning stops the escalation for that app and the run moves on to the next.
 """
 
-import argparse
 import gc
-import logging
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from importlib import resources
 
 from .analysis import AnalysisContext, analyze_component, load_config
 from .cfg import build_cfg, remove_back_edges, to_dot
@@ -25,31 +20,30 @@ from .lifecycle import load_model
 from .sequences import build_plan, receiver_plan
 
 
-@dataclass
 class RunConfig:
-    app_paths: list
-    models_dir: str = None
-    config_path: str = None
-    m_max: int = 2
-    budget_secs: float = 600.0
-    jobs: int = 1
-    fmt: str = "json"
-    dump_cfg: bool = False
-    out: object = None  # stream; defaults to stdout
-
-    def __post_init__(self):
-        if self.m_max < 1:
+    def __init__(self, app_paths, models_dir=None, config_path=None, m_max=2,
+                 budget_secs=600.0, jobs=1, fmt="json", dump_cfg=False, out=None):
+        if m_max < 1:
             raise ConfigError("m-max must be >= 1")
-        if not self.budget_secs > 0:
+        if not budget_secs > 0:
             raise ConfigError("budget-secs must be > 0")
-        if self.fmt not in ("json", "table"):
+        if fmt not in ("json", "table"):
             raise ConfigError("format must be json or table")
-        if self.jobs < 1:
+        if jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        self.app_paths = app_paths
+        self.models_dir = models_dir
+        self.config_path = config_path
+        self.m_max = m_max
+        self.budget_secs = budget_secs
+        self.jobs = jobs
+        self.fmt = fmt
+        self.dump_cfg = dump_cfg
+        self.out = out  # stream; defaults to stdout
 
 
 def _data_path(*parts):
-    return resources.files("lifetaint").joinpath("data", *parts)
+    return os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", *parts)
 
 
 def load_models(models_dir=None):
@@ -62,13 +56,12 @@ def load_models(models_dir=None):
             raise ConfigError("models directory %r does not exist" % base)
     models = {}
     for kind, fname in (("ACTIVITY", "activity.json"), ("SERVICE", "service.json")):
-        path = os.path.join(str(base), fname)
-        models[kind] = load_model(path)
+        models[kind] = load_model(os.path.join(base, fname))
     return models
 
 
 def default_config():
-    return load_config(str(_data_path("config", "default_config.json")))
+    return load_config(_data_path("config", "default_config.json"))
 
 
 def analyze_app(app, models, config, m_max=2, budget_secs=600.0, clock=time.monotonic):
@@ -136,6 +129,7 @@ def run(config):
         return report, app
 
     if config.jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
             results = list(pool.map(run_one, config.app_paths))
     else:
@@ -156,6 +150,9 @@ def run(config):
 
 
 def main(argv=None):
+    import argparse
+    import logging
+
     parser = argparse.ArgumentParser(
         prog="lifetaint",
         description="Life-cycle-aware static taint analysis over the mini bytecode IR",

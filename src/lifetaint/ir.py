@@ -8,7 +8,7 @@ API handlers.
 """
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import AppLoadError, list_of
 
@@ -38,11 +38,8 @@ _OPERANDS = {
 }
 
 
-@dataclass(frozen=True)
-class Instruction:
-    kind: str
-    operands: tuple
-    index: int
+class Instruction(namedtuple("Instruction", "kind operands index")):
+    __slots__ = ()
 
     @property
     def is_invoke(self):
@@ -65,13 +62,13 @@ class Instruction:
         return self.operands[3] if self.kind != "INVOKE_STATIC" else self.operands[2]
 
 
-@dataclass
 class MethodDef:
-    class_name: str
-    sig: str                 # "name/argc"
-    params: list
-    instructions: list
-    labels: dict
+    def __init__(self, class_name, sig, params, instructions, labels):
+        self.class_name = class_name
+        self.sig = sig                    # "name/argc"
+        self.params = params
+        self.instructions = instructions
+        self.labels = labels
 
     @property
     def name(self):
@@ -86,41 +83,37 @@ class MethodDef:
         return "%s.%s" % (self.class_name, self.sig)
 
 
-@dataclass
 class ClassDef:
-    name: str
-    parent_kind: str
-    static_fields: list
-    methods: list
-
-    def __post_init__(self):
+    def __init__(self, name, parent_kind, static_fields, methods):
+        self.name = name
+        self.parent_kind = parent_kind
+        self.static_fields = static_fields
+        self.methods = methods
         # name -> the first method with that name
-        self._by_name = {m.name: m for m in reversed(self.methods)}
+        self._by_name = {m.name: m for m in reversed(methods)}
 
     def method_by_name(self, name):
         return self._by_name.get(name)
 
 
-@dataclass
 class ComponentDef:
-    class_name: str
-    kind: str
-    aui_callbacks: list
-    misc_callbacks: list
-    klass: ClassDef = None
+    def __init__(self, class_name, kind, aui_callbacks, misc_callbacks, klass=None):
+        self.class_name = class_name
+        self.kind = kind
+        self.aui_callbacks = aui_callbacks
+        self.misc_callbacks = misc_callbacks
+        self.klass = klass
 
 
-@dataclass
 class AppModel:
-    app_id: str
-    version: str
-    classes: list
-    components: list
-
-    def __post_init__(self):
-        self._classes = {c.name: c for c in self.classes}
+    def __init__(self, app_id, version, classes, components):
+        self.app_id = app_id
+        self.version = version
+        self.classes = classes
+        self.components = components
+        self._classes = {c.name: c for c in classes}
         self._methods = {}
-        for c in self.classes:
+        for c in classes:
             for m in c.methods:
                 self._methods[m.full_signature] = m
 

@@ -12,22 +12,17 @@ transient state it already passed is cut.  Derivation only reads the model.
 """
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ModelError, list_of
 
 STATIC = "STATIC"
 TRANSIENT = "TRANSIENT"
 
-
-@dataclass(frozen=True)
-class LifecycleState:
-    name: str
-    kind: str
+LifecycleState = namedtuple("LifecycleState", "name kind")
 
 
-@dataclass(frozen=True)
-class Guard:
+class Guard(namedtuple("Guard", "event prev_event is_else", defaults=(None, None, False))):
     """Transition guard.
 
     ``event`` constrains the event currently being processed (meaningful on
@@ -37,9 +32,7 @@ class Guard:
     always true.
     """
 
-    event: str | None = None
-    prev_event: str | None = None
-    is_else: bool = False
+    __slots__ = ()
 
     def matches(self, current, previous):
         if self.is_else:
@@ -51,28 +44,22 @@ class Guard:
         return True
 
 
-@dataclass(frozen=True)
-class Transition:
-    source: str
-    destination: str
-    guard: Guard
-    callbacks: tuple
-    triggers: str | None = None
+Transition = namedtuple("Transition", "source destination guard callbacks triggers",
+                        defaults=(None,))
 
 
-@dataclass
 class LifecycleModel:
-    component_kind: str
-    states: dict
-    initial: str
-    goal: str
-    events: list
-    callbacks: list
-    transitions: list
-
-    def __post_init__(self):
+    def __init__(self, component_kind, states, initial, goal, events, callbacks,
+                 transitions):
+        self.component_kind = component_kind
+        self.states = states
+        self.initial = initial
+        self.goal = goal
+        self.events = events
+        self.callbacks = callbacks
+        self.transitions = transitions
         self._by_source = {}
-        for tr in self.transitions:
+        for tr in transitions:
             self._by_source.setdefault(tr.source, []).append(tr)
         self._paths_cache = None    # derive_paths(self), cached on first use
 
@@ -80,17 +67,10 @@ class LifecycleModel:
         return self._by_source.get(state_name, [])
 
 
-@dataclass(frozen=True)
-class EventSequence:
-    events: tuple
+EventSequence = namedtuple("EventSequence", "events")
 
-
-@dataclass(frozen=True)
-class Step:
-    """One event of a derived path plus the callbacks its state walk emits."""
-
-    event: str
-    callbacks: tuple
+# one event of a derived path plus the callbacks its state walk emits
+Step = namedtuple("Step", "event callbacks")
 
 
 def _parse_guard(raw, where):
@@ -318,25 +298,37 @@ def callbacks_for_event(model, event):
 def replay_events(model, events):
     """Replay an event sequence against the model via guard evaluation.
 
-    Returns the list of feasible paths (lists of Steps); an empty list means
-    the sequence is infeasible or does not end at the goal state.
+    Returns the list of feasible paths (lists of Steps), in depth-first
+    order; an empty list means the sequence is infeasible or does not end at
+    the goal state.  As in `_walk`, `stack` holds the static states the
+    current path passes through, one per replayed event plus the initial
+    one, each with its exits still to follow, so a sequence of any length
+    fits.
     """
-    results = []
-
-    def advance(name, idx, prev_event, path):
-        if idx == len(events):
+    results, path, stack = [], [], []
+    name, previous = model.initial, None
+    while True:
+        # `path` replays the first len(path) events and ends in static state `name`
+        if len(path) == len(events):
             if name == model.goal:
                 results.append(list(path))
-            return
-        event = events[idx]
-        for tr in _exits(model, name, None, prev_event):
-            if tr.triggers != event or tr.destination == name:
+        else:
+            stack.append((name, previous, iter(_exits(model, name, None, previous))))
+        # follow the next exit of the deepest state that has one left
+        while stack:
+            name, previous, exits = stack[-1]
+            del path[len(stack) - 1:]
+            event = events[len(path)]
+            for tr in exits:
+                if tr.triggers == event and tr.destination != name:
+                    callbacks, end = _settle(model, tr, previous)
+                    if end is not None:  # a transient cycle makes it infeasible
+                        break
+            else:
+                stack.pop()
                 continue
-            callbacks, end = _settle(model, tr, prev_event)
-            if end is not None:  # a transient cycle makes it infeasible
-                path.append(Step(event, callbacks))
-                advance(end, idx + 1, event, path)
-                path.pop()
-
-    advance(model.initial, 0, None, [])
-    return results
+            path.append(Step(event, callbacks))
+            name, previous = end, event
+            break
+        else:
+            return results

@@ -10,7 +10,7 @@ life-cycle model.
 """
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .lifecycle import derive_paths
 
@@ -18,49 +18,38 @@ LIFECYCLE_SUBSEQUENCE = "LIFECYCLE_SUBSEQUENCE"
 AUI_CALLBACK = "AUI_CALLBACK"
 MISC_CALLBACK = "MISC_CALLBACK"
 
+CallbackSequence = namedtuple("CallbackSequence", "callbacks")
 
-@dataclass(frozen=True)
-class CallbackSequence:
-    callbacks: tuple
-
-
-@dataclass(frozen=True)
-class Segment:
-    """Callbacks belonging to one event of a unit (may be empty)."""
-
-    event: str
-    callbacks: tuple
+# the callbacks belonging to one event of a unit (may be empty)
+Segment = namedtuple("Segment", "event callbacks")
 
 
-@dataclass(frozen=True)
-class PermutationUnit:
-    kind: str
-    events: tuple      # event names this unit covers, in order
-    segments: tuple    # one Segment per event
+class PermutationUnit(namedtuple("PermutationUnit", "kind events segments")):
+    """`events`: the event names this unit covers, in order; `segments`: one
+    Segment per event."""
+
+    __slots__ = ()
 
     @property
     def callbacks(self):
         return CallbackSequence(tuple(cb for seg in self.segments for cb in seg.callbacks))
 
 
-@dataclass(frozen=True)
-class PermutationPlan:
-    """A component's units and prefix; one plan serves every m."""
+class PermutationPlan(namedtuple("PermutationPlan", "units prefix")):
+    """A component's units and prefix, the Segments preceding every
+    generated sequence; one plan serves every m."""
 
-    units: tuple
-    prefix: tuple      # Segments preceding every generated sequence
+    __slots__ = ()
 
     @property
     def prefix_callbacks(self):
         return CallbackSequence(tuple(cb for seg in self.prefix for cb in seg.callbacks))
 
 
-@dataclass(frozen=True)
-class FlattenedSequence:
+class FlattenedSequence(namedtuple("FlattenedSequence", "unit_indexes segments")):
     """One generated ordering: prefix plus m units, flattened to segments."""
 
-    unit_indexes: tuple
-    segments: tuple
+    __slots__ = ()
 
     @property
     def callbacks(self):

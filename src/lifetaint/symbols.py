@@ -14,7 +14,7 @@ holds, which a merge of the two then skips.  Copies are built without
 running constructors.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 PRIMITIVE = "PRIMITIVE"
 IMMUTABLE_REF = "IMMUTABLE_REF"
@@ -22,10 +22,8 @@ MUTABLE_REF = "MUTABLE_REF"
 COLLECTION = "COLLECTION"
 
 
-@dataclass(frozen=True)
-class TaintTag:
-    source_api: str
-    location: tuple   # (class name, method signature, instruction index)
+# location: (class name, method signature, instruction index)
+TaintTag = namedtuple("TaintTag", "source_api location")
 
 
 _NO_TAINTS = frozenset()

@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -70,7 +71,7 @@ def cyclic_models_dir(tmp_path):
     bundled createActivity transition still follows it."""
     from lifetaint.cli import _data_path
 
-    base = _data_path("models")
+    base = pathlib.Path(_data_path("models"))
     doc = json.loads(base.joinpath("activity.json").read_text())
     doc["states"] += [{"name": "T1", "kind": "TRANSIENT"},
                       {"name": "T2", "kind": "TRANSIENT"}]

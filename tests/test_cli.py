@@ -1,5 +1,6 @@
 import io
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -382,7 +383,7 @@ class TestArgs:
     ], ids=["state-names", "state-name", "initial", "goal", "from", "to",
             "else-string", "else-int"])
     def test_malformed_model_is_config_error(self, malform, tmp_path, capsys):
-        base = _data_path("models")
+        base = pathlib.Path(_data_path("models"))
         doc = json.loads(base.joinpath("activity.json").read_text())
         malform(doc)
         (tmp_path / "activity.json").write_text(json.dumps(doc))

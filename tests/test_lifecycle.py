@@ -9,8 +9,8 @@ from lifetaint import load_models
 from lifetaint.cli import analyze_app
 from lifetaint.errors import ModelError
 from lifetaint.lifecycle import (
-    callbacks_for_event, derive_event_sequences, derive_paths, load_model,
-    model_from_dict, replay_events,
+    Step, _exits, _settle, callbacks_for_event, derive_event_sequences, derive_paths,
+    load_model, model_from_dict, replay_events,
 )
 
 from conftest import corpus_app, run_isolated
@@ -297,6 +297,53 @@ class TestLongPaths:
         chained = dict(models, ACTIVITY=chain_model(1200))
         report = analyze_app(corpus_app("motivating_example"), chained, config)
         assert report.error is None and report.finished
+
+    def test_a_long_chain_replays(self):
+        # one recursion per event would pass the interpreter's limit
+        model = chain_model(1200)
+        assert replay_events(model, ("next",) * 1199) == derive_paths(model)
+
+
+def recursive_replay(model, events):
+    """`replay_events` as it was before it walked on an explicit stack: one
+    recursion per replayed event (test oracle)."""
+    results = []
+
+    def advance(name, idx, prev_event, path):
+        if idx == len(events):
+            if name == model.goal:
+                results.append(list(path))
+            return
+        event = events[idx]
+        for tr in _exits(model, name, None, prev_event):
+            if tr.triggers != event or tr.destination == name:
+                continue
+            callbacks, end = _settle(model, tr, prev_event)
+            if end is not None:
+                path.append(Step(event, callbacks))
+                advance(end, idx + 1, event, path)
+                path.pop()
+
+    advance(model.initial, 0, None, [])
+    return results
+
+
+class TestReplayOracle:
+    def test_same_paths_in_the_same_order(self, models):
+        for model in models.values():
+            derived = [tuple(step.event for step in path) for path in derive_paths(model)]
+            first = derived[0]
+            infeasible = [(), first[1:], first[::-1], first[:1] + ("noSuchEvent",)]
+            cut_or_repeated = [first[:-1], first + first[-1:]]
+            for events in derived + infeasible + cut_or_repeated:
+                assert replay_events(model, events) == recursive_replay(model, events), events
+            assert all(replay_events(model, events) for events in derived)
+            assert not any(replay_events(model, events) for events in infeasible)
+        # unbinding a started service has two outcomes, so some sequences
+        # replay to several paths, whose order the comparison above checks
+        service = models["SERVICE"]
+        assert any(len(replay_events(service, tuple(step.event for step in path))) > 1
+                   for path in derive_paths(service))
 
 
 def cyclic_model():
