@@ -223,16 +223,6 @@ def _emit(found, component, seq, segment, ctx):
             component.class_name, m, seq.event_trace(segment)))
 
 
-def _run_sequence(component, seq, ctx):
-    """Run one whole sequence from a fresh component state, each callback
-    on the state the one before left, without the memo."""
-    state = _fresh_state()
-    for i, segment in enumerate(seq.segments):
-        for callback in segment.callbacks:
-            _run_callback(component, callback, state, ctx)
-            _emit(ctx.found, component, seq, i, ctx)
-
-
 def _run_callback(component, callback, state, ctx):
     """Run one top-level callback on the component state; what it finds is
     recorded in a new `ctx.found`."""

@@ -10,35 +10,31 @@ from .symbols import add_taints, collect_taints, value_entry
 
 
 def _concat_const(a, b):
-    """Concatenated constant when both sides are code-originated strings."""
-    if (a.const_value is not None and a.const_from_code
-            and b.const_value is not None and b.const_from_code
-            and isinstance(a.const_value, str) and isinstance(b.const_value, str)):
-        return a.const_value + b.const_value, True
-    return None, False
+    """The concatenated constant when both sides are string constants, else
+    None."""
+    if isinstance(a.const_value, str) and isinstance(b.const_value, str):
+        return a.const_value + b.const_value
+    return None
 
 
 def builder_append(receiver, args):
     arg = args[0]
     add_taints(receiver, collect_taints(arg))
-    receiver.const_value, receiver.const_from_code = _concat_const(receiver, arg)
+    receiver.const_value = _concat_const(receiver, arg)
     return receiver  # append returns the builder itself
 
 
 def builder_to_string(receiver, args):
-    return value_entry(collect_taints(receiver), receiver.const_value,
-                       receiver.const_from_code)
+    return value_entry(collect_taints(receiver), receiver.const_value)
 
 
 def string_concat(receiver, args):
-    taints = collect_taints(receiver, args[0])
-    const, from_code = _concat_const(receiver, args[0])
-    return value_entry(taints, const, from_code)
+    return value_entry(collect_taints(receiver, args[0]), _concat_const(receiver, args[0]))
 
 
 def string_value_of(receiver, args):
     src = args[0]
-    return value_entry(collect_taints(src), src.const_value, src.const_from_code)
+    return value_entry(collect_taints(src), src.const_value)
 
 
 def string_format(receiver, args):

@@ -79,7 +79,9 @@ def detect_sms_attacks(sms_rule, arg_entries, config):
     """SMS checks at a send call site: (kind, source tags) pairs.
 
     SMS_HARDCODED fires, with no tags, when the recipient argument carries a
-    constant that originates in app code; SMS_AUTOREPLY fires when the
+    constant that originates in app code (every constant does: a
+    CONST_STRING or CONST_NUM, as it is or passed through String.valueOf,
+    concat or a StringBuilder); SMS_AUTOREPLY fires when the
     recipient is tainted by an originating-address API.  Numbers arriving
     from configuration files or other APIs carry neither mark and are
     (knowingly) not reported.
@@ -89,7 +91,7 @@ def detect_sms_attacks(sms_rule, arg_entries, config):
         return []
     recipient = arg_entries[idx]
     out = []
-    if recipient.const_from_code and isinstance(recipient.const_value, str):
+    if recipient.const_value is not None:
         out.append((SMS_HARDCODED, set()))
     origin_tags = {
         t for t in collect_taints(recipient)

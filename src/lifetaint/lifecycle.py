@@ -67,8 +67,6 @@ class LifecycleModel:
         return self._by_source.get(state_name, [])
 
 
-EventSequence = namedtuple("EventSequence", "events")
-
 # one event of a derived path plus the callbacks its state walk emits
 Step = namedtuple("Step", "event callbacks")
 
@@ -262,73 +260,3 @@ def _walk(model):
             break
         else:
             return paths
-
-
-def derive_event_sequences(model):
-    """All feasible event sequences, deduplicated, in derivation order."""
-    seen = set()
-    out = []
-    for path in derive_paths(model):
-        events = tuple(step.event for step in path)
-        if events not in seen:
-            seen.add(events)
-            out.append(EventSequence(events))
-    return out
-
-
-def callbacks_for_event(model, event):
-    """Callback list a single event induces from its static source state.
-
-    Follows the first transition (file order) that triggers the event and
-    walks the transient chain to the next static state.
-    """
-    if event not in model.events:
-        raise LookupError("unknown event %r" % event)
-    for tr in model.transitions:
-        if tr.triggers == event:
-            callbacks, end = _settle(model, tr, tr.guard.prev_event)
-            if end is None:
-                raise ModelError(
-                    "transient cycle: event %r never reaches a static state" % event
-                )
-            return list(callbacks)
-    raise LookupError("event %r is never triggered by any transition" % event)
-
-
-def replay_events(model, events):
-    """Replay an event sequence against the model via guard evaluation.
-
-    Returns the list of feasible paths (lists of Steps), in depth-first
-    order; an empty list means the sequence is infeasible or does not end at
-    the goal state.  As in `_walk`, `stack` holds the static states the
-    current path passes through, one per replayed event plus the initial
-    one, each with its exits still to follow, so a sequence of any length
-    fits.
-    """
-    results, path, stack = [], [], []
-    name, previous = model.initial, None
-    while True:
-        # `path` replays the first len(path) events and ends in static state `name`
-        if len(path) == len(events):
-            if name == model.goal:
-                results.append(list(path))
-        else:
-            stack.append((name, previous, iter(_exits(model, name, None, previous))))
-        # follow the next exit of the deepest state that has one left
-        while stack:
-            name, previous, exits = stack[-1]
-            del path[len(stack) - 1:]
-            event = events[len(path)]
-            for tr in exits:
-                if tr.triggers == event and tr.destination != name:
-                    callbacks, end = _settle(model, tr, previous)
-                    if end is not None:  # a transient cycle makes it infeasible
-                        break
-            else:
-                stack.pop()
-                continue
-            path.append(Step(event, callbacks))
-            name, previous = end, event
-            break
-        else:
-            return results

@@ -18,42 +18,22 @@ LIFECYCLE_SUBSEQUENCE = "LIFECYCLE_SUBSEQUENCE"
 AUI_CALLBACK = "AUI_CALLBACK"
 MISC_CALLBACK = "MISC_CALLBACK"
 
-CallbackSequence = namedtuple("CallbackSequence", "callbacks")
-
 # the callbacks belonging to one event of a unit (may be empty)
 Segment = namedtuple("Segment", "event callbacks")
 
+# `events`: the event names this unit covers, in order; `segments`: one
+# Segment per event
+PermutationUnit = namedtuple("PermutationUnit", "kind events segments")
 
-class PermutationUnit(namedtuple("PermutationUnit", "kind events segments")):
-    """`events`: the event names this unit covers, in order; `segments`: one
-    Segment per event."""
-
-    __slots__ = ()
-
-    @property
-    def callbacks(self):
-        return CallbackSequence(tuple(cb for seg in self.segments for cb in seg.callbacks))
-
-
-class PermutationPlan(namedtuple("PermutationPlan", "units prefix")):
-    """A component's units and prefix, the Segments preceding every
-    generated sequence; one plan serves every m."""
-
-    __slots__ = ()
-
-    @property
-    def prefix_callbacks(self):
-        return CallbackSequence(tuple(cb for seg in self.prefix for cb in seg.callbacks))
+# a component's units and prefix, the Segments preceding every generated
+# sequence; one plan serves every m
+PermutationPlan = namedtuple("PermutationPlan", "units prefix")
 
 
 class FlattenedSequence(namedtuple("FlattenedSequence", "unit_indexes segments")):
     """One generated ordering: prefix plus m units, flattened to segments."""
 
     __slots__ = ()
-
-    @property
-    def callbacks(self):
-        return tuple(cb for seg in self.segments for cb in seg.callbacks)
 
     def event_trace(self, upto_segment):
         return tuple(seg.event for seg in self.segments[: upto_segment + 1])
@@ -82,12 +62,6 @@ def _distinct_paths(paths, implemented, drop=0):
         if key and key not in seen:
             seen.add(key)
             yield _restrict(steps, implemented), key
-
-
-def derive_callback_sequences(model, component):
-    """Unique callback sequences for the component, one per distinct result."""
-    paths = _distinct_paths(derive_paths(model), _implemented(component))
-    return [CallbackSequence(key) for _, key in paths]
 
 
 def _callback_unit(kind, name):

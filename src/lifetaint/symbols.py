@@ -34,15 +34,13 @@ class Entry:
     """One heap object.  Equality is identity; `taints` is a frozenset that
     copies share and a write replaces."""
 
-    __slots__ = ("taints", "fields", "value_kind", "const_value", "const_from_code")
+    __slots__ = ("taints", "fields", "value_kind", "const_value")
 
-    def __init__(self, value_kind=MUTABLE_REF, taints=None, const_value=None,
-                 const_from_code=False):
+    def __init__(self, value_kind=MUTABLE_REF, taints=None, const_value=None):
         self.taints = frozenset(taints) if taints else _NO_TAINTS
         self.fields = {}
         self.value_kind = value_kind
         self.const_value = const_value
-        self.const_from_code = const_from_code
 
     @property
     def details(self):
@@ -59,7 +57,6 @@ class Entry:
         dup.fields = {}
         dup.value_kind = self.value_kind
         dup.const_value = self.const_value
-        dup.const_from_code = self.const_from_code
         return dup
 
 
@@ -81,7 +78,6 @@ def _copy(table, memo):
                 dup.fields = fields = {}
                 dup.value_kind = entry.value_kind
                 dup.const_value = entry.const_value
-                dup.const_from_code = entry.const_from_code
                 if entry.fields:
                     stack.append((entry.fields, fields))
             dst[name] = dup
@@ -92,13 +88,13 @@ def fresh_entry(kind=MUTABLE_REF):
     return Entry(kind)
 
 
-def value_entry(taints=(), const_value=None, const_from_code=False):
+def value_entry(taints=(), const_value=None):
     """A new immutable value: a string or another result the engine builds."""
-    return Entry(IMMUTABLE_REF, taints, const_value, const_from_code)
+    return Entry(IMMUTABLE_REF, taints, const_value)
 
 
 def const_entry(value, kind):
-    return Entry(kind, const_value=value, const_from_code=True)
+    return Entry(kind, const_value=value)
 
 
 def bind_copy(entry):
@@ -169,9 +165,8 @@ def fingerprint(space):
     written as its number.  The tables `regs`, `statics`, `outer` and
     `returned` are written first, each as its length and its (name, number)
     pairs in insertion order; then every object in number order as its
-    value kind, taints, constant type, constant, `const_from_code` and its
-    fields the same way as a table.  The constant's type keeps 1, 1.0 and
-    True apart.
+    value kind, taints, constant type, constant and its fields the same way
+    as a table.  The constant's type keeps 1, 1.0 and True apart.
     """
     returned = {} if space.returned is None else {0: space.returned}
     # the root tables, then each object as it is numbered; one walk writes
@@ -183,7 +178,7 @@ def fingerprint(space):
     for item in queue:            # grows as the tables reach new objects
         if item.__class__ is Entry:
             const = item.const_value
-            out += (item.value_kind, item.taints, type(const), const, item.const_from_code)
+            out += (item.value_kind, item.taints, type(const), const)
             item = item.fields
         out.append(len(item))
         for name, entry in item.items():
@@ -214,10 +209,8 @@ def _join(table, pairs, seen):
             seen.add((base, other))
             if other.taints is not base.taints:   # the same set: unchanged since a copy
                 add_taints(base, other.taints)
-            if (base.const_value != other.const_value
-                    or base.const_from_code != other.const_from_code):
+            if base.const_value != other.const_value:
                 base.const_value = None
-                base.const_from_code = False
             if base.value_kind != other.value_kind:
                 # conflicting kinds collapse to a mutable object, the weakest claim
                 kinds = (base.value_kind, other.value_kind)

@@ -5,19 +5,20 @@ import math
 import sys
 import time
 
-from lifetaint.analysis import AnalysisContext, _run_sequence
+from lifetaint.analysis import AnalysisContext
 from lifetaint.cfg import build_cfg, remove_back_edges, reverse_post_order
 from lifetaint.cli import RunConfig, analyze_app, run
 from lifetaint.detectors import Warning, dedup_warnings
 from lifetaint.ir import load_app
-from lifetaint.lifecycle import derive_event_sequences, replay_events
 from lifetaint.sequences import (
-    FlattenedSequence, PermutationPlan, PermutationUnit, Segment,
-    build_plan, derive_callback_sequences, generate_m_way,
+    FlattenedSequence, PermutationPlan, PermutationUnit, Segment, build_plan, generate_m_way,
 )
 from lifetaint.symbols import MUTABLE_REF, bind_copy, collect_taints, fresh_entry, TaintTag
 
 from conftest import all_corpus_paths, corpus_app
+from oracles import (
+    callback_sequences, callbacks_of, event_sequences, replay_events, run_sequence,
+)
 
 GET_DEVICE_ID = "TelephonyManager.getDeviceId/0"
 SEND_TEXT = "SmsManager.sendTextMessage/5"
@@ -36,9 +37,9 @@ def full_service_component():
 
 def test_criterion_1_sequence_counts(models):
     started = time.monotonic()
-    activity = len(derive_event_sequences(models["ACTIVITY"]))
-    service = len(derive_event_sequences(models["SERVICE"]))
-    dedup = len(derive_callback_sequences(models["SERVICE"], full_service_component()))
+    activity = len(event_sequences(models["ACTIVITY"]))
+    service = len(event_sequences(models["SERVICE"]))
+    dedup = len(callback_sequences(models["SERVICE"], full_service_component()))
     elapsed = time.monotonic() - started
     ok = activity == 26 and service == 15 and dedup == 10 and elapsed < 1.0
     report_line(1, ok,
@@ -50,7 +51,7 @@ def test_criterion_2_motivating_example(models, config):
     started = time.monotonic()
     app = corpus_app("motivating_example")
     comp = app.components[0]
-    twelve = len(derive_callback_sequences(models["ACTIVITY"], comp))
+    twelve = len(callback_sequences(models["ACTIVITY"], comp))
 
     rep1 = analyze_app(app, models, config, m_max=1)
     rep2 = analyze_app(app, models, config, m_max=2)
@@ -70,9 +71,9 @@ def test_criterion_2_motivating_example(models, config):
     equivalence = True
     for seq in generate_m_way(plan, 2):
         ctx = AnalysisContext(app, config)
-        _run_sequence(comp, seq, ctx)
+        run_sequence(comp, seq, ctx)
         warned = any(w.kind == "INFO_LEAK" for w in ctx.warnings)
-        if warned != contains(seq.callbacks):
+        if warned != contains(callbacks_of(seq.segments)):
             equivalence = False
             break
     elapsed = time.monotonic() - started
@@ -108,7 +109,7 @@ def _replay_column_triggers(app, comp, model, column, config):
     )
     seq = FlattenedSequence((0,), segments)
     ctx = AnalysisContext(app, config)
-    _run_sequence(comp, seq, ctx)
+    run_sequence(comp, seq, ctx)
     return any(w.kind == "INFO_LEAK" for w in ctx.warnings)
 
 

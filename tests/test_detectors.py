@@ -87,7 +87,7 @@ RULE = {"signature": "SmsManager.sendTextMessage/5", "recipient_arg_index": 0}
 
 class TestSmsDetection:
     def test_hardcoded_number(self):
-        recipient = Entry(IMMUTABLE_REF, const_value="1066156686", const_from_code=True)
+        recipient = Entry(IMMUTABLE_REF, const_value="1066156686")
         out = detect_sms_attacks(RULE, [recipient], _config())
         assert out == [(SMS_HARDCODED, set())]
 

@@ -3,13 +3,14 @@ import random
 import pytest
 
 from lifetaint import analysis
-from lifetaint.analysis import AnalysisContext, _run_sequence, analyze_component
+from lifetaint.analysis import AnalysisContext, analyze_component
 from lifetaint.cli import analyze_app
 from lifetaint.errors import AnalysisError
 from lifetaint.ir import app_from_dict
 from lifetaint.sequences import FlattenedSequence, Segment, build_plan
 
 from conftest import corpus_app
+from oracles import run_sequence
 
 SOURCE = "TelephonyManager.getDeviceId/0"
 SINK = "Log.e/2"
@@ -39,8 +40,8 @@ def run_main(app, config):
     """Run Main's `main` callback once, as a one-segment sequence, and
     return the raw warnings."""
     ctx = AnalysisContext(app, config)
-    _run_sequence(app.components[0], FlattenedSequence((0,), (Segment("main", ("main",)),)),
-                  ctx)
+    run_sequence(app.components[0], FlattenedSequence((0,), (Segment("main", ("main",)),)),
+                 ctx)
     return ctx.warnings
 
 
@@ -333,6 +334,21 @@ class TestInvokes:
             ["CONST_STRING", "a", "1066"],
             ["CONST_STRING", "b", "156686"],
             ["INVOKE_VIRTUAL", "num", "a", "String.concat/1", ["b"]],
+            ["INVOKE_STATIC", "mgr", "SmsManager.getDefault/0", []],
+            ["CONST_STRING", "msg", "hi"],
+            ["CONST_NUM", "z", 0],
+            ["INVOKE_VIRTUAL", None, "mgr", "SmsManager.sendTextMessage/5",
+             ["num", "z", "msg", "z", "z"]],
+            ["RETURN_VOID"],
+        ])
+        assert [w.kind for w in run_main(app, config)] == ["SMS_HARDCODED"]
+
+    def test_value_of_a_number_is_a_hardcoded_recipient(self, config):
+        # sendTextMessage(String.valueOf(1066156686), ...): the number is a
+        # code constant, and String.valueOf keeps it
+        app = make_app([
+            ["CONST_NUM", "n", 1066156686],
+            ["INVOKE_STATIC", "num", "String.valueOf/1", ["n"]],
             ["INVOKE_STATIC", "mgr", "SmsManager.getDefault/0", []],
             ["CONST_STRING", "msg", "hi"],
             ["CONST_NUM", "z", 0],
@@ -684,7 +700,7 @@ class TestSequenceState:
             Segment("boot", ("onCreate", "onResume")),
         ))
         ctx = AnalysisContext(app, config)
-        _run_sequence(app.components[0], seq, ctx)
+        run_sequence(app.components[0], seq, ctx)
         assert len(ctx.warnings) == 1
 
     def test_bundle_round_trip_through_branchy_callback(self, config):
@@ -725,7 +741,7 @@ class TestSequenceState:
             Segment("restore", ("onRestoreInstanceState",)),
         ))
         ctx = AnalysisContext(app, config)
-        _run_sequence(app.components[0], seq, ctx)
+        run_sequence(app.components[0], seq, ctx)
         assert len(ctx.warnings) == 1
 
 

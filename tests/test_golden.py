@@ -12,9 +12,8 @@ import os
 import pytest
 
 from lifetaint.cli import RunConfig, run
-from lifetaint.lifecycle import callbacks_for_event, derive_event_sequences
-
 from conftest import all_corpus_paths
+from oracles import callbacks_for_event, event_sequences
 
 GOLDEN_REPORTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_reports")
 
@@ -127,12 +126,12 @@ def test_service_event_callbacks(models, event, expected):
 
 
 def test_activity_sequences_golden(models):
-    got = [s.events for s in derive_event_sequences(models["ACTIVITY"])]
+    got = event_sequences(models["ACTIVITY"])
     assert got == ACTIVITY_SEQUENCES
 
 
 def test_service_sequences_golden(models):
-    got = [s.events for s in derive_event_sequences(models["SERVICE"])]
+    got = event_sequences(models["SERVICE"])
     assert got == SERVICE_SEQUENCES
 
 

@@ -8,12 +8,12 @@ import pytest
 from lifetaint import load_models
 from lifetaint.cli import analyze_app
 from lifetaint.errors import ModelError
-from lifetaint.lifecycle import (
-    Step, _exits, _settle, callbacks_for_event, derive_event_sequences, derive_paths,
-    load_model, model_from_dict, replay_events,
-)
+from lifetaint.lifecycle import Step, _exits, _settle, derive_paths, load_model, model_from_dict
 
 from conftest import corpus_app, run_isolated
+from oracles import callbacks_for_event, event_sequences, replay_events
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
 def small_model(**overrides):
@@ -164,58 +164,57 @@ class TestLoading:
 
 class TestDerivation:
     def test_activity_count(self, models):
-        assert len(derive_event_sequences(models["ACTIVITY"])) == 26
+        assert len(event_sequences(models["ACTIVITY"])) == 26
 
     def test_service_count(self, models):
-        assert len(derive_event_sequences(models["SERVICE"])) == 15
+        assert len(event_sequences(models["SERVICE"])) == 15
 
     def test_all_activity_sequences_start_with_create(self, models):
-        for seq in derive_event_sequences(models["ACTIVITY"]):
-            assert seq.events[0] == "createActivity"
+        for events in event_sequences(models["ACTIVITY"]):
+            assert events[0] == "createActivity"
 
     def test_degenerate_single_path(self):
         model = model_from_dict(small_model())
-        seqs = derive_event_sequences(model)
-        assert [s.events for s in seqs] == [("go",)]
+        assert event_sequences(model) == [("go",)]
 
     def test_idempotent(self):
         # fresh models: the session fixture's may already hold cached paths
         for model in load_models().values():
             states = copy.deepcopy(model.states)
             transitions = copy.deepcopy(model.transitions)
-            first = [s.events for s in derive_event_sequences(model)]
-            second = [s.events for s in derive_event_sequences(model)]
+            first = event_sequences(model)
+            second = event_sequences(model)
             assert first == second
             assert model.states == states and model.transitions == transitions
 
     def test_savstop_loop_captured_once(self, models):
-        seqs = [s.events for s in derive_event_sequences(models["ACTIVITY"])]
+        seqs = event_sequences(models["ACTIVITY"])
         assert ("createActivity", "hideActivityPartially", "savStop",
                 "savRestart", "savStop", "savRestart", "gotoActivity") in seqs
 
     def test_feasibility_by_replay(self, models):
         for model in models.values():
-            for seq in derive_event_sequences(model):
-                assert replay_events(model, seq.events), seq.events
+            for events in event_sequences(model):
+                assert replay_events(model, events), events
 
     def test_static_state_visit_bound(self, models):
         # independent replayer: every derived sequence is witnessed by at
         # least one state path that never visits a static state more than
         # twice (the RED bound followed by the derivation itself)
         for model in models.values():
-            for seq in derive_event_sequences(model):
-                paths = _state_paths(model, seq.events)
-                assert paths, seq.events
+            for events in event_sequences(model):
+                paths = _state_paths(model, events)
+                assert paths, events
                 bounded = []
                 for visited in paths:
                     counts = {}
                     for name in visited:
                         counts[name] = counts.get(name, 0) + 1
                     bounded.append(all(v <= 2 for v in counts.values()))
-                assert any(bounded), (seq.events, paths)
+                assert any(bounded), (events, paths)
 
     def test_service_loops_captured(self, models):
-        seqs = [s.events for s in derive_event_sequences(models["SERVICE"])]
+        seqs = event_sequences(models["SERVICE"])
         # stop/start cycle and unbind/bind cycle each traversed at least once
         assert any("stop" in s and "start" in s for s in seqs)
         assert any(s.count("bind") >= 2 for s in seqs)
@@ -225,7 +224,7 @@ class TestDerivation:
         doc["events"] = ["go", "other"]
         doc["transitions"][1]["guard"] = {"event": "other"}
         with pytest.raises(ModelError, match="stuck"):
-            derive_event_sequences(model_from_dict(doc))
+            event_sequences(model_from_dict(doc))
 
     def test_replay_of_stuck_transient_raises(self):
         doc = small_model()
@@ -266,7 +265,7 @@ class TestDerivation:
                 {"from": "A", "to": "Goal", "triggers": "fin", "callbacks": []},
             ],
         }
-        seqs = [s.events for s in derive_event_sequences(model_from_dict(doc))]
+        seqs = event_sequences(model_from_dict(doc))
         assert ("x", "fin") in seqs   # explicit guard takes the x event to A
         assert ("y",) in seqs         # else route straight to the goal
 
@@ -367,9 +366,12 @@ class TestTransientCycle:
 
     def _child(self, body):
         script = (
+            "import sys\n"
+            "sys.path.insert(0, %r)\n"
             "from lifetaint.errors import ModelError\n"
-            "from lifetaint.lifecycle import callbacks_for_event, model_from_dict, replay_events\n"
-            "m = model_from_dict(%r)\n" % cyclic_model()
+            "from lifetaint.lifecycle import model_from_dict\n"
+            "from oracles import callbacks_for_event, replay_events\n"
+            "m = model_from_dict(%r)\n" % (TESTS, cyclic_model())
         ) + body
         result = run_isolated(["-c", script])
         assert result.returncode == 0, result.stderr

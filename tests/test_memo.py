@@ -395,9 +395,9 @@ class TestFingerprint:
         tag = TaintTag("TelephonyManager.getDeviceId/0", ("A", "onCreate/1", 0))
         prints = {fingerprint(SymbolSpace({"v": entry})) for entry in (
             value_entry(), value_entry({tag}), fresh_entry(),
-            value_entry(const_value="1"), value_entry(const_value="1", const_from_code=True),
+            value_entry(const_value="1"),
         )}
-        assert len(prints) == 5
+        assert len(prints) == 4
 
     def test_outer_tables_and_the_return_value_count(self):
         obj = fresh_entry()

@@ -1,7 +1,7 @@
 """The permutation-tree walk in `analyze_component` against flat replay.
 
 A flat run analyzes every generated sequence from a fresh component state
-through `_run_sequence`; the walk shares each prefix between the sequences
+through `oracles.run_sequence`; the walk shares each prefix between the sequences
 that start with it.  Both must give the same deduplicated warnings and
 count the same sequences, and the walk must run each tree node's callbacks
 once.
@@ -14,7 +14,7 @@ from math import perm
 import pytest
 
 from lifetaint import analysis, cli, load_app
-from lifetaint.analysis import AnalysisContext, _run_sequence, analyze_component
+from lifetaint.analysis import AnalysisContext, analyze_component
 from lifetaint.cli import analyze_app, build_plan, receiver_plan
 from lifetaint.detectors import dedup_warnings
 from lifetaint.ir import app_from_dict
@@ -24,6 +24,7 @@ from lifetaint.sequences import (
 from lifetaint.symbols import SymbolSpace
 
 from conftest import ROOT, all_corpus_paths, corpus_app
+from oracles import run_sequence
 
 
 def flat_component(app, component, plan, m, ctx):
@@ -33,7 +34,7 @@ def flat_component(app, component, plan, m, ctx):
         if ctx.out_of_time():
             ctx.killed = True
             break
-        _run_sequence(component, seq, ctx)
+        run_sequence(component, seq, ctx)
         ctx.sequences_analyzed += 1
     return ctx.warnings[before:]
 

@@ -103,7 +103,7 @@ def cyclic_space():
     b.fields["next"] = a
     a.fields["items"] = items
     items.taints |= {TAG}
-    b.fields["name"] = value_entry({OTHER}, "text", True)
+    b.fields["name"] = value_entry({OTHER}, "text")
     space = SymbolSpace({"a": a, "items": items, "n": const_entry(1, PRIMITIVE)},
                         {"S.box": items}, ({"this": b},))
     space.returned = value_entry({TAG})
@@ -143,12 +143,11 @@ class TestSharedTaints:
     @given(st.sampled_from([IMMUTABLE_REF, PRIMITIVE, MUTABLE_REF, COLLECTION]),
            st.sets(st.sampled_from([TAG, OTHER])), st.sampled_from([None, "s", 1]))
     def test_entry_copy_without_fields(self, kind, tags, const):
-        entry = Entry(kind, tags, const, const is not None)
+        entry = Entry(kind, tags, const)
         dup = entry.deep_copy()
         assert dup is not entry and dup.fields is not entry.fields
         assert dup.taints is entry.taints and dup.taints == tags
-        assert (dup.value_kind, dup.const_value, dup.const_from_code) == (
-            kind, const, const is not None)
+        assert (dup.value_kind, dup.const_value) == (kind, const)
         dup.fields["f"] = fresh_entry()
         dup.taints |= {TaintTag("Api.new/0", ("C", "m/0", 2))}
         assert entry.fields == {} and entry.taints == tags

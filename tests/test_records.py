@@ -8,10 +8,8 @@ import pytest
 from lifetaint import analyze_app, load_app
 from lifetaint.analysis import AnalysisContext, analyze_component
 from lifetaint.detectors import render_report
-from lifetaint.lifecycle import Guard, Step, derive_event_sequences
-from lifetaint.sequences import (
-    Segment, build_plan, derive_callback_sequences, generate_m_way, receiver_plan,
-)
+from lifetaint.lifecycle import Guard, Step
+from lifetaint.sequences import Segment, build_plan, generate_m_way, receiver_plan
 from lifetaint.symbols import TaintTag
 
 from conftest import all_corpus_paths, corpus_app
@@ -31,8 +29,6 @@ def immutable_records(models):
         Guard(),
         activity.transitions[0],
         activity.states[activity.initial],
-        derive_event_sequences(activity)[0],
-        derive_callback_sequences(activity, component)[0],
         plan.units[0],
         plan,
         next(generate_m_way(plan, 1)),
@@ -40,8 +36,8 @@ def immutable_records(models):
 
 
 class TestImmutableRecords:
-    def test_twelve_types(self, models):
-        assert len({type(r) for r in immutable_records(models)}) == 12
+    def test_ten_types(self, models):
+        assert len({type(r) for r in immutable_records(models)}) == 10
 
     def test_fields_cannot_be_assigned(self, models):
         for record in immutable_records(models):

@@ -5,14 +5,14 @@ import pytest
 
 from lifetaint import load_app, sequences
 from lifetaint.ir import app_from_dict
-from lifetaint.lifecycle import derive_paths, replay_events
+from lifetaint.lifecycle import derive_paths
 from lifetaint.sequences import (
     AUI_CALLBACK, MISC_CALLBACK, PermutationPlan, Segment, PermutationUnit,
-    _distinct_paths, _implemented, build_plan,
-    derive_callback_sequences, generate_m_way, receiver_plan,
+    _distinct_paths, _implemented, build_plan, generate_m_way, receiver_plan,
 )
 
 from conftest import ROOT, all_corpus_paths, corpus_app
+from oracles import callback_sequences, callbacks_of, replay_events
 
 
 def component_with(names, kind="ACTIVITY", aui=(), misc=()):
@@ -46,25 +46,25 @@ MOTIV_CALLBACKS = ["onCreate", "onRestoreInstanceState", "onResume",
 class TestCallbackSequences:
     def test_service_full_component_has_ten(self, models):
         comp = component_with(SERVICE_CALLBACKS, kind="SERVICE")
-        assert len(derive_callback_sequences(models["SERVICE"], comp)) == 10
+        assert len(callback_sequences(models["SERVICE"], comp)) == 10
 
     def test_motivating_example_has_twelve(self, models):
         comp = component_with(MOTIV_CALLBACKS)
-        assert len(derive_callback_sequences(models["ACTIVITY"], comp)) == 12
+        assert len(callback_sequences(models["ACTIVITY"], comp)) == 12
 
     def test_empty_component_yields_nothing(self, models):
         comp = component_with(["helper"])
-        assert derive_callback_sequences(models["ACTIVITY"], comp) == []
+        assert callback_sequences(models["ACTIVITY"], comp) == []
 
     def test_no_duplicates(self, models):
         comp = component_with(MOTIV_CALLBACKS)
-        seqs = [c.callbacks for c in derive_callback_sequences(models["ACTIVITY"], comp)]
+        seqs = callback_sequences(models["ACTIVITY"], comp)
         assert len(seqs) == len(set(seqs))
 
     def test_stop_and_unbind_orderings_collapse(self, models):
         # the two stop/unbind orderings produce one callback sequence
         comp = component_with(SERVICE_CALLBACKS, kind="SERVICE")
-        seqs = [c.callbacks for c in derive_callback_sequences(models["SERVICE"], comp)]
+        seqs = callback_sequences(models["SERVICE"], comp)
         assert seqs.count(("onCreate", "onBind", "onStartCommand",
                            "onUnbind", "onDestroy")) == 1
 
@@ -76,7 +76,7 @@ class TestUnits:
         units = build_plan(models["ACTIVITY"], comp).units
         assert len(units) == 13
         assert sum(1 for u in units if u.kind == AUI_CALLBACK) == 1
-        assert units[-1].callbacks.callbacks == ("onBtnClicked",)
+        assert callbacks_of(units[-1].segments) == ("onBtnClicked",)
 
     def test_zero_aui_units_are_lifecycle_only(self, models):
         comp = component_with(MOTIV_CALLBACKS)
@@ -89,12 +89,12 @@ class TestUnits:
                               misc=["onLowMemory"])
         units = build_plan(models["SERVICE"], comp).units
         assert units[-1].kind == MISC_CALLBACK
-        assert units[-1].callbacks.callbacks == ("onLowMemory",)
+        assert callbacks_of(units[-1].segments) == ("onLowMemory",)
 
     def test_activity_prefix_is_restricted_create(self, models):
         app = corpus_app("motivating_example")
         plan = build_plan(models["ACTIVITY"], app.components[0])
-        assert plan.prefix_callbacks.callbacks == ("onCreate", "onResume")
+        assert callbacks_of(plan.prefix) == ("onCreate", "onResume")
 
     def test_service_plan_has_no_prefix(self, models):
         comp = component_with(SERVICE_CALLBACKS, kind="SERVICE")
@@ -104,7 +104,7 @@ class TestUnits:
     def test_receiver_plan(self):
         comp = component_with(["onReceive"], kind="RECEIVER")
         plan = receiver_plan(comp)
-        assert [u.callbacks.callbacks for u in plan.units] == [("onReceive",)]
+        assert [callbacks_of(u.segments) for u in plan.units] == [("onReceive",)]
 
 
 def restrict_then_key(paths, implemented, drop):
@@ -162,7 +162,7 @@ class TestDistinctPaths:
         comp = corpus_app("motivating_example").components[0]
         plan = build_plan(models["ACTIVITY"], comp)
         assert calls == [models["ACTIVITY"]]
-        assert plan.prefix_callbacks.callbacks == ("onCreate", "onResume")
+        assert callbacks_of(plan.prefix) == ("onCreate", "onResume")
 
 
 def _plan(units, prefix=()):
@@ -177,7 +177,7 @@ def _unit(label):
 class TestMWay:
     def test_three_choose_two_order(self):
         plan = _plan([_unit("A"), _unit("B"), _unit("C")])
-        got = [seq.callbacks for seq in generate_m_way(plan, 2)]
+        got = [callbacks_of(seq.segments) for seq in generate_m_way(plan, 2)]
         assert got == [
             ("A", "B"), ("A", "C"), ("B", "A"), ("B", "C"), ("C", "A"), ("C", "B"),
         ]
@@ -185,7 +185,7 @@ class TestMWay:
     def test_m_equals_one_prefixes(self):
         prefix = (Segment("boot", ("p",)),)
         plan = _plan([_unit("A"), _unit("B")], prefix)
-        got = [seq.callbacks for seq in generate_m_way(plan, 1)]
+        got = [callbacks_of(seq.segments) for seq in generate_m_way(plan, 1)]
         assert got == [("p", "A"), ("p", "B")]
 
     def test_count_law_brute_force(self):
@@ -212,7 +212,7 @@ class TestMWay:
             it = iter(callbacks)
             return all(any(c == w for c in it) for w in want)
 
-        assert any(contains(seq.callbacks) for seq in generate_m_way(plan, 2))
+        assert any(contains(callbacks_of(seq.segments)) for seq in generate_m_way(plan, 2))
 
     def test_generated_sequences_are_feasible(self, models):
         # each unit's event subsequence replays against the model, and for

@@ -50,7 +50,7 @@ def test_count_details_counts_each_object_once(monkeypatch):
     a, b, c = fresh_entry(), fresh_entry(), fresh_entry()
     a.fields["next"] = b
     b.fields["next"] = a
-    b.fields["name"] = value_entry((), "text", True)
+    b.fields["name"] = value_entry((), "text")
     space = SymbolSpace({"a": a, "alias": a}, {"S.b": b, "S.c": c})
     space.returned = value_entry()
     assert tracer._count_details(space) == 5
