@@ -17,12 +17,12 @@ from an equal state reports that run's findings and hands on the state it
 left.  A run records only its findings; `_emit` turns them into warnings,
 with the m and event trace of the sequence at hand.
 Each method is compiled once per app into a plan: its de-looped CFG's
-blocks in reverse post order, each with the merge it starts from.  A block
-with several predecessors merges its predecessors' OUT_d snapshots so taints
-survive path-local untainting, while straight-line chains pass the live table
-through.  Only blocks that a merge reads are snapshotted.  A block's OUT_d is
-held with its reader count, and `_take` copies it for every reader but the
-last.
+blocks in reverse post order, each with the predecessors it reads.  One rule
+runs every block but the entry: it starts from its predecessors' OUT_d
+frames, merged when there are several, so taints survive path-local
+untainting.  A block holds the frame it ran on as its OUT_d; the last reader
+of that frame, known when the plan is compiled, takes the frame itself, and
+every earlier reader takes a copy.
 """
 
 import json
@@ -102,14 +102,14 @@ class AnalysisContext:
     def __init__(self, app, config, budget_secs=600.0, clock=time.monotonic):
         self.app = app
         self.config = config
-        self.method_stack = []        # signatures on the current call chain
+        self.method_stack = []        # the MethodDefs on the current call chain
         self.warnings = []
         self.killed = False
         self.sequences_analyzed = 0
         self._clock = clock
         self._deadline = clock() + budget_secs
         self.found = []               # the running callback's findings, by `warn`
-        self.plans = {}               # id(MethodDef) -> _compile(method)
+        self.plans = {}               # MethodDef -> _compile(method)
         # (component class, callback name, number of the state it starts
         # from) -> _Node, kept across m levels
         self.memo = {}
@@ -237,67 +237,54 @@ def analyze_method(method, ctx, frame):
     """Alg: walk the de-looped CFG's blocks in RPO, merging at join points.
 
     The plan is compiled on the method's first call in this app.  The entry
-    block runs on `frame`; a block whose only predecessor has no other
-    successor continues that live frame; any other block, and the join of
-    the exits when there are several, runs on the merge of its
-    predecessors' OUT_d snapshots.  A block with readers holds its frame
-    itself as its OUT_d, and each reader takes it through `_take`.  Every
-    successor of such a block merges, so the frame is left untouched until
-    its readers take it; and the caller adopts the exit frame's heap, so
-    even the entry frame, which shares the caller's tables, is handed on.
+    block runs on `frame`.  Every other step starts from the frames its
+    reached predecessors hold as their OUT_d: the last reader of a frame
+    takes it, and each earlier reader takes a copy, so a frame is left
+    untouched until its last reader runs.  One frame is continued as it is,
+    several are merged.  The caller adopts the exit frame's heap, so even
+    the entry frame, which shares the caller's tables, is handed on.
 
     Returns (return-value entry or None, exit frame).
     """
     ctx.check_time()
-    plan = ctx.plans.get(id(method))
-    if plan is None:
-        plan = ctx.plans[id(method)] = _compile(method)
-    steps, readers = plan
+    steps = ctx.plans.get(method)
+    if steps is None:
+        steps = ctx.plans[method] = _compile(method)
     current = frame
     held = {}
-    for bid, instrs, merge in steps:
-        if merge:
-            current = merge_spaces([_take(held[p]) for p in merge])
+    for bid, instrs, reads in steps:
+        if reads:
+            frames = [held.pop(p) if last else held[p].deep_copy() for p, last in reads]
+            current = frames[0] if len(frames) == 1 else merge_spaces(frames)
         for instr in instrs:
             handle_instruction(instr, ctx, current, method)
-        if readers[bid]:
-            held[bid] = [current, readers[bid]]
+        held[bid] = current
     return current.returned, current
 
 
 def _compile(method):
-    """([(block id, instructions, merged preds)] in RPO, {block id: snapshot
-    readers}).  A continued block directly follows its predecessor in a DFS
-    reverse post order, and a DAG's only exit comes last, so neither needs a
-    merge: both use the frame the previous block ran on.  Several exits are
-    joined by a last step, block None, with no instructions.
+    """[(block id, instructions, reads)] in RPO, where `reads` lists
+    (predecessor, last) for each reached predecessor, sorted, and `last`
+    marks the block's final reader in step order.  The entry reads nothing.
+    Several exits are joined by a last step, block None, with no
+    instructions; a sole exit comes last in RPO and is the exit frame.
     """
     dag = remove_back_edges(build_cfg(method))
     order = reverse_post_order(dag)
-    readers = dict.fromkeys(order, 0)
-    steps = []
-    for bid in order:
-        block = dag.blocks[bid]
-        merge = sorted(p for p in block.predecessors if p in readers)
-        if bid == dag.entry or (len(merge) == 1 and len(dag.blocks[merge[0]].successors) == 1):
-            merge = ()
-        steps.append((bid, dag.instructions(block), merge))
+    reached = set(order)
+    steps = [(bid, dag.instructions(dag.blocks[bid]),
+              sorted(p for p in dag.blocks[bid].predecessors if p in reached))
+             for bid in order]
     exits = sorted(bid for bid in order if not dag.blocks[bid].successors)
     if len(exits) > 1:
         steps.append((None, (), exits))
-        readers[None] = 0
-    for _, _, merge in steps:
-        for p in merge:
-            readers[p] += 1
-    return steps, readers
-
-
-def _take(held):
-    """One reader's share of a held [state, readers left]: a private copy
-    for every reader but the last, which takes the state itself (and
-    `held` lets go of it)."""
-    held[1] -= 1
-    return held[0].deep_copy() if held[1] else held.pop(0)
+    # one backwards pass: a block's first reader met is its last in step order
+    read = set()
+    for i in reversed(range(len(steps))):
+        bid, instrs, preds = steps[i]
+        steps[i] = (bid, instrs, [(p, p not in read) for p in preds])
+        read.update(preds)
+    return steps
 
 
 def _lookup(frame, reg, method, instr):
@@ -432,7 +419,7 @@ def _call(target, ctx, frame, receiver, args):
     recursive call (the target is already on the call chain, so it was
     analyzed once there) is skipped and returns None.
     """
-    if target.full_signature in ctx.method_stack:
+    if target in ctx.method_stack:
         return None
     callee = SymbolSpace({}, frame.statics, frame.outer + (frame.regs,))
     params = list(target.params)
@@ -445,7 +432,7 @@ def _call(target, ctx, frame, receiver, args):
         callee.regs[pname] = bind_copy(actual)
     for pname in params[len(args):]:
         callee.regs[pname] = fresh_entry()
-    ctx.method_stack.append(target.full_signature)
+    ctx.method_stack.append(target)
     try:
         ret, exit_frame = analyze_method(target, ctx, callee)
     finally:

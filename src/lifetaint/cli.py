@@ -151,7 +151,6 @@ def run(config):
 
 def main(argv=None):
     import argparse
-    import logging
 
     parser = argparse.ArgumentParser(
         prog="lifetaint",
@@ -170,9 +169,6 @@ def main(argv=None):
     parser.add_argument("--dump-cfg", action="store_true",
                         help="emit de-looped CFGs in DOT before each report")
     args = parser.parse_args(argv)
-
-    level = os.environ.get("LIFETAINT_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
 
     try:
         cfg = RunConfig(

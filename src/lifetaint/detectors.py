@@ -58,21 +58,11 @@ def dedup_warnings(raw):
     earliest-sequence metadata wins.
     """
     by_key = {}
-    order = []
     for w in raw:
-        if w.key() not in by_key:
-            by_key[w.key()] = w
-            order.append(w.key())
-    kept = []
-    for key in order:
-        kind, sources, sink = key
-        subsumed = any(
-            okind == kind and osink == sink and sources < osources
-            for (okind, osources, osink) in by_key
-        )
-        if not subsumed:
-            kept.append(by_key[key])
-    return kept
+        by_key.setdefault(w.key(), w)
+    return [w for (kind, sources, sink), w in by_key.items()
+            if not any(okind == kind and osink == sink and sources < osources
+                       for (okind, osources, osink) in by_key)]
 
 
 def detect_sms_attacks(sms_rule, arg_entries, config):

@@ -45,7 +45,7 @@ class Entry:
     @property
     def details(self):
         # the entry itself; only perfbench/tracer.py's _count_details reads
-        # it, and ROADMAP item 2's benchmark step deletes it
+        # it, and ROADMAP item 1's benchmark step deletes it
         return self
 
     def deep_copy(self):
@@ -135,8 +135,9 @@ class SymbolSpace:
     merge of the space takes the whole heap the call chain can reach.
     `statics` is the global level; the class/instance level is reached
     through the receiver entry's field list, and the block level is realized
-    by per-block snapshots (OUT/OUT_d) of whole spaces.  Lookup goes to
-    `regs` only: the layers have disjoint name spaces.
+    by the whole space each block holds as its OUT/OUT_d for the blocks
+    that read it.  Lookup goes to `regs` only: the layers have disjoint name
+    spaces.
     """
 
     __slots__ = ("regs", "statics", "outer", "returned")

@@ -4,13 +4,16 @@ import pytest
 
 from lifetaint import analysis
 from lifetaint.analysis import AnalysisContext, analyze_component
+from lifetaint.cfg import build_cfg, remove_back_edges, reverse_post_order
 from lifetaint.cli import analyze_app
 from lifetaint.errors import AnalysisError
-from lifetaint.ir import app_from_dict
+from lifetaint.ir import app_from_dict, load_app
 from lifetaint.sequences import FlattenedSequence, Segment, build_plan
+from lifetaint.symbols import SymbolSpace, fresh_entry
 
-from conftest import corpus_app
+from conftest import all_corpus_paths, corpus_app
 from oracles import run_sequence
+from test_golden_dags import RANDOM_METHODS, random_method
 
 SOURCE = "TelephonyManager.getDeviceId/0"
 SINK = "Log.e/2"
@@ -606,6 +609,75 @@ class TestCompiledPlans:
         report = analyze_app(app, models, config, m_max=1)
         assert report.finished and report.error is None
         assert report.m_reached == 1 and not report.warnings
+
+    def test_each_step_reads_its_reached_predecessors(self):
+        methods = [m for path in all_corpus_paths()
+                   for k in load_app(path).classes for m in k.methods]
+        methods += [random_method(seed) for seed in range(RANDOM_METHODS)]
+        for method in methods:
+            dag = remove_back_edges(build_cfg(method))
+            order = reverse_post_order(dag)
+            steps = analysis._compile(method)
+            exits = sorted(b for b in order if not dag.blocks[b].successors)
+            joined = [(None, exits)] if len(exits) > 1 else []
+            assert steps[0][2] == [], method.full_signature
+            assert [(bid, [p for p, _ in reads]) for bid, _, reads in steps] == [
+                (bid, sorted(p for p in dag.blocks[bid].predecessors if p in order))
+                for bid in order] + joined, method.full_signature
+            # each read block is marked last once, at its final reader
+            marks = {}
+            for _, _, reads in steps:
+                for p, last in reads:
+                    marks.setdefault(p, []).append(last)
+            for p, lasts in marks.items():
+                assert lasts == [False] * (len(lasts) - 1) + [True], (method.full_signature, p)
+
+    # (instructions, labels, merge widths): every block but an exit is read
+    # by each successor, and several exits by one final join
+    SHAPES = {
+        "chain": ([["CONST_NUM", "c", 1], ["GOTO", "a"], ["CONST_NUM", "x", 1],
+                   ["GOTO", "b"], ["RETURN_VOID"]], {"a": 2, "b": 4}, []),
+        "diamond": ([["CONST_NUM", "c", 1], ["IF_GOTO", "c", "else"], ["CONST_NUM", "x", 1],
+                     ["GOTO", "join"], ["CONST_NUM", "x", 2], ["RETURN_VOID"]],
+                    {"else": 4, "join": 5}, [2]),
+        "three paths into one join": (
+            [["CONST_NUM", "c", 1], ["IF_GOTO", "c", "join"], ["IF_GOTO", "c", "join"],
+             ["CONST_NUM", "x", 1], ["RETURN_VOID"]], {"join": 4}, [3]),
+        "loop": ([["CONST_NUM", "c", 1], ["IF_GOTO", "c", "out"], ["CONST_NUM", "x", 1],
+                  ["GOTO", "head"], ["RETURN_VOID"]], {"head": 1, "out": 4}, [2]),
+        "several exits": (
+            [["CONST_NUM", "c", 1], ["IF_GOTO", "c", "b"], ["CONST_NUM", "x", 1],
+             ["RETURN_VOID"], ["IF_GOTO", "c", "d"], ["RETURN_VOID"], ["RETURN_VOID"]],
+            {"b": 4, "d": 6}, [3]),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_only_earlier_readers_copy_and_one_frame_is_not_merged(
+            self, config, monkeypatch, shape):
+        instructions, labels, widths = self.SHAPES[shape]
+        app = make_app(instructions, labels=labels)
+        method = app.classes[0].methods[0]
+        dag = remove_back_edges(build_cfg(method))
+        # each successor reads a block; an exit has at most one reader, the
+        # final join, so it is never copied
+        readers = [len(dag.blocks[b].successors) for b in reverse_post_order(dag)]
+        copies, merged = [], []
+        real_copy, real_merge = SymbolSpace.deep_copy, analysis.merge_spaces
+
+        def counting_copy(space):
+            copies.append(space)
+            return real_copy(space)
+
+        def recording_merge(frames):
+            merged.append(len(frames))
+            return real_merge(frames)
+
+        monkeypatch.setattr(SymbolSpace, "deep_copy", counting_copy)
+        monkeypatch.setattr(analysis, "merge_spaces", recording_merge)
+        ctx = AnalysisContext(app, config)
+        analysis.analyze_method(method, ctx, SymbolSpace({"this": fresh_entry()}))
+        assert len(copies) == sum(n - 1 for n in readers if n > 1)
+        assert merged == widths
 
 
 class TestDeepHeap:

@@ -34,6 +34,6 @@ def test_set_up_loads_no_deferred_module():
     loaded, status, after = json.loads(result.stdout.splitlines()[-1])
     assert loaded == []
     assert status == 0
-    # the CLI still parses its arguments, configures logging and runs --jobs 2
-    # on a thread pool
+    # the CLI still parses its arguments and runs --jobs 2 on a thread pool,
+    # whose module imports logging
     assert {"argparse", "logging", "concurrent.futures"} <= set(after)
