@@ -6,7 +6,6 @@ nothing is found, m < m-max and some component has more than m units.  Any
 warning stops the escalation for that app and the run moves on to the next.
 """
 
-import gc
 import os
 import sys
 import time
@@ -113,7 +112,12 @@ def run(config):
         print("configuration error: %s" % exc, file=sys.stderr)
         return 1
 
-    def run_one(path):
+    # apps run one after another, in input order, whatever config.jobs says:
+    # under the interpreter lock, threads add only their own overhead.  The
+    # analysis makes no reference cycles (tests/test_garbage.py), so each
+    # app's heap is freed once its report is written, with no collection.
+    any_killed = False
+    for path in config.app_paths:
         app = None
         try:
             app = load_app(path)
@@ -126,26 +130,11 @@ def run(config):
                 "%s: %s" % (type(exc).__name__, exc))
             report = Report(app.app_id if app is not None else os.path.basename(path),
                             [], 0, 0, 0.0, True, error=error)
-        return report, app
-
-    if config.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(run_one, config.app_paths))
-    else:
-        results = [run_one(p) for p in config.app_paths]
-
-    any_killed = False
-    for (report, app) in results:
         if config.dump_cfg and app is not None:
             _dump_cfgs(app, out)
         out.write(render_report(report, config.fmt))
         out.write("\n")
         any_killed = any_killed or not report.finished
-    # a batch leaves so little cyclic garbage that full collections are rare,
-    # and only they empty CPython's free lists, which otherwise fill across
-    # run() calls in one process; one per batch keeps the resident set flat
-    gc.collect()
     return 2 if any_killed else 0
 
 

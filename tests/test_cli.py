@@ -314,6 +314,13 @@ class TestArgs:
         with pytest.raises(ConfigError):
             RunConfig(app_paths=["x"], fmt="xml")
 
+    def test_bad_jobs(self, capsys):
+        # the batch runs serially whatever --jobs says, but 0 is still refused
+        with pytest.raises(ConfigError):
+            RunConfig(app_paths=["x"], jobs=0)
+        assert main(["--app", corpus_path("sms_hardcoded"), "--jobs", "0"]) == 1
+        assert capsys.readouterr() == ("", "configuration error: jobs must be >= 1\n")
+
     def test_main_entry(self, capsys):
         status = main(["--app", corpus_path("sms_hardcoded"), "--m-max", "1"])
         assert status == 0
