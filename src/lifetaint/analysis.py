@@ -25,7 +25,6 @@ of that frame, known when the plan is compiled, takes the frame itself, and
 every earlier reader takes a copy.
 """
 
-import json
 import time
 from collections import namedtuple
 
@@ -34,7 +33,7 @@ from .cfg import build_cfg, remove_back_edges, reverse_post_order
 from .detectors import (
     INFO_LEAK, Warning, detect_sms_attacks, sink_location, source_locations,
 )
-from .errors import AnalysisError, ConfigError, list_of
+from .errors import AnalysisError, ConfigError, list_of, load_json
 from .ir import resolve_method
 from .sequences import generate_m_way
 from .symbols import (
@@ -71,11 +70,7 @@ class AnalysisConfig:
 
 
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("%s: not valid JSON: %s" % (path, exc)) from exc
+    doc = load_json(path, ConfigError)
     if not isinstance(doc, dict):
         raise ConfigError("%s: not a JSON object" % path)
     for key in ("sources", "sinks"):
@@ -108,7 +103,7 @@ class AnalysisContext:
         self.sequences_analyzed = 0
         self._clock = clock
         self._deadline = clock() + budget_secs
-        self.found = []               # the running callback's findings, by `warn`
+        self.found = []               # the running callback's findings, for `_emit`
         self.plans = {}               # MethodDef -> _compile(method)
         # (component class, callback name, number of the state it starts
         # from) -> _Node, kept across m levels
@@ -121,11 +116,6 @@ class AnalysisContext:
     def check_time(self):
         if self.out_of_time():
             raise _TimeBudgetExceeded()
-
-    def warn(self, kind, tags, sink_api, location):
-        """Record a `kind` finding of the taints `tags` reaching the sink
-        call at `location`, in the running callback."""
-        self.found.append((kind, tags, sink_api, location))
 
 
 def analyze_component(app, component, plan, m, ctx):
@@ -344,14 +334,11 @@ def handle_instruction(instr, ctx, frame, method):
         pass
     elif kind == "RETURN":
         frame.returned = _lookup(frame, ops[0], method, instr)
-    elif instr.is_invoke:
+    else:  # an invoke: the loader admits no other opcode
         # the invoke path's one binding: None binds a fresh untainted value
         result = handle_invoke(instr, ctx, frame, method)
         if instr.result is not None:
             frame.regs[instr.result] = result if result is not None else value_entry()
-    else:  # pragma: no cover - loader rejects unknown opcodes
-        raise AnalysisError("unhandled opcode %r" % kind,
-                            (method.class_name, method.sig, instr.index))
 
 
 def handle_invoke(instr, ctx, frame, method):
@@ -369,11 +356,11 @@ def handle_invoke(instr, ctx, frame, method):
     if sig in ctx.config.sinks or sig in ctx.config.sms_rules:
         tags = collect_taints(*args) if receiver is None else collect_taints(*args, receiver)
         if sig in ctx.config.sinks and tags:
-            ctx.warn(INFO_LEAK, tags, sig, location)
+            ctx.found.append((INFO_LEAK, tags, sig, location))
         rule = ctx.config.sms_rules.get(sig)
         if rule is not None:
             for kind, found in detect_sms_attacks(rule, args, ctx.config):
-                ctx.warn(kind, found, sig, location)
+                ctx.found.append((kind, found, sig, location))
         return value_entry(tags)
 
     target = resolve_method(ctx.app, sig)

@@ -38,9 +38,6 @@ def build_cfg(method):
     """Partition instructions into leader-delimited blocks and wire edges."""
     instrs = method.instructions
     n = len(instrs)
-    if n == 0:
-        cfg = Cfg(method, [BasicBlock(0, 0, 0)])
-        return cfg
     leaders = {0}
     for ins in instrs:
         if ins.kind in ("IF_GOTO", "GOTO"):
@@ -58,27 +55,23 @@ def build_cfg(method):
         end = starts[i + 1] if i + 1 < len(starts) else n
         blocks.append(BasicBlock(i, start, end))
     by_start = {b.start: b.id for b in blocks}
-
-    def block_of(instr_index):
-        return by_start[instr_index]
-
     for b in blocks:
         if b.start == b.end:
             continue
         last = instrs[b.end - 1]
         if last.kind == "GOTO":
-            succs = [block_of(method.labels[last.operands[0]])]
+            succs = [by_start[method.labels[last.operands[0]]]]
         elif last.kind == "IF_GOTO":
             succs = []
             if b.end < n:
-                succs.append(block_of(b.end))
-            target = block_of(method.labels[last.operands[1]])
+                succs.append(by_start[b.end])
+            target = by_start[method.labels[last.operands[1]]]
             if target not in succs:
                 succs.append(target)
         elif last.kind in ("RETURN", "RETURN_VOID"):
             succs = []
         else:
-            succs = [block_of(b.end)] if b.end < n else []
+            succs = [by_start[b.end]] if b.end < n else []
         b.successors = succs
         for s in succs:
             blocks[s].predecessors.append(b.id)

@@ -141,30 +141,29 @@ def run(config):
 def main(argv=None):
     import argparse
 
+    # each dest is a RunConfig parameter, and a flag left out is left out of
+    # the namespace, so RunConfig's defaults are the only ones
     parser = argparse.ArgumentParser(
         prog="lifetaint",
         description="Life-cycle-aware static taint analysis over the mini bytecode IR",
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("--app", action="append", required=True, metavar="PATH",
-                        help="app IR file; repeat for several apps")
-    parser.add_argument("--models", metavar="DIR", default=None,
+                        dest="app_paths", help="app IR file; repeat for several apps")
+    parser.add_argument("--models", metavar="DIR", dest="models_dir",
                         help="directory with activity.json/service.json (default: bundled)")
-    parser.add_argument("--config", metavar="PATH", default=None,
+    parser.add_argument("--config", metavar="PATH", dest="config_path",
                         help="source/sink configuration (default: bundled)")
-    parser.add_argument("--m-max", type=int, default=2, metavar="N")
-    parser.add_argument("--budget-secs", type=float, default=600.0, metavar="N")
-    parser.add_argument("--format", choices=("json", "table"), default="json")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N")
+    parser.add_argument("--m-max", type=int, metavar="N")
+    parser.add_argument("--budget-secs", type=float, metavar="N")
+    parser.add_argument("--format", choices=("json", "table"), dest="fmt")
+    parser.add_argument("--jobs", type=int, metavar="N")
     parser.add_argument("--dump-cfg", action="store_true",
                         help="emit de-looped CFGs in DOT before each report")
     args = parser.parse_args(argv)
 
     try:
-        cfg = RunConfig(
-            app_paths=args.app, models_dir=args.models, config_path=args.config,
-            m_max=args.m_max, budget_secs=args.budget_secs, fmt=args.format,
-            jobs=args.jobs, dump_cfg=args.dump_cfg,
-        )
+        cfg = RunConfig(**vars(args))
     except ConfigError as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return 1
@@ -178,7 +177,3 @@ def main(argv=None):
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return status
-
-
-if __name__ == "__main__":
-    sys.exit(main())

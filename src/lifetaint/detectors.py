@@ -41,7 +41,7 @@ def source_locations(tags):
     return [
         {"role": "source", "api": t.source_api, "class": t.location[0],
          "method": t.location[1], "instruction": t.location[2]}
-        for t in sorted(tags, key=lambda t: (t.source_api, t.location))
+        for t in sorted(tags)  # TaintTag tuples: by source API, then location
     ]
 
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the list check the loaders use."""
+"""Exception types shared across the package, and the JSON reader and list
+check the loaders use."""
+
+import json
 
 
 class LifetaintError(Exception):
@@ -20,11 +23,20 @@ class AnalysisError(LifetaintError):
         if location is not None:
             message = "%s (at %s.%s[%d])" % (message, *location)
         super().__init__(message)
-        self.location = location
 
 
 class ConfigError(LifetaintError):
     """Bad run configuration (CLI arguments, source/sink config file)."""
+
+
+def load_json(path, error):
+    """The JSON document in the file at `path`; a file that is not JSON
+    raises `error`, naming the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error("%s: not valid JSON: %s" % (path, exc)) from exc
 
 
 def list_of(kind, doc, key, where, error):

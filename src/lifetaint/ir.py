@@ -7,10 +7,9 @@ that does not resolve to app code is an external API handled by the engine's
 API handlers.
 """
 
-import json
 from collections import namedtuple
 
-from .errors import AppLoadError, list_of
+from .errors import AppLoadError, list_of, load_json
 
 PARENT_KINDS = ("ACTIVITY", "SERVICE", "RECEIVER", "THREAD", "ASYNC_TASK", "PLAIN")
 COMPONENT_KINDS = ("ACTIVITY", "SERVICE", "RECEIVER")
@@ -221,12 +220,7 @@ def _parse_method(raw, class_name, where):
 
 def load_app(path):
     """Load and validate an app IR file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise AppLoadError("%s: not valid JSON: %s" % (path, exc)) from exc
-    return app_from_dict(doc, source=str(path))
+    return app_from_dict(load_json(path, AppLoadError), source=str(path))
 
 
 def app_from_dict(doc, source="<dict>"):

@@ -11,10 +11,9 @@ through transient states ends in a static state; one that comes back to a
 transient state it already passed is cut.  Derivation only reads the model.
 """
 
-import json
 from collections import namedtuple
 
-from .errors import ModelError, list_of
+from .errors import ModelError, list_of, load_json
 
 STATIC = "STATIC"
 TRANSIENT = "TRANSIENT"
@@ -97,12 +96,7 @@ def _field(raw, key, where, kind=str, default=None):
 
 def load_model(path):
     """Load and validate a life-cycle model from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelError("%s: not valid JSON: %s" % (path, exc)) from exc
-    return model_from_dict(doc, source=str(path))
+    return model_from_dict(load_json(path, ModelError), source=str(path))
 
 
 def model_from_dict(doc, source="<dict>"):

@@ -142,6 +142,13 @@ class TestBuild:
         (tail, header) = back[0]
         assert header < tail  # textbook: header dominates the body end
 
+    @pytest.mark.parametrize("labels", [{}, {"end": 0}], ids=["plain", "label-at-end"])
+    def test_empty_method_is_one_empty_block(self, labels):
+        cfg = build_cfg(method_of([], labels=labels))
+        assert [(b.id, b.start, b.end, b.successors, b.predecessors) for b in cfg.blocks] == [
+            (0, 0, 0, [], [])]
+        assert reverse_post_order(remove_back_edges(cfg)) == [0]
+
     def test_deterministic_ids_by_position(self):
         cfg = build_cfg(diamond())
         starts = [b.start for b in cfg.blocks]

@@ -1,15 +1,17 @@
 import io
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 from lifetaint import cli, load_app
-from lifetaint.analysis import AnalysisContext, analyze_component
+from lifetaint.analysis import AnalysisContext, analyze_component, load_config
 from lifetaint.cli import RunConfig, _data_path, analyze_app, main, run
-from lifetaint.errors import ConfigError
+from lifetaint.errors import AppLoadError, ConfigError, ModelError
+from lifetaint.lifecycle import load_model
 from lifetaint.sequences import build_plan
 
 from conftest import all_corpus_paths, corpus_app, corpus_path, isolated_env, run_isolated
@@ -327,6 +329,38 @@ class TestArgs:
         doc = json.loads(capsys.readouterr().out)
         assert doc["app_id"] == "sms_hardcoded"
 
+    def test_main_without_flags_writes_the_run_config_defaults(self, capsys):
+        # main keeps no defaults of its own: a flag left out is RunConfig's
+        path = corpus_path("motivating_example")
+        assert main(["--app", path]) == 0
+        assert capsys.readouterr().out == run_cli([path])[1]
+
+    def test_every_flag_reaches_its_run_config_field(self, capsys, monkeypatch):
+        # every field differs from its default, so a flag with the wrong
+        # dest, or none, gives another RunConfig
+        path = corpus_path("motivating_example")
+        fields = dict(models_dir=_data_path("models"),
+                      config_path=_data_path("config", "default_config.json"),
+                      m_max=1, budget_secs=50.0, fmt="table", jobs=3, dump_cfg=True)
+        argv = ["--app", path, "--models", fields["models_dir"],
+                "--config", fields["config_path"], "--m-max", "1", "--budget-secs", "50",
+                "--format", "table", "--jobs", "3", "--dump-cfg"]
+        configs = []
+
+        def recording(config):
+            configs.append(vars(config).copy())
+            return run(config)
+
+        monkeypatch.setattr(cli, "run", recording)
+        assert main(argv) == 0
+        written = capsys.readouterr().out
+        status, expected = run_cli([path], **fields)
+        assert configs == [vars(RunConfig(app_paths=[path], **fields))]
+        # the table shows each run's own elapsed time
+        elapsed = re.compile(r"elapsed: [0-9.]+s")
+        assert status == 0 and "digraph" in expected and "elapsed: " in expected
+        assert elapsed.sub("", written) == elapsed.sub("", expected)
+
     def test_main_bad_config_exit_1(self, capsys):
         status = main(["--app", "x.app", "--models", "/nope"])
         assert status == 1
@@ -407,6 +441,48 @@ class TestArgs:
         assert status == 0
         assert len(_split_json(text)) == 2
         assert text == run_cli(paths)[1]
+
+
+class TestNotJson:
+    """Apps, models and configurations are all read by one JSON reader."""
+
+    @pytest.mark.parametrize("load, error", [
+        (load_app, AppLoadError), (load_model, ModelError), (load_config, ConfigError),
+    ], ids=["app", "model", "config"])
+    def test_each_loader_raises_its_own_error(self, tmp_path, load, error):
+        path = tmp_path / "broken.json"
+        path.write_text('{"app_id": ')
+        with pytest.raises(error) as info:
+            load(str(path))
+        assert type(info.value) is error
+        assert str(info.value).startswith("%s: not valid JSON: " % path)
+
+    def test_app_file_becomes_only_its_own_error_report(self, tmp_path):
+        broken = tmp_path / "broken.app"
+        broken.write_text("not json")
+        good = corpus_path("sms_hardcoded")
+        status, text = run_cli([str(broken), good])
+        first, second = _split_json(text)
+        assert status == 0
+        doc = json.loads(first)
+        assert (doc["app_id"], doc["finished"], doc["warnings"]) == ("broken.app", True, [])
+        assert doc["error"].startswith("%s: not valid JSON: " % broken)
+        assert second + "\n" == run_cli([good])[1]
+
+    @pytest.mark.parametrize("where", ["config", "model"])
+    def test_config_or_model_file_is_config_error(self, tmp_path, capsys, where):
+        broken = tmp_path / ("activity.json" if where == "model" else "config.json")
+        broken.write_text("not json")
+        if where == "model":
+            models = pathlib.Path(_data_path("models"))
+            (tmp_path / "service.json").write_text(models.joinpath("service.json").read_text())
+            kw = dict(models_dir=str(tmp_path))
+        else:
+            kw = dict(config_path=str(broken))
+        status, text = run_cli([corpus_path("motivating_example")], **kw)
+        assert (status, text) == (1, "")
+        assert capsys.readouterr().err.startswith(
+            "configuration error: %s: not valid JSON: " % broken)
 
 
 def _split_json(text):

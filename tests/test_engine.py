@@ -610,6 +610,24 @@ class TestCompiledPlans:
         assert report.finished and report.error is None
         assert report.m_reached == 1 and not report.warnings
 
+    def test_empty_method_is_one_step(self):
+        app = make_app([])
+        steps = analysis._compile(app.classes[0].methods[0])
+        assert steps == [(0, [], [])]
+
+    def test_empty_on_create_reports_nothing(self, models, config):
+        app = app_from_dict({
+            "app_id": "empty",
+            "classes": [{"name": "Main", "parent_kind": "ACTIVITY", "static_fields": [],
+                         "methods": [{"sig": "onCreate/1", "params": ["this", "savedState"],
+                                      "instructions": []}]}],
+            "components": [{"class": "Main", "kind": "ACTIVITY",
+                            "aui_callbacks": [], "misc_callbacks": []}],
+        })
+        report = analyze_app(app, models, config, m_max=2)
+        assert report.error is None and report.finished
+        assert report.warnings == [] and report.sequences_analyzed > 0
+
     def test_each_step_reads_its_reached_predecessors(self):
         methods = [m for path in all_corpus_paths()
                    for k in load_app(path).classes for m in k.methods]
