@@ -22,7 +22,8 @@ runs every block but the entry: it starts from its predecessors' OUT_d
 frames, merged when there are several, so taints survive path-local
 untainting.  A block holds the frame it ran on as its OUT_d; the last reader
 of that frame, known when the plan is compiled, takes the frame itself, and
-every earlier reader takes a copy.
+every earlier reader a share: its own register table over the frame's heap.
+Each write to the heap first gives the other sharers copies (`own`).
 """
 
 import time
@@ -229,10 +230,10 @@ def analyze_method(method, ctx, frame):
     The plan is compiled on the method's first call in this app.  The entry
     block runs on `frame`.  Every other step starts from the frames its
     reached predecessors hold as their OUT_d: the last reader of a frame
-    takes it, and each earlier reader takes a copy, so a frame is left
-    untouched until its last reader runs.  One frame is continued as it is,
-    several are merged.  The caller adopts the exit frame's heap, so even
-    the entry frame, which shares the caller's tables, is handed on.
+    takes it, and each earlier reader a share, so each runs as on its own
+    copy.  One frame is continued as it is, several are merged.  The caller
+    adopts the exit frame's heap, so even the entry frame, which shares the
+    caller's tables, is handed on.
 
     Returns (return-value entry or None, exit frame).
     """
@@ -242,13 +243,19 @@ def analyze_method(method, ctx, frame):
         steps = ctx.plans[method] = _compile(method)
     current = frame
     held = {}
-    for bid, instrs, reads in steps:
-        if reads:
-            frames = [held.pop(p) if last else held[p].deep_copy() for p, last in reads]
-            current = frames[0] if len(frames) == 1 else merge_spaces(frames)
-        for instr in instrs:
-            handle_instruction(instr, ctx, current, method)
-        held[bid] = current
+    try:
+        for bid, instrs, reads in steps:
+            if reads:
+                frames = [held.pop(p) if last else held[p].share() for p, last in reads]
+                current = frames[0] if len(frames) == 1 else merge_spaces(frames)
+            for instr in instrs:
+                handle_instruction(instr, ctx, current, method)
+            held[bid] = current
+    except BaseException:
+        # a run cut short leaves no group to hold its frames in a cycle
+        for space in (current, *held.values()):
+            space.group = None
+        raise
     return current.returned, current
 
 
@@ -302,27 +309,33 @@ def handle_instruction(instr, ctx, frame, method):
         obj = _lookup(frame, ops[1], method, instr)
         field = obj.fields.get(ops[2])
         if field is None:
+            frame.own()
             field = fresh_entry()
             obj.fields[ops[2]] = field
         frame.regs[ops[0]] = bind_copy(field)
     elif kind == "IPUT":
         obj = _lookup(frame, ops[0], method, instr)
         src = _lookup(frame, ops[2], method, instr)
+        if frame.group is not None:  # the hottest write: no call when unshared
+            frame.own()
         obj.fields[ops[1]] = bind_copy(src)
     elif kind == "SGET":
         slot = frame.statics.get(ops[1])
         if slot is None:
+            frame.own()
             slot = fresh_entry()
             frame.statics[ops[1]] = slot
         frame.regs[ops[0]] = bind_copy(slot)
     elif kind == "SPUT":
         src = _lookup(frame, ops[1], method, instr)
+        frame.own()
         frame.statics[ops[0]] = bind_copy(src)
     elif kind == "COLLECTION_NEW":
         frame.regs[ops[0]] = fresh_entry(COLLECTION)
     elif kind == "COLLECTION_PUT":
         coll = _lookup(frame, ops[0], method, instr)
         src = _lookup(frame, ops[2], method, instr)
+        frame.own()
         # index is irrelevant: element taint always taints the whole object
         add_taints(coll, collect_taints(src))
     elif kind == "COLLECTION_GET":
@@ -377,12 +390,15 @@ def handle_invoke(instr, ctx, frame, method):
 
     handler = api_handlers.lookup(sig, receiver is not None)
     if handler is not None:
+        if handler in api_handlers.WRITING:
+            frame.own()
         return handler(receiver, args)
 
     # any other API propagates taint from every input to the receiver and
     # the result, and never clears anything
     tags = collect_taints(*args)
     if receiver is not None:
+        frame.own()
         add_taints(receiver, tags)
         tags = collect_taints(receiver)
     return value_entry(tags)
@@ -408,6 +424,7 @@ def _call(target, ctx, frame, receiver, args):
     """
     if target in ctx.method_stack:
         return None
+    frame.own()  # the callee runs on, and may write, `frame`'s heap
     callee = SymbolSpace({}, frame.statics, frame.outer + (frame.regs,))
     params = list(target.params)
     if params and params[0] == "this":

@@ -59,6 +59,10 @@ HANDLERS = {
     "System.arraycopy": (array_copy, False, 3),
 }
 
+# the handlers that change the contents of their receiver or an argument; a
+# frame that shares its heap takes it for its own before one of them runs
+WRITING = frozenset({builder_append, array_copy})
+
 
 def lookup(signature, has_receiver):
     """The handler for a call of a Class.method/argc signature, with a

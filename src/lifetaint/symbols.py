@@ -3,9 +3,12 @@
 Aliases are realized by identity: names that alias one object hold the same
 Entry, so a mutation through any alias is seen by all of them.  A deep copy
 duplicates the whole reachable structure while preserving the sharing inside
-it, one new Entry per copied object, which is what gives each reader of a
-held state but the last a private copy.  Copies, merges and taint collection
-walk the heap with explicit stacks, so a heap of any depth fits.
+it, one new Entry per copied object.  A held state's earlier readers get
+shares instead: spaces with their own register tables over its heap, in one
+group.  The first write through a member (`own`) gives every other member
+a deep copy, equal to one taken at the share, as nothing wrote the heap in
+between.  Copies, merges and taint collection walk the heap with explicit
+stacks, so a heap of any depth fits.
 
 Taint sets are immutable frozensets, shared by copies and replaced on write
 (`add_taints`), so a write through one copy never shows in another, and an
@@ -140,13 +143,14 @@ class SymbolSpace:
     spaces.
     """
 
-    __slots__ = ("regs", "statics", "outer", "returned")
+    __slots__ = ("regs", "statics", "outer", "returned", "group")
 
     def __init__(self, regs=None, statics=None, outer=()):
         self.regs = regs if regs is not None else {}
         self.statics = statics if statics is not None else {}
         self.outer = outer
         self.returned = None
+        self.group = None         # the spaces that share this one's heap, or None
 
     def deep_copy(self):
         memo = {}
@@ -155,6 +159,29 @@ class SymbolSpace:
         if self.returned is not None:
             dup.returned = _copy({0: self.returned}, memo)[0]
         return dup
+
+    def share(self):
+        """A space with its own register table over this space's heap; the
+        two are then in one group."""
+        if self.group is None:
+            self.group = [self]
+        dup = SymbolSpace(dict(self.regs), self.statics, self.outer)
+        dup.returned, dup.group = self.returned, self.group
+        self.group.append(dup)
+        return dup
+
+    def own(self, keep=()):
+        """Make the heap this space's own before it writes there: every other
+        member of its group but those in `keep` takes a deep copy in place,
+        and the group ends."""
+        group = self.group
+        if group is not None:
+            for space in group:
+                space.group = None
+                if space is not self and space not in keep:
+                    dup = space.deep_copy()
+                    space.regs, space.statics, space.outer, space.returned = (
+                        dup.regs, dup.statics, dup.outer, dup.returned)
 
 
 def fingerprint(space):
@@ -226,21 +253,62 @@ def _join(table, pairs, seen):
 
 
 def merge_spaces(frames):
-    """Conservative union of isolated symbol spaces (alias structure from the
+    """Conservative union of symbol spaces (alias structure from the
     first). Taint sets union; constants agree or collapse to "not a
     constant"; fields merge the same way.  The spaces belong to one
-    activation, so their caller tables pair up.  Inputs must be private:
-    the first is updated in place and returned, the others are consumed.
+    activation, so their caller tables pair up.  The first is updated in
+    place and returned, the others are consumed, as if all were private
+    copies: a space that shares an input's heap and is not joined in place
+    takes a copy first.  Inputs that all share the first's heap are joined
+    in place when `_joins_in_place` allows, skipping what is the same on
+    both sides.
     """
     base = frames[0]
+    in_place = False
+    if base.group is not None:
+        sharing = [f for f in frames[1:] if f.group is base.group]
+        in_place = len(sharing) == len(frames) - 1 and _joins_in_place(base, sharing)
+        base.own(sharing if in_place else ())
     seen = set()
     for other in frames[1:]:
+        other.own()  # a heap but the first's: the rest of its group copies it
         for table, src in zip((base.regs, base.statics) + base.outer,
                               (other.regs, other.statics) + other.outer):
-            _join(table, src.items(), seen)
+            if table is not src:
+                pairs = src.items()
+                if in_place:  # a name bound to one object on both sides is skipped
+                    pairs = [(n, e) for n, e in pairs if table.get(n) is not e]
+                _join(table, pairs, seen)
         if base.returned is None:
             base.returned = other.returned
         elif other.returned is not None:
             # the two return values, as one-entry tables
             _join({0: base.returned}, [(0, other.returned)], seen)
     return base
+
+
+def _joins_in_place(base, frames):
+    """Whether joining `frames`, which share `base`'s heap, into `base`
+    changes it as joining private copies of them would: no join adopts an
+    object of the heap, and no object that a join changes is read by
+    another.  The pairs of two objects are walked as `_join` pairs them,
+    on a stack."""
+    stack = [(base.regs, other.regs) for other in frames]
+    stack += [({0: base.returned}, {0: other.returned})
+              for other in frames if other.returned is not None]
+    pairs = set()
+    while stack:
+        table, src = stack.pop()
+        for name, other in src.items():
+            entry = table.get(name)
+            if entry is None:
+                # an adoption; of a register only since bound, and then to a
+                # new object if a string or a number
+                if table is base.regs and other.value_kind in (PRIMITIVE, IMMUTABLE_REF):
+                    continue
+                return False
+            if entry is not other and (entry, other) not in pairs:
+                pairs.add((entry, other))
+                stack.append((entry.fields, other.fields))
+    changed = {entry for entry, _ in pairs}
+    return not any(other in changed for _, other in pairs)

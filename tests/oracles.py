@@ -12,13 +12,22 @@ present it as the paper does, so the tests can compare the two:
 - `replay_events`: replays an event sequence against a model by guard
   evaluation, independently of the derivation's walk;
 - `run_sequence`: runs one generated sequence flat, from a fresh state and
-  without the memo.
+  without the memo;
+- `shares_match`: whether a method's run, where each earlier reader of a
+  block shares its heap, equals the run where each takes a deep copy;
+  `random_heap_app` makes methods for it.
 """
 
-from lifetaint.analysis import _emit, _fresh_state, _run_callback
+import random
+
+from lifetaint.analysis import (
+    AnalysisContext, _emit, _fresh_state, _run_callback, analyze_method,
+)
 from lifetaint.errors import ModelError
+from lifetaint.ir import app_from_dict
 from lifetaint.lifecycle import Step, _exits, _settle, derive_paths
 from lifetaint.sequences import _distinct_paths, _implemented
+from lifetaint.symbols import SymbolSpace, fingerprint
 
 
 def event_sequences(model):
@@ -105,3 +114,106 @@ def run_sequence(component, seq, ctx):
         for callback in segment.callbacks:
             _run_callback(component, callback, state, ctx)
             _emit(ctx.found, component, seq, i, ctx)
+
+
+def heap_run(app, config):
+    """(findings, fingerprint of the exit frame) of the app's first method,
+    run as a callback from a fresh component state."""
+    method = app.classes[0].methods[0]
+    ctx = AnalysisContext(app, config)
+    ctx.method_stack.append(method)
+    state = _fresh_state()
+    frame = SymbolSpace({"this": state.regs["this"]}, state.statics, (state.regs,))
+    _, exit_frame = analyze_method(method, ctx, frame)
+    return ctx.found, fingerprint(exit_frame)
+
+
+def shares_match(app, config):
+    """Whether `heap_run` gives the same findings and exit frame as it does
+    where `SymbolSpace.share` is a deep copy."""
+    shared = heap_run(app, config)
+    share = SymbolSpace.share
+    SymbolSpace.share = SymbolSpace.deep_copy
+    try:
+        copied = heap_run(app, config)
+    finally:
+        SymbolSpace.share = share
+    return shared == copied
+
+
+_REGS = ("a", "b", "d", "e")
+_LATE = ("m", "n")              # written, never read
+_FIELDS = ("f", "g")
+
+
+def _heap_ops(rng, n, params):
+    """`n` random instructions that read the registers `_REGS` and `params`
+    and also write `_LATE`; a branch targets the label of an instruction,
+    or "L<n>", the end."""
+    regs = _REGS + params
+    objs = regs + ("this",)
+
+    def reg():
+        return rng.choice(regs)
+
+    def dst():  # a register that only some paths bind is adopted at a join
+        return rng.choice(regs + _LATE)
+
+    def label():
+        return "L%d" % rng.randint(0, n)
+
+    kinds = [
+        (25, lambda: ["IF_GOTO", "c", label()]),
+        (4, lambda: ["GOTO", label()]),
+        (12, lambda: ["IGET", dst(), rng.choice(objs), rng.choice(_FIELDS)]),
+        (10, lambda: ["IPUT", rng.choice(objs), rng.choice(_FIELDS), reg()]),
+        (8, lambda: ["MOVE", dst(), reg()]),
+        (5, lambda: ["NEW_INSTANCE", dst(), "Foo"]),
+        (4, lambda: ["SGET", dst(), "S." + rng.choice(_FIELDS)]),
+        (3, lambda: ["SPUT", "S." + rng.choice(_FIELDS), reg()]),
+        (8, lambda: ["INVOKE_VIRTUAL", dst(), "this", "TelephonyManager.getDeviceId/0", []]),
+        (10, lambda: ["INVOKE_STATIC", None, "Log.e/2", [reg(), rng.choice(objs)]]),
+        (4, lambda: ["INVOKE_VIRTUAL", dst(), reg(), "String.concat/1", [reg()]]),
+        (4, lambda: ["INVOKE_VIRTUAL", dst(), reg(), "StringBuilder.append/1", [reg()]]),
+        (6, lambda: ["INVOKE_VIRTUAL", dst(), reg(), "Foo.put/1", [reg()]]),
+        (2, lambda: ["INVOKE_STATIC", None, "System.arraycopy/5",
+                     [reg(), "c", reg(), "c", "c"]]),
+        (2, lambda: ["COLLECTION_PUT", reg(), 0, reg()]),
+        (2, lambda: ["COLLECTION_GET", dst(), reg(), 0]),
+        (2, lambda: ["CONST_STRING", dst(), rng.choice(("x", "y"))]),
+        (2, lambda: ["RETURN", reg()]),
+    ]
+    if not params:  # the main method calls the helper, which calls nothing
+        kinds.append((3, lambda: ["INVOKE_VIRTUAL", dst(), "this", "Main.helper/1", [reg()]]))
+    weights = [w for w, _ in kinds]
+    return [rng.choices(kinds, weights)[0][1]() for _ in range(n)]
+
+
+def _heap_method(rng, sig, params):
+    """A method that binds `c` and `_REGS`, then runs `_heap_ops`."""
+    prologue = [["CONST_NUM", "c", 1]]
+    for r in _REGS:
+        prologue.append(rng.choice([["IGET", r, "this", rng.choice(_FIELDS)],
+                                    ["NEW_INSTANCE", r, "Foo"],
+                                    ["CONST_STRING", r, r]]))
+    n = rng.randint(3, 14)
+    instructions = prologue + _heap_ops(rng, n, tuple(params[1:]))
+    labels = {"L%d" % k: len(prologue) + k for k in range(n + 1)}
+    instructions.append(rng.choice([["RETURN_VOID"], ["RETURN", rng.choice(_REGS)]]))
+    return {"sig": sig, "params": params, "instructions": instructions, "labels": labels}
+
+
+def random_heap_app(seed):
+    """An app whose class Main has a random branchy method `main/0`, which
+    reads and writes fields and statics, moves values, calls sources,
+    sinks, handlers and the default rule, and calls a random `helper/1`."""
+    rng = random.Random(seed)
+    methods = [_heap_method(rng, "main/0", ["this"]),
+               _heap_method(rng, "helper/1", ["this", "p"])]
+    return app_from_dict({
+        "app_id": "h%d" % seed,
+        "classes": [{"name": "Main", "parent_kind": "ACTIVITY", "static_fields": [],
+                     "methods": methods}],
+        "components": [{"class": "Main", "kind": "ACTIVITY",
+                        "aui_callbacks": [], "misc_callbacks": ["main"]}],
+    })

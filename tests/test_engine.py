@@ -2,21 +2,22 @@ import random
 
 import pytest
 
-from lifetaint import analysis
+from lifetaint import analysis, api_handlers
 from lifetaint.analysis import AnalysisContext, analyze_component
 from lifetaint.cfg import build_cfg, remove_back_edges, reverse_post_order
 from lifetaint.cli import analyze_app
 from lifetaint.errors import AnalysisError
 from lifetaint.ir import app_from_dict, load_app
 from lifetaint.sequences import FlattenedSequence, Segment, build_plan
-from lifetaint.symbols import SymbolSpace, fresh_entry
+from lifetaint.symbols import SymbolSpace, TaintTag, fingerprint, fresh_entry, value_entry
 
 from conftest import all_corpus_paths, corpus_app
-from oracles import run_sequence
+from oracles import heap_run, random_heap_app, run_sequence, shares_match
 from test_golden_dags import RANDOM_METHODS, random_method
 
 SOURCE = "TelephonyManager.getDeviceId/0"
 SINK = "Log.e/2"
+RANDOM_HEAP_METHODS = 1000
 
 
 def make_app(instructions, extra_methods=(), extra_classes=(), labels=None):
@@ -669,18 +670,23 @@ class TestCompiledPlans:
             {"b": 4, "d": 6}, [3]),
     }
 
-    @pytest.mark.parametrize("shape", sorted(SHAPES))
-    def test_only_earlier_readers_copy_and_one_frame_is_not_merged(
-            self, config, monkeypatch, shape):
-        instructions, labels, widths = self.SHAPES[shape]
+    @staticmethod
+    def snapshots(config, monkeypatch, instructions, labels):
+        """(shares, deep copies, merge widths, readers per block in RPO) of
+        one run of `main`."""
         app = make_app(instructions, labels=labels)
         method = app.classes[0].methods[0]
         dag = remove_back_edges(build_cfg(method))
         # each successor reads a block; an exit has at most one reader, the
-        # final join, so it is never copied
+        # final join, so it is never shared
         readers = [len(dag.blocks[b].successors) for b in reverse_post_order(dag)]
-        copies, merged = [], []
-        real_copy, real_merge = SymbolSpace.deep_copy, analysis.merge_spaces
+        shares, copies, merged = [], [], []
+        real_share, real_copy = SymbolSpace.share, SymbolSpace.deep_copy
+        real_merge = analysis.merge_spaces
+
+        def counting_share(space):
+            shares.append(space)
+            return real_share(space)
 
         def counting_copy(space):
             copies.append(space)
@@ -690,19 +696,42 @@ class TestCompiledPlans:
             merged.append(len(frames))
             return real_merge(frames)
 
+        monkeypatch.setattr(SymbolSpace, "share", counting_share)
         monkeypatch.setattr(SymbolSpace, "deep_copy", counting_copy)
         monkeypatch.setattr(analysis, "merge_spaces", recording_merge)
         ctx = AnalysisContext(app, config)
         analysis.analyze_method(method, ctx, SymbolSpace({"this": fresh_entry()}))
-        assert len(copies) == sum(n - 1 for n in readers if n > 1)
+        return len(shares), len(copies), merged, readers
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_only_earlier_readers_copy_and_one_frame_is_not_merged(
+            self, config, monkeypatch, shape):
+        instructions, labels, widths = self.SHAPES[shape]
+        shares, copies, merged, readers = self.snapshots(
+            config, monkeypatch, instructions, labels)
+        # each earlier reader of a block takes a share; nothing writes the
+        # heap, so no share is ever copied
+        assert shares == sum(n - 1 for n in readers if n > 1)
+        assert copies == 0
+        assert merged == widths
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_a_write_in_the_first_arm_copies_each_share_once(
+            self, config, monkeypatch, shape):
+        instructions, labels, widths = self.SHAPES[shape]
+        # the block of `x = 1`, the first arm of a branch, writes a field
+        writing = [["IPUT", "this", "x", "c"] if i == ["CONST_NUM", "x", 1] else i
+                   for i in instructions]
+        assert writing != instructions
+        shares, copies, merged, readers = self.snapshots(config, monkeypatch, writing, labels)
+        assert shares == copies == sum(n - 1 for n in readers if n > 1)
         assert merged == widths
 
 
 class TestDeepHeap:
     def test_long_field_chain_is_copied_and_merged_without_recursion(self, models, config):
         # a 1,200-node `next` chain built before one branch: the entry block
-        # has two readers, so the chain is copied for the first and merged
-        # at the join
+        # has two readers, and the first shares the chain, as nothing writes
         n = 1200
         chain = [["NEW_INSTANCE", "head", "Node"], ["MOVE", "cur", "head"]]
         for _ in range(n):
@@ -722,6 +751,195 @@ class TestDeepHeap:
         report = analyze_app(app, models, config, m_max=1)
         assert report.finished and report.error is None
         assert [(w.kind, w.sink_api) for w in report.warnings] == [("INFO_LEAK", "Log.d/2")]
+
+    @staticmethod
+    def chain(head, n):
+        """Instructions that hang an `n`-node `next` chain off `head`, its
+        last node in `cur`."""
+        ins = [["NEW_INSTANCE", head, "Node"], ["MOVE", "cur", head]]
+        for _ in range(n):
+            ins += [["NEW_INSTANCE", "nxt", "Node"], ["IPUT", "cur", "next", "nxt"],
+                    ["MOVE", "cur", "nxt"]]
+        return ins
+
+    @staticmethod
+    def copies_of_run(app, config, monkeypatch):
+        """(deep copies, findings) of one run of `main`."""
+        copies = []
+        real_copy = SymbolSpace.deep_copy
+
+        def counting_copy(space):
+            copies.append(space)
+            return real_copy(space)
+
+        monkeypatch.setattr(SymbolSpace, "deep_copy", counting_copy)
+        found, _ = heap_run(app, config)
+        monkeypatch.setattr(SymbolSpace, "deep_copy", real_copy)
+        return len(copies), [(kind, sink) for kind, _, sink, _ in found]
+
+    def test_a_writing_arm_copies_and_merges_the_chain_without_recursion(
+            self, config, monkeypatch):
+        # the arm that shares the 1,200-node chain writes a field, so the
+        # frame the join takes copies the chain first, and the join merges
+        # the two chains
+        chain = self.chain("head", 1200)
+        body = chain + taint_instr("x") + [
+            ["IPUT", "cur", "value", "x"],
+            ["CONST_NUM", "c", 1],
+            ["IF_GOTO", "c", "join"],
+            ["IPUT", "cur", "mark", "c"],
+            ["IGET", "v", "cur", "value"],       # join
+            ["CONST_STRING", "tag", "t"],
+            ["INVOKE_STATIC", None, "Log.d/2", ["tag", "v"]],
+            ["RETURN_VOID"],
+        ]
+        app = make_app(body, labels={"join": len(chain) + 6})
+        assert self.copies_of_run(app, config, monkeypatch) == (1, [("INFO_LEAK", "Log.d/2")])
+        assert shares_match(app, config)
+
+    def test_an_in_place_join_of_two_long_chains_is_checked_without_recursion(
+            self, config, monkeypatch):
+        # the arm points `h` at a second 1,200-node chain; the join pairs the
+        # two chains node by node, which the in-place check walks, and joins
+        # them with no copy: the second chain's tainted tail reaches the first
+        n = 1200
+        body = (self.chain("one", n) + [["CONST_STRING", "k", "k"], ["IPUT", "cur", "value", "k"]]
+                + self.chain("two", n) + taint_instr("x") + [["IPUT", "cur", "value", "x"]])
+        body += [
+            ["MOVE", "h", "one"],
+            ["CONST_NUM", "c", 1],
+            ["IF_GOTO", "c", "join"],
+            ["MOVE", "h", "two"],
+            ["CONST_STRING", "tag", "t"],        # join
+            ["INVOKE_STATIC", None, "Log.d/2", ["tag", "h"]],
+            ["RETURN_VOID"],
+        ]
+        app = make_app(body, labels={"join": len(body) - 3})
+        assert self.copies_of_run(app, config, monkeypatch) == (0, [("INFO_LEAK", "Log.d/2")])
+        assert shares_match(app, config)
+
+
+class TestLazySnapshots:
+    """An earlier reader of a block shares the block's heap until a write
+    (`SymbolSpace.share`); every run must equal the run where it takes a
+    deep copy instead (`oracles.shares_match`)."""
+
+    # name -> (instructions, labels, findings of the run on copies); each
+    # fails if one rule of the sharing is dropped
+    COUNTER_EXAMPLES = {
+        # an inner join, run before the entry's fallthrough P, must not join
+        # into the heap P still holds: a merge first copies the frames that
+        # wait for their readers
+        "inner merge before an unrelated arm": ([
+            ["IGET", "r", "this", "f"],
+            ["CONST_NUM", "c", 1],
+            ["IF_GOTO", "c", "s1"],
+            ["IGET", "z", "this", "f"],                       # P
+            *sink_instr("z"),
+            ["RETURN_VOID"],
+            ["IF_GOTO", "c", "j"],                            # s1
+            ["INVOKE_VIRTUAL", "r", "this", SOURCE, []],
+            ["MOVE", "q", "r"],                               # j
+            ["RETURN_VOID"],
+        ], {"s1": 7, "j": 9}, []),
+        # the target arm, which runs first, creates this.g: without a copy
+        # first, the fallthrough's frame would hold it too, and the join
+        # would not alias it with x
+        "field creation in a shared arm": ([
+            ["CONST_NUM", "c", 1],
+            ["IF_GOTO", "c", "a"],
+            ["CONST_NUM", "k", 1],
+            ["GOTO", "j"],
+            ["IGET", "x", "this", "g"],                       # a
+            ["INVOKE_VIRTUAL", "w", "this", SOURCE, []],      # j
+            ["INVOKE_VIRTUAL", None, "x", "Foo.put/1", ["w"]],
+            ["IGET", "z", "this", "g"],
+            *sink_instr("z"),
+            ["RETURN_VOID"],
+        ], {"a": 4, "j": 5}, [("INFO_LEAK", SINK)]),
+        # the join's pair `a` taints this.f's object, which its later pair
+        # `d` reads from the other side: the frames are copied first
+        "a join that reads what it changes": ([
+            ["IGET", "a", "this", "f"],
+            ["NEW_INSTANCE", "d", "Foo"],
+            ["CONST_NUM", "c", 1],
+            ["IF_GOTO", "c", "b"],
+            ["GOTO", "j"],
+            ["MOVE", "d", "a"],                               # b
+            ["INVOKE_VIRTUAL", "a", "this", SOURCE, []],
+            *sink_instr("d"),                                 # j
+            ["RETURN_VOID"],
+        ], {"b": 5, "j": 7}, []),
+        # the join adopts `n`, which on copies is a copy of this.f's object
+        # and not the object `a` holds
+        "a join that adopts a shared object": ([
+            ["IGET", "a", "this", "f"],
+            ["CONST_NUM", "c", 1],
+            ["IF_GOTO", "c", "b"],
+            ["GOTO", "j"],
+            ["MOVE", "n", "a"],                               # b
+            ["INVOKE_VIRTUAL", "w", "this", SOURCE, []],      # j
+            ["INVOKE_VIRTUAL", None, "n", "Foo.put/1", ["w"]],
+            *sink_instr("a"),
+            ["RETURN_VOID"],
+        ], {"b": 4, "j": 5}, []),
+        # the target arm, which runs first, taints this.f's object through
+        # the default invoke rule; the fallthrough must not see it
+        "a write by an API call in a shared arm": ([
+            ["IGET", "a", "this", "f"],
+            ["CONST_NUM", "c", 1],
+            ["IF_GOTO", "c", "w"],
+            ["IGET", "z", "this", "f"],
+            *sink_instr("z"),
+            ["RETURN_VOID"],
+            ["INVOKE_VIRTUAL", "t", "this", SOURCE, []],      # w
+            ["INVOKE_VIRTUAL", None, "a", "Foo.put/1", ["t"]],
+            ["RETURN_VOID"],
+        ], {"w": 7}, []),
+    }
+
+    @pytest.mark.parametrize("case", sorted(COUNTER_EXAMPLES))
+    def test_counter_example_matches_the_run_on_copies(self, config, monkeypatch, case):
+        instructions, labels, findings = self.COUNTER_EXAMPLES[case]
+        app = make_app(instructions, labels=labels)
+        shares = []
+        real_share = SymbolSpace.share
+        monkeypatch.setattr(SymbolSpace, "share",
+                            lambda space: shares.append(space) or real_share(space))
+        assert shares_match(app, config)
+        assert shares  # the run shares a heap
+        monkeypatch.setattr(SymbolSpace, "share", SymbolSpace.deep_copy)
+        found, _ = heap_run(app, config)
+        assert [(kind, sink) for kind, _, sink, _ in found] == findings
+
+    def test_random_heap_methods_match_the_runs_on_copies(self, config, monkeypatch):
+        # seeds from 0; the CI oracle step runs the 10,000 seeds after these
+        sharing = []
+        real_share = SymbolSpace.share
+        monkeypatch.setattr(SymbolSpace, "share",
+                            lambda space: sharing.append(space) or real_share(space))
+        mismatches, shared = [], 0
+        for seed in range(RANDOM_HEAP_METHODS):
+            app = random_heap_app(seed)
+            del sharing[:]
+            if not shares_match(app, config):
+                mismatches.append(seed)
+            shared += bool(sharing)
+        assert mismatches == []
+        assert shared > RANDOM_HEAP_METHODS // 3
+
+    def test_the_writing_handlers_are_named(self):
+        # every input carries its own tag and constant; a handler not in
+        # WRITING must leave them all as they were, one in it must not
+        assert api_handlers.WRITING <= {h for h, _, _ in api_handlers.HANDLERS.values()}
+        for name, (handler, reads_receiver, reads) in sorted(api_handlers.HANDLERS.items()):
+            inputs = {i: value_entry({TaintTag("In.get%d/0" % i, ("C", "m/0", i))}, "v%d" % i)
+                      for i in range(reads + 2)}
+            receiver = inputs.pop(0) if reads_receiver else None
+            everything = SymbolSpace(dict(inputs, r=receiver) if receiver else dict(inputs))
+            before = fingerprint(everything)
+            handler(receiver, list(inputs.values()))
+            assert (fingerprint(everything) != before) == (handler in api_handlers.WRITING), name
 
 
 class TestLoops:
