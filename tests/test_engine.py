@@ -3,7 +3,7 @@ import random
 import pytest
 
 from lifetaint import analysis, api_handlers
-from lifetaint.analysis import AnalysisContext, analyze_component
+from lifetaint.analysis import AnalysisConfig, AnalysisContext, analyze_component
 from lifetaint.cfg import build_cfg, remove_back_edges, reverse_post_order
 from lifetaint.cli import analyze_app
 from lifetaint.errors import AnalysisError
@@ -581,6 +581,62 @@ class TestDiscontinuity:
             ["RETURN_VOID"],
         ], extra_classes=[thread])
         assert run_main(app, config) == []
+
+
+class TestInvokePrecedence:
+    """What an invoke calls when its signature fits more than one stage:
+    configured sources, then sinks and SMS send APIs, then app methods,
+    then thread and task triggers, then the API models and the default
+    rule.  Each test fails with its two stages swapped."""
+
+    # the body of an app method whose run shows as a Log.i/2 leak
+    LEAK_TO_LOG_I = [*taint_instr("w"), ["CONST_STRING", "t", "t"],
+                     ["INVOKE_STATIC", None, "Log.i/2", ["t", "w"]]]
+
+    def test_a_source_that_is_also_a_sink_only_taints(self, config):
+        both = "Vault.read/1"
+        config = AnalysisConfig(config.sources | {both}, config.sinks | {both},
+                                list(config.sms_rules.values()),
+                                config.originating_address_apis)
+        app = make_app([
+            *taint_instr("w"),
+            ["NEW_INSTANCE", "v", "Vault"],
+            ["INVOKE_VIRTUAL", "r", "v", both, ["w"]],
+            *sink_instr("r"),
+            ["RETURN_VOID"],
+        ])
+        # a fresh tag of its own, not w's, and no finding at the call itself
+        assert [(w.source_apis, w.sink_api) for w in run_main(app, config)] == [
+            (frozenset({both}), SINK)]
+
+    def test_a_configured_sink_is_not_run_as_the_app_method(self, config):
+        log = {"name": "Log", "parent_kind": "PLAIN", "static_fields": [], "methods": [
+            helper("e/2", ["a", "b"], self.LEAK_TO_LOG_I, False),
+        ]}
+        app = make_app([*taint_instr("w"), *sink_instr("w"), ["RETURN_VOID"]],
+                       extra_classes=[log])
+        assert [w.sink_api for w in run_main(app, config)] == [SINK]
+
+    def test_a_thread_that_defines_start_runs_it_and_not_run(self, config):
+        thread = {"name": "Worker", "parent_kind": "THREAD", "static_fields": [], "methods": [
+            helper("start/0", ["this"], [*taint_instr("w"), *sink_instr("w")], False),
+            helper("run/0", ["this"], self.LEAK_TO_LOG_I, False),
+        ]}
+        app = make_app([
+            ["NEW_INSTANCE", "t", "Worker"],
+            ["INVOKE_VIRTUAL", None, "t", "Worker.start/0", []],
+            ["RETURN_VOID"],
+        ], extra_classes=[thread])
+        assert [w.sink_api for w in run_main(app, config)] == [SINK]
+
+    def test_a_static_start_runs_the_threads_run_without_a_receiver(self, config):
+        thread = {"name": "T", "parent_kind": "THREAD", "static_fields": [], "methods": [
+            helper("run/0", ["this"], [], False),
+        ]}
+        app = make_app([["INVOKE_STATIC", None, "T.start/0", []], ["RETURN_VOID"]],
+                       extra_classes=[thread])
+        with pytest.raises(AnalysisError, match=r"^static call to instance method T\.run/0$"):
+            run_main(app, config)
 
 
 class TestCompiledPlans:
