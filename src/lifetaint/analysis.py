@@ -23,11 +23,13 @@ frames, merged when there are several, so taints survive path-local
 untainting.  A block holds the frame it ran on as its OUT_d; the last reader
 of that frame, known when the plan is compiled, takes the frame itself, and
 every earlier reader a share: its own register table over the frame's heap.
-Each write to the heap first gives the other sharers copies (`own`).
+Each write to the heap first gives the other sharers copies (`own`).  What
+each invoke of a plan calls is resolved with it, once per app (`_decode`).
 """
 
 import time
 from collections import namedtuple
+from functools import partial
 
 from . import api_handlers
 from .cfg import build_cfg, remove_back_edges, reverse_post_order
@@ -35,7 +37,7 @@ from .detectors import (
     INFO_LEAK, Warning, detect_sms_attacks, sink_location, source_locations,
 )
 from .errors import AnalysisError, ConfigError, list_of, load_json
-from .ir import resolve_method
+from .ir import MethodDef, resolve_method
 from .sequences import generate_m_way
 from .symbols import (
     COLLECTION, IMMUTABLE_REF, PRIMITIVE, SymbolSpace, TaintTag,
@@ -56,6 +58,12 @@ DISCONTINUITIES = {
     ("ASYNC_TASK", "execute"): (
         ("onPreExecute", "doInBackground", "onProgressUpdate", "onPostExecute"), True),
 }
+
+# an invoke decoded by `_resolve`, which `handle_instruction` knows by its
+# kind "INVOKE"; a `_Sink` or a `_Trigger` may be its target
+_Invoke = namedtuple("_Invoke", "kind result receiver args index location target")
+_Sink = namedtuple("_Sink", "api reports rule")  # reports: whether it is a sink
+_Trigger = namedtuple("_Trigger", "callbacks returns_receiver")
 
 
 class _TimeBudgetExceeded(Exception):
@@ -105,7 +113,7 @@ class AnalysisContext:
         self._clock = clock
         self._deadline = clock() + budget_secs
         self.found = []               # the running callback's findings, for `_emit`
-        self.plans = {}               # MethodDef -> _compile(method)
+        self.plans = {}               # MethodDef -> its decoded plan
         # (component class, callback name, number of the state it starts
         # from) -> _Node, kept across m levels
         self.memo = {}
@@ -240,7 +248,7 @@ def analyze_method(method, ctx, frame):
     ctx.check_time()
     steps = ctx.plans.get(method)
     if steps is None:
-        steps = ctx.plans[method] = _compile(method)
+        steps = ctx.plans[method] = _decode(_compile(method), method, ctx)
     current = frame
     held = {}
     try:
@@ -284,6 +292,36 @@ def _compile(method):
     return steps
 
 
+def _decode(steps, method, ctx):
+    """`steps`, each invoke replaced by the `_Invoke` that `_resolve` makes."""
+    return [(bid, [_resolve(i, method, ctx) if i.call else i for i in instrs], reads)
+            for bid, instrs, reads in steps]
+
+
+def _resolve(instr, method, ctx):
+    """The invoke `instr` with its registers, location and target, the first
+    that fits: a source's tag, the `_Sink` of a sink or SMS send API, the
+    app's method, the `_Trigger` of a thread or task (the chain's methods
+    that its class implements), the API handler, or None, the default rule."""
+    result, receiver, sig, args = instr.call
+    location = (method.class_name, method.sig, instr.index)
+    decoded = partial(_Invoke, "INVOKE", result, receiver, args, instr.index, location)
+    if sig in ctx.config.sources:
+        return decoded(TaintTag(sig, location))
+    if sig in ctx.config.sinks or sig in ctx.config.sms_rules:
+        return decoded(_Sink(sig, sig in ctx.config.sinks, ctx.config.sms_rules.get(sig)))
+    target = resolve_method(ctx.app, sig)
+    if target is not None:
+        return decoded(target)
+    cls_name, _, member = sig.rpartition(".")
+    klass = ctx.app.klass(cls_name)
+    found = klass and DISCONTINUITIES.get((klass.parent_kind, member.split("/", 1)[0]))
+    if found:
+        callbacks = [cb for cb in map(klass.method_by_name, found[0]) if cb is not None]
+        return decoded(_Trigger(callbacks, found[1]))
+    return decoded(api_handlers.lookup(sig, receiver is not None))
+
+
 def _lookup(frame, reg, method, instr):
     entry = frame.regs.get(reg)
     if entry is None:
@@ -296,6 +334,11 @@ def _lookup(frame, reg, method, instr):
 
 def handle_instruction(instr, ctx, frame, method):
     kind = instr.kind
+    if kind == "INVOKE":  # the invoke path's one binding, of a decoded `_Invoke`
+        result = handle_invoke(instr, ctx, frame, method)
+        if instr.result is not None:  # None binds a fresh untainted value
+            frame.regs[instr.result] = result if result is not None else value_entry()
+        return
     ops = instr.operands
     if kind == "CONST_STRING":
         frame.regs[ops[0]] = const_entry(ops[1], IMMUTABLE_REF)
@@ -345,54 +388,36 @@ def handle_instruction(instr, ctx, frame, method):
         _lookup(frame, ops[0], method, instr)  # condition must exist; control only
     elif kind == "GOTO" or kind == "RETURN_VOID":
         pass
-    elif kind == "RETURN":
+    else:  # RETURN: the loader admits no other opcode, and `_decode` the invokes
         frame.returned = _lookup(frame, ops[0], method, instr)
-    else:  # an invoke: the loader admits no other opcode
-        # the invoke path's one binding: None binds a fresh untainted value
-        result = handle_invoke(instr, ctx, frame, method)
-        if instr.result is not None:
-            frame.regs[instr.result] = result if result is not None else value_entry()
 
 
-def handle_invoke(instr, ctx, frame, method):
+def handle_invoke(invoke, ctx, frame, method):
     """Run an invoke's effects and return the entry its result register is
     bound to, or None for a fresh untainted value; `handle_instruction`
-    binds it.  Sources, sinks, app methods, discontinuities and API
-    handlers are tried in that order."""
-    sig = instr.signature
-    location = (method.class_name, method.sig, instr.index)
-    receiver, args = _operands(frame, instr, method)
-
-    if sig in ctx.config.sources:
-        return value_entry({TaintTag(sig, location)})
-
-    if sig in ctx.config.sinks or sig in ctx.config.sms_rules:
+    binds it."""
+    receiver, args = _operands(frame, invoke, method)
+    target = invoke.target
+    kind = type(target)
+    if kind is TaintTag:
+        return value_entry({target})
+    if kind is _Sink:
         tags = collect_taints(*args) if receiver is None else collect_taints(*args, receiver)
-        if sig in ctx.config.sinks and tags:
-            ctx.found.append((INFO_LEAK, tags, sig, location))
-        rule = ctx.config.sms_rules.get(sig)
-        if rule is not None:
-            for kind, found in detect_sms_attacks(rule, args, ctx.config):
-                ctx.found.append((kind, found, sig, location))
+        if target.reports and tags:
+            ctx.found.append((INFO_LEAK, tags, target.api, invoke.location))
+        if target.rule is not None:
+            for attack, found in detect_sms_attacks(target.rule, args, ctx.config):
+                ctx.found.append((attack, found, target.api, invoke.location))
         return value_entry(tags)
-
-    target = resolve_method(ctx.app, sig)
-    if target is not None:
+    if kind is MethodDef:
         ret = _call(target, ctx, frame, receiver, args)
         return bind_copy(ret) if ret is not None else None
-
-    cls_name, _, member = sig.rpartition(".")
-    klass = ctx.app.klass(cls_name)
-    if klass is not None:
-        found = DISCONTINUITIES.get((klass.parent_kind, member.split("/", 1)[0]))
-        if found is not None:
-            return handle_discontinuity(*found, klass, ctx, frame, instr, method)
-
-    handler = api_handlers.lookup(sig, receiver is not None)
-    if handler is not None:
-        if handler in api_handlers.WRITING:
+    if kind is _Trigger:
+        return handle_discontinuity(*target, ctx, frame, invoke, method)
+    if target is not None:  # an API handler
+        if target in api_handlers.WRITING:
             frame.own()
-        return handler(receiver, args)
+        return target(receiver, args)
 
     # any other API propagates taint from every input to the receiver and
     # the result, and never clears anything
@@ -404,12 +429,12 @@ def handle_invoke(instr, ctx, frame, method):
     return value_entry(tags)
 
 
-def _operands(frame, instr, method):
+def _operands(frame, invoke, method):
     """An invoke's (receiver entry or None, argument entries)."""
     receiver = None
-    if instr.receiver is not None:
-        receiver = _lookup(frame, instr.receiver, method, instr)
-    return receiver, [_lookup(frame, a, method, instr) for a in instr.args]
+    if invoke.receiver is not None:
+        receiver = _lookup(frame, invoke.receiver, method, invoke)
+    return receiver, [_lookup(frame, a, method, invoke) for a in invoke.args]
 
 
 def _call(target, ctx, frame, receiver, args):
@@ -451,30 +476,25 @@ def _call(target, ctx, frame, receiver, args):
 _CARRIED = ("doInBackground",)
 
 
-def handle_discontinuity(chain, returns_receiver, klass, ctx, frame, instr, method):
-    """Implicit control transfers the runtime performs: run the callbacks
-    of `chain` that `klass` implements, in order, with the trigger's
-    arguments passed to doInBackground and its result to onPostExecute.
+def handle_discontinuity(callbacks, returns_receiver, ctx, frame, invoke, method):
+    """Implicit control transfers the runtime performs: run `callbacks`, the
+    methods of the trigger's chain that its class implements, in order, with
+    its arguments passed to doInBackground and its result to onPostExecute.
     Each callback hands `frame` a new heap, so the operands are read afresh
     for each, and the result waits in a register of `frame`.  Returns the
     trigger's result, as `handle_invoke` does: the receiver, read afresh
     after the chain, when the call returns it, else None."""
-    for cb_name in chain:
-        cb = klass.method_by_name(cb_name)
-        if cb is None:
-            continue
-        receiver, args = _operands(frame, instr, method)
-        if cb_name == "doInBackground":
+    for cb in callbacks:
+        receiver, args = _operands(frame, invoke, method)
+        if cb.name == "doInBackground":
             cb_args = args
-        elif cb_name == "onPostExecute" and _CARRIED in frame.regs:
+        elif cb.name == "onPostExecute" and _CARRIED in frame.regs:
             cb_args = [frame.regs[_CARRIED]]
         else:
             cb_args = []
         ret = _call(cb, ctx, frame, receiver, cb_args)
-        if cb_name == "doInBackground" and ret is not None:
+        if cb.name == "doInBackground" and ret is not None:
             frame.regs[_CARRIED] = ret
     frame.regs.pop(_CARRIED, None)
-    if not returns_receiver:
-        return None
-    receiver, _ = _operands(frame, instr, method)
+    receiver = _operands(frame, invoke, method)[0] if returns_receiver else None
     return bind_copy(receiver) if receiver is not None else None

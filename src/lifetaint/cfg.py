@@ -17,9 +17,6 @@ class BasicBlock:
         self.successors = []
         self.predecessors = []
 
-    def __repr__(self):
-        return "BasicBlock(%d, [%d:%d))" % (self.id, self.start, self.end)
-
 
 class Cfg:
     def __init__(self, method, blocks, entry=0):

@@ -41,24 +41,11 @@ class Instruction(namedtuple("Instruction", "kind operands index")):
     __slots__ = ()
 
     @property
-    def is_invoke(self):
-        return self.kind.startswith("INVOKE_")
-
-    @property
-    def result(self):
-        return self.operands[0]
-
-    @property
-    def receiver(self):
-        return self.operands[1] if self.kind != "INVOKE_STATIC" else None
-
-    @property
-    def signature(self):
-        return self.operands[2] if self.kind != "INVOKE_STATIC" else self.operands[1]
-
-    @property
-    def args(self):
-        return self.operands[3] if self.kind != "INVOKE_STATIC" else self.operands[2]
+    def call(self):
+        """An invoke's (result, receiver or None, signature, args), else None."""
+        if self.kind == "INVOKE_STATIC":
+            return (self.operands[0], None, *self.operands[1:])
+        return self.operands if self.kind.startswith("INVOKE_") else None
 
 
 class MethodDef:
@@ -284,19 +271,15 @@ def _check_invokes(app, source):
     for klass in app.classes:
         for method in klass.methods:
             for ins in method.instructions:
-                if not ins.is_invoke:
+                if ins.call is None:
                     continue
-                target = resolve_method(app, ins.signature)
+                _, receiver, sig, _ = ins.call
+                target = resolve_method(app, sig)
                 if target is None:
                     continue
                 takes_this = bool(target.params) and target.params[0] == "this"
-                if ins.kind == "INVOKE_STATIC" and takes_this:
-                    raise AppLoadError(
-                        "%s: %s[%d] calls instance method %s statically"
-                        % (source, method.full_signature, ins.index, ins.signature)
-                    )
-                if ins.kind != "INVOKE_STATIC" and not takes_this:
-                    raise AppLoadError(
-                        "%s: %s[%d] passes a receiver to static method %s"
-                        % (source, method.full_signature, ins.index, ins.signature)
-                    )
+                if (receiver is None) == takes_this:
+                    wrong = ("calls instance method %s statically" if takes_this
+                             else "passes a receiver to static method %s")
+                    raise AppLoadError("%s: %s[%d] %s" % (source, method.full_signature,
+                                                          ins.index, wrong % sig))

@@ -7,7 +7,7 @@ from lifetaint.analysis import AnalysisConfig, AnalysisContext, analyze_componen
 from lifetaint.cfg import build_cfg, remove_back_edges, reverse_post_order
 from lifetaint.cli import analyze_app
 from lifetaint.errors import AnalysisError
-from lifetaint.ir import app_from_dict, load_app
+from lifetaint.ir import Instruction, app_from_dict, load_app, resolve_method
 from lifetaint.sequences import FlattenedSequence, Segment, build_plan
 from lifetaint.symbols import SymbolSpace, TaintTag, fingerprint, fresh_entry, value_entry
 
@@ -667,6 +667,44 @@ class TestCompiledPlans:
         assert report.finished and report.error is None
         assert report.m_reached == 1 and not report.warnings
 
+    def test_each_invoke_is_resolved_once_per_app(self, models, config, monkeypatch):
+        # the calculator escalates to m = 2; whatever the number of sequences,
+        # api_handlers.lookup runs once for each reached invoke that no earlier
+        # stage claims, counted through the module attribute as the tracer does
+        lookups, methods, runs = [], set(), []
+        real_lookup, real_analyze = api_handlers.lookup, analysis.analyze_method
+        real_handle = analysis.handle_instruction
+        monkeypatch.setattr(api_handlers, "lookup",
+                            lambda *a: lookups.append(a) or real_lookup(*a))
+        monkeypatch.setattr(analysis, "analyze_method",
+                            lambda method, *a: methods.add(method) or real_analyze(method, *a))
+        monkeypatch.setattr(analysis, "handle_instruction",
+                            lambda instr, *a: runs.append(instr) or real_handle(instr, *a))
+
+        def for_handlers(app, sig):
+            cls, _, member = sig.rpartition(".")
+            klass = app.klass(cls)
+            trigger = klass is not None and (
+                (klass.parent_kind, member.split("/")[0]) in analysis.DISCONTINUITIES)
+            return not (sig in config.sources or sig in config.sinks or sig in config.sms_rules
+                        or resolve_method(app, sig) is not None or trigger)
+
+        counts = []
+        for m_max in (1, 3):
+            app = corpus_app("motivating_example")
+            del lookups[:], runs[:]
+            methods.clear()
+            report = analyze_app(app, models, config, m_max=m_max)
+            reached = [instr.call for method in methods
+                       for _, instrs, _ in analysis._compile(method)
+                       for instr in instrs if instr.call is not None]
+            expected = sum(for_handlers(app, sig) for _, _, sig, _ in reached)
+            executed = sum(not isinstance(instr, Instruction) for instr in runs)
+            counts.append((report.sequences_analyzed, executed, len(lookups)))
+            assert len(lookups) == expected > 0
+        (few, ran_few, once), (many, ran_many, again) = counts
+        assert few < many and ran_few < ran_many and once == again
+
     def test_empty_method_is_one_step(self):
         app = make_app([])
         steps = analysis._compile(app.classes[0].methods[0])
@@ -1018,6 +1056,32 @@ class TestLoops:
 
 
 class TestSequenceState:
+    def test_a_leak_that_needs_one_unit_twice_is_not_reported(self, models, config):
+        # the second click sinks what the first stored; a sequence arranges
+        # distinct permutation units, so no width runs the click twice.  The
+        # empty onResume gives the plan four units, so escalation goes on
+        app = app_from_dict({
+            "app_id": "click_twice",
+            "classes": [{"name": "Main", "parent_kind": "ACTIVITY", "static_fields": [],
+                         "methods": [
+                             {"sig": "onClick/0", "params": ["this"], "instructions": [
+                                 ["IGET", "v", "this", "saved"],
+                                 *sink_instr("v"),
+                                 *taint_instr("d"),
+                                 ["IPUT", "this", "saved", "d"],
+                                 ["RETURN_VOID"],
+                             ]},
+                             {"sig": "onResume/0", "params": ["this"],
+                              "instructions": [["RETURN_VOID"]]},
+                         ]}],
+            "components": [{"class": "Main", "kind": "ACTIVITY",
+                            "aui_callbacks": ["onClick"], "misc_callbacks": []}],
+        })
+        for m_max in (1, 2, 3):
+            report = analyze_app(app, models, config, m_max=m_max)
+            assert report.m_reached == m_max and report.finished
+            assert report.warnings == []
+
     def test_fields_reset_between_sequences(self, models, config):
         # onCreate taints a field, onResume sinks it: any single m=1 sequence
         # contains at most one createActivity, so cross-sequence leakage would

@@ -129,6 +129,17 @@ class TestLoading:
         with pytest.raises(AppLoadError, match="statically"):
             app_from_dict(doc)
 
+    def test_receiver_passed_to_static_method(self):
+        doc = minimal(params=[])
+        doc["classes"][0]["methods"].append({
+            "sig": "caller/0", "params": ["this"],
+            "instructions": [["INVOKE_VIRTUAL", None, "this", "C.go/0", []], ["RETURN_VOID"]],
+            "labels": {},
+        })
+        with pytest.raises(AppLoadError,
+                           match=r"C\.caller/0\[0\] passes a receiver to static method C\.go/0$"):
+            app_from_dict(doc)
+
     def test_param_count_vs_signature(self):
         doc = minimal(sig="go/2", params=["this", "a"])
         with pytest.raises(AppLoadError, match="go/2"):
