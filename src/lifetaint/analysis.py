@@ -14,8 +14,11 @@ start state (equal states, by a canonical fingerprint, share one), in the
 spirit of IFDS summaries (Reps, Horwitz and Sagiv, POPL 1995): units built
 from life-cycle paths often share callbacks, and a callback that already ran
 from an equal state reports that run's findings and hands on the state it
-left.  A run records only its findings; `_emit` turns them into warnings,
-with the m and event trace of the sequence at hand.
+left.  A whole unit that finished from an equal state is one record: the
+state its last callback left and its findings by segment, so replaying it
+is one lookup, not one per callback.  A run records only its findings;
+`_emit` turns them into warnings, with the m and event trace of the
+sequence at hand.
 Each method is compiled once per app into a plan: its de-looped CFG's
 blocks in reverse post order, each with the predecessors it reads.  One rule
 runs every block but the entry: it starts from its predecessors' OUT_d
@@ -117,6 +120,9 @@ class AnalysisContext:
         # (component class, callback name, number of the state it starts
         # from) -> _Node, kept across m levels
         self.memo = {}
+        # (component class, unit's segments, number of the state it starts
+        # from) -> (its last step's _Node, ((segment offset, findings), ...))
+        self.unit_runs = {}
         self.states = {}              # fingerprint -> (number, a state), for the memo
 
     def out_of_time(self):
@@ -134,13 +140,15 @@ def analyze_component(app, component, plan, m, ctx):
     is the prefix and whose depth-j nodes hold j units.  `generate_m_way`
     yields them in lexicographic order, which walks that tree depth first, so a
     sequence visits only the nodes after the prefix it shares with the one
-    before it, each from the state its parent left.  `_visit` runs each
-    callback of a node's unit or takes the memo's run of it.
+    before it, each from the state its parent left.  `_visit` replays a
+    node's unit from its record when the unit already finished from an equal
+    state, and otherwise runs each callback or takes the memo's run of it.
     """
     if not plan.units:
         return []
     before = len(ctx.warnings)
-    # nodes[j]: the memo entry of the node after the prefix and previous[:j]
+    # nodes[j]: the step after the prefix and previous[:j], and the segment
+    # offset in the sequence of the unit that follows it
     nodes = []
     previous = ()
     for seq in generate_m_way(plan, m):
@@ -153,12 +161,14 @@ def analyze_component(app, component, plan, m, ctx):
             ctx.check_time()
             if not nodes:  # the prefix runs from the fresh component state
                 root = _Node((), *_keep(_fresh_state(), ctx))
-                nodes.append(_visit(component, plan.prefix, root, seq, 0, ctx))
-            start = len(plan.prefix) + sum(len(plan.units[u].segments) for u in combo[:k])
-            for j in range(k, len(combo)):
-                segments = plan.units[combo[j]].segments
-                nodes.append(_visit(component, segments, nodes[j], seq, start, ctx))
+                nodes.append((_visit(component, plan.prefix, root, seq, 0, ctx),
+                              len(plan.prefix)))
+            node, start = nodes[k]
+            for u in combo[k:]:
+                segments = plan.units[u].segments
+                node = _visit(component, segments, node, seq, start, ctx)
                 start += len(segments)
+                nodes.append((node, start))
         except _TimeBudgetExceeded:
             ctx.killed = True
             break
@@ -186,25 +196,39 @@ def _keep(state, ctx):
 
 def _visit(component, segments, node, seq, start, ctx):
     """One tree node: the unit `segments`, at segment `start` of `seq`, from
-    the state `node` left.  Each callback steps from the state the step
-    before left: its run from an equal state, in this app, is taken from
-    `ctx.memo`, or it runs on a copy of that state and the run's findings
-    are stored with the state it left.  `_emit` reports the findings as
-    warnings of `seq`.  Returns the unit's last step (`node` if none)."""
-    for i, segment in enumerate(segments, start):
+    the state `node` left.  A unit that finished from an equal state, in
+    this app, is replayed from its record in `ctx.unit_runs`: its findings
+    are reported at their segments and its last step is returned.  Otherwise
+    each callback steps from the state the step before left: its run from an
+    equal state is taken from `ctx.memo`, or it runs on a copy of that state
+    and the run's findings are stored with the state it left.  `_emit`
+    reports the findings as warnings of `seq`.  The unit's record is stored
+    once its last callback has stepped, so a killed unit leaves none.
+    Returns the unit's last step (`node` if none)."""
+    key = (component.class_name, segments, node.number)
+    record = ctx.unit_runs.get(key)
+    if record is not None:
+        for offset, found in record[1]:
+            _emit(found, component, seq, start + offset, ctx)
+        return record[0]
+    steps = []
+    for offset, segment in enumerate(segments):
         for callback in segment.callbacks:
-            key = (component.class_name, callback, node.number)
-            step = ctx.memo.get(key)
+            memo_key = (component.class_name, callback, node.number)
+            step = ctx.memo.get(memo_key)
             if step is None:
                 state = node.state.deep_copy()
                 try:
                     _run_callback(component, callback, state, ctx)
                 finally:  # a killed run reports what it found, and is not stored
-                    _emit(ctx.found, component, seq, i, ctx)
-                step = ctx.memo[key] = _Node(tuple(ctx.found), *_keep(state, ctx))
+                    _emit(ctx.found, component, seq, start + offset, ctx)
+                step = ctx.memo[memo_key] = _Node(tuple(ctx.found), *_keep(state, ctx))
             else:
-                _emit(step.found, component, seq, i, ctx)
+                _emit(step.found, component, seq, start + offset, ctx)
+            if step.found:
+                steps.append((offset, step.found))
             node = step
+    ctx.unit_runs[key] = (node, tuple(steps))
     return node
 
 

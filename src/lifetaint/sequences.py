@@ -115,8 +115,9 @@ def generate_m_way(plan, m):
     n = len(plan.units)
     if not 1 <= m <= n:
         raise ValueError("m must satisfy 1 <= m <= %d, got %d" % (n, m))
+    units = [unit.segments for unit in plan.units]
     for combo in itertools.permutations(range(n), m):
-        segments = list(plan.prefix)
+        segments = plan.prefix
         for idx in combo:
-            segments.extend(plan.units[idx].segments)
-        yield FlattenedSequence(combo, tuple(segments))
+            segments += units[idx]
+        yield FlattenedSequence(combo, segments)

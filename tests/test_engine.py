@@ -1055,6 +1055,41 @@ class TestLoops:
         assert len(run_main(app, config)) == 1
 
 
+    def test_a_flow_into_the_next_iteration_is_not_reported(self, config):
+        # the sink reads x before the body taints it: only a second pass of
+        # the body leaks, and de-looping runs it once
+        app = make_app([
+            ["CONST_STRING", "x", "clean"],
+            ["CONST_NUM", "c", 1],
+            *sink_instr("x"),                   # 2: loop header
+            *taint_instr("x"),
+            ["IF_GOTO", "c", "head"],
+            ["RETURN_VOID"],
+        ], labels={"head": 2})
+        assert run_main(app, config) == []
+
+
+class TestKnownGaps:
+    @pytest.mark.parametrize("branch,warnings", [(True, 0), (False, 1)])
+    def test_an_alias_made_on_one_arm_is_lost_at_the_join(self, config, branch, warnings):
+        # on the arm through `b = a`, b aliases a and the device id reaches
+        # the sink; the join keeps the first input's alias structure, in
+        # which a and b are two objects, so the branchy method reports nothing
+        app = make_app([
+            ["CONST_NUM", "c", 1],
+            ["NEW_INSTANCE", "a", "Foo"],
+            ["NEW_INSTANCE", "b", "Foo"],
+            *([["IF_GOTO", "c", "join"]] if branch else []),
+            ["MOVE", "b", "a"],
+            *taint_instr("x"),                  # join
+            ["IPUT", "a", "f", "x"],
+            ["IGET", "y", "b", "f"],
+            *sink_instr("y"),
+            ["RETURN_VOID"],
+        ], labels={"join": 5} if branch else {})
+        assert len(run_main(app, config)) == warnings
+
+
 class TestSequenceState:
     def test_a_leak_that_needs_one_unit_twice_is_not_reported(self, models, config):
         # the second click sinks what the first stored; a sequence arranges

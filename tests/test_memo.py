@@ -33,7 +33,8 @@ from test_prefix_sharing import (
 
 
 class Forgetful(dict):
-    """A memo that keeps nothing, so that every tree node runs its unit."""
+    """A memo that keeps nothing, so that every tree node runs its unit: an
+    analysis given one keeps no unit record either."""
 
     def __setitem__(self, key, value):
         pass
@@ -45,7 +46,7 @@ def escalate(app, models, config, m_max, analyze, memo=None):
     raw warnings, sequences) per component and level."""
     ctx = AnalysisContext(app, config)
     if memo is not None:
-        ctx.memo = memo
+        ctx.memo, ctx.unit_runs = memo, type(memo)()
     out = []
     for component, plan, m in plans(app, models, m_max):
         before = ctx.sequences_analyzed

@@ -19,7 +19,8 @@ from lifetaint.cli import analyze_app, build_plan, receiver_plan
 from lifetaint.detectors import dedup_warnings
 from lifetaint.ir import app_from_dict
 from lifetaint.sequences import (
-    AUI_CALLBACK, PermutationPlan, PermutationUnit, Segment, generate_m_way,
+    AUI_CALLBACK, LIFECYCLE_SUBSEQUENCE, PermutationPlan, PermutationUnit, Segment,
+    generate_m_way,
 )
 from lifetaint.symbols import SymbolSpace
 
@@ -63,10 +64,10 @@ def per_level(path, models, config, m_max, analyze):
     return out
 
 
-def family_paths(family, tmp_path, monkeypatch):
+def family_paths(family, tmp_path, monkeypatch, seed=5):
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     import gen
-    return gen.write_family(family, 5, str(tmp_path / family))
+    return gen.write_family(family, seed, str(tmp_path / family))
 
 
 class TestOracle:
@@ -75,12 +76,13 @@ class TestOracle:
         tree = per_level(path, models, config, 3, analyze_component)
         assert tree == per_level(path, models, config, 3, flat_component)
 
+    @pytest.mark.parametrize("seed", [1, 5, 7])
     @pytest.mark.parametrize("family", ["wide", "deep"])
-    def test_generated_family_matches_flat_replay(self, family, models, config,
+    def test_generated_family_matches_flat_replay(self, family, seed, models, config,
                                                   tmp_path, monkeypatch):
         m_max = 3 if family == "deep" else 2
         warned = 0
-        for path in family_paths(family, tmp_path, monkeypatch):
+        for path in family_paths(family, tmp_path, monkeypatch, seed):
             tree = per_level(path, models, config, m_max, analyze_component)
             assert tree == per_level(path, models, config, m_max, flat_component)
             warned += any(warnings for _, _, warnings, _ in tree)
@@ -337,3 +339,136 @@ class TestBudgetKill:
         assert ctx.killed and ctx.sequences_analyzed == 0
         assert [(w.kind, w.sink_api, w.m) for w in ctx.warnings] == [("INFO_LEAK", "Log.d/2", 1)]
         assert ctx.memo == {}
+
+
+# -- unit records -------------------------------------------------------------
+
+def pair_app():
+    """An activity with onCreate and onClick0-3, each of which writes its own
+    static, so that every ordering of units leaves its own state.  onClick0
+    also reads the device id into a static, which onClick1 logs before it
+    calls a helper."""
+    def method(sig, body):
+        return {"sig": sig, "params": ["this"], "labels": {},
+                "instructions": body + [["RETURN_VOID"]]}
+
+    def mark(i):
+        return [["CONST_STRING", "v", "x"], ["SPUT", "A.s%d" % i, "v"]]
+
+    return app_from_dict({
+        "app_id": "pairs",
+        "classes": [{"name": "A", "parent_kind": "ACTIVITY", "static_fields": [], "methods": [
+            method("onCreate/0", []),
+            method("onClick0/0", mark(0) + [
+                ["INVOKE_STATIC", "w", "TelephonyManager.getDeviceId/0", []],
+                ["SPUT", "A.id", "w"]]),
+            method("onClick1/0", mark(1) + [
+                ["SGET", "w", "A.id"],
+                ["CONST_STRING", "t", "t"],
+                ["INVOKE_STATIC", None, "Log.d/2", ["t", "w"]],
+                ["INVOKE_DIRECT", None, "this", "A.helper/0", []]]),
+            method("onClick2/0", mark(2)),
+            method("onClick3/0", mark(3)),
+            method("helper/0", [])]}],
+        "components": [{"class": "A", "kind": "ACTIVITY",
+                        "aui_callbacks": [], "misc_callbacks": []}],
+    })
+
+
+def pair_plan():
+    """Two units of two callbacks each, in events of their own names, after
+    onCreate."""
+    units = tuple(
+        PermutationUnit(LIFECYCLE_SUBSEQUENCE, pair, tuple(Segment(cb, (cb,)) for cb in pair))
+        for pair in (("onClick0", "onClick1"), ("onClick2", "onClick3")))
+    return PermutationPlan(units, (Segment("create", ("onCreate",)),))
+
+
+class Lookups(dict):
+    """A callback memo that counts its lookups."""
+
+    count = 0
+
+    def get(self, key):
+        self.count += 1
+        return super().get(key)
+
+
+class TestUnitRecords:
+    def test_a_replayed_unit_makes_no_memo_lookup(self, config, monkeypatch):
+        app, plan = pair_app(), pair_plan()
+        component = app.components[0]
+        ctx = AnalysisContext(app, config)
+        ctx.memo = Lookups()
+        visits, runs = [], []
+        real_visit, real_run = analysis._visit, analysis._run_callback
+
+        def run(*args):
+            runs.append(args[1])
+            return real_run(*args)
+
+        def visit(component, segments, *args):
+            lookups, ran = ctx.memo.count, len(runs)
+            node = real_visit(component, segments, *args)
+            visits.append((segments, len(runs) > ran, ctx.memo.count - lookups))
+            return node
+
+        monkeypatch.setattr(analysis, "_run_callback", run)
+        monkeypatch.setattr(analysis, "_visit", visit)
+        first, second = (unit.segments for unit in plan.units)
+        analyze_component(app, component, plan, 1, ctx)
+        # (unit, whether it ran a callback, callback-memo lookups) per node
+        assert visits == [(plan.prefix, True, 1), (first, True, 2), (second, True, 2)]
+        del visits[:]
+        found = analyze_component(app, component, plan, 2, ctx)
+        # each unit after the prefix is replayed from its record, without a
+        # lookup per callback; after the other unit it starts from a new state
+        assert visits == [(plan.prefix, False, 0), (first, False, 0), (second, True, 2),
+                          (second, False, 0), (first, True, 2)]
+        # the replayed leak is reported at its own segment of the sequence
+        assert [(w.event_trace, w.m) for w in found] == [
+            (("create", "onClick0", "onClick1"), 2),
+            (("create", "onClick2", "onClick3", "onClick0", "onClick1"), 2)]
+        flat = flat_component(app, component, plan, 2, AnalysisContext(app, config))
+        assert ([w.to_dict() for w in dedup_warnings(found)]
+                == [w.to_dict() for w in dedup_warnings(flat)])
+
+    def test_kill_inside_a_units_second_callback_leaves_no_record(self, config, monkeypatch):
+        app, plan = pair_app(), pair_plan()
+        component = app.components[0]
+        runs, finished = [], []
+        real_run = analysis._run_callback
+
+        def run(*args):
+            runs.append(args[1])
+            real_run(*args)
+            finished.append(args[1])
+
+        monkeypatch.setattr(analysis, "_run_callback", run)
+        # the first sequence reads the clock at its boundary, then in
+        # onCreate, onClick0, onClick1 and, fifth, in onClick1's helper,
+        # after onClick1's leak
+        clock = KillAt(monkeypatch, 0, read=5)
+        ctx = AnalysisContext(app, config, 1.0, clock)
+        killed = analyze_component(app, component, plan, 1, ctx)
+        assert ctx.killed and ctx.sequences_analyzed == 0 and clock.reads == 5
+        assert ctx.method_stack == []
+        assert runs == ["onCreate", "onClick0", "onClick1"]
+        assert finished == ["onCreate", "onClick0"]
+        assert [w.event_trace for w in killed] == [("create", "onClick0", "onClick1")]
+        # the callbacks that finished are memoised; of the units, only the
+        # prefix finished, and the killed unit left no record
+        assert sorted(callback for _, callback, _ in ctx.memo) == ["onClick0", "onCreate"]
+        assert [segments for _, segments, _ in ctx.unit_runs] == [plan.prefix]
+
+        clock.k = float("inf")
+        ctx.killed = False
+        resumed = analyze_component(app, component, plan, 2, ctx)
+        # the first unit reruns from the prefix's state: onClick0's run is
+        # taken from the memo, and onClick1 runs again, to the end
+        assert runs[3:] == ["onClick1", "onClick2", "onClick3",
+                            "onClick2", "onClick3", "onClick0", "onClick1"]
+        fresh = AnalysisContext(app, config)
+        expected = analyze_component(app, component, plan, 2, fresh)
+        assert resumed and [w.to_dict() for w in resumed] == [w.to_dict() for w in expected]
+        assert ctx.sequences_analyzed == fresh.sequences_analyzed
