@@ -18,7 +18,10 @@ left.  A whole unit that finished from an equal state is one record: the
 state its last callback left and its findings by segment, so replaying it
 is one lookup, not one per callback.  A run records only its findings;
 `_emit` turns them into warnings, with the m and event trace of the
-sequence at hand.
+sequence at hand.  A callback runs in place on its kept start state, logs
+its heap writes on a trail and undoes them after (as a backtracking
+machine's trail does, Warren 1983): the state it left is kept, as a copy,
+only when a step first starts from it, by redoing the trail (`_number`).
 Each method is compiled once per app into a plan: its de-looped CFG's
 blocks in reverse post order, each with the predecessors it reads.  One rule
 runs every block but the entry: it starts from its predecessors' OUT_d
@@ -34,7 +37,7 @@ import time
 from collections import namedtuple
 from functools import partial
 
-from . import api_handlers
+from . import api_handlers, symbols
 from .cfg import build_cfg, remove_back_edges, reverse_post_order
 from .detectors import (
     INFO_LEAK, Warning, detect_sms_attacks, sink_location, source_locations,
@@ -44,8 +47,8 @@ from .ir import MethodDef, resolve_method
 from .sequences import generate_m_way
 from .symbols import (
     COLLECTION, IMMUTABLE_REF, PRIMITIVE, SymbolSpace, TaintTag,
-    add_taints, bind_copy, collect_taints, const_entry, fingerprint, fresh_entry,
-    merge_spaces, value_entry,
+    add_taints, assign, bind_copy, collect_taints, const_entry, fingerprint, fresh_entry,
+    merge_spaces, redo, store, undo, value_entry,
 )
 
 # life-cycle callbacks that receive the component's saved-state bundle as
@@ -123,7 +126,9 @@ class AnalysisContext:
         # (component class, unit's segments, number of the state it starts
         # from) -> (its last step's _Node, ((segment offset, findings), ...))
         self.unit_runs = {}
-        self.states = {}              # fingerprint -> (number, a state), for the memo
+        # fingerprint -> (number, kept state): the steps that start from an
+        # equal state run on the kept one in place, and undo their writes
+        self.states = {}
 
     def out_of_time(self):
         return self._clock() > self._deadline
@@ -160,7 +165,7 @@ def analyze_component(app, component, plan, m, ctx):
         try:
             ctx.check_time()
             if not nodes:  # the prefix runs from the fresh component state
-                root = _Node((), *_keep(_fresh_state(), ctx))
+                root = _Node((), None, None, *_keep(_fresh_state(), ctx))
                 nodes.append((_visit(component, plan.prefix, root, seq, 0, ctx),
                               len(plan.prefix)))
             node, start = nodes[k]
@@ -177,9 +182,17 @@ def analyze_component(app, component, plan, m, ctx):
     return ctx.warnings[before:]
 
 
-# a memoised callback run: its findings, each (kind, tags, sink API,
-# location), and the state it left, with its number; later runs only copy it
-_Node = namedtuple("_Node", "found number state")
+class _Node:
+    """A memoised callback run: its findings, each (kind, tags, sink API,
+    location), and the state it left, as the writes of the run (`trail`)
+    over the state its `parent` left, until `_number` gives it the number
+    and the kept state of that state."""
+
+    __slots__ = ("found", "parent", "trail", "number", "state")
+
+    def __init__(self, found, parent, trail, number=None, state=None):
+        self.found, self.parent, self.trail = found, parent, trail
+        self.number, self.state = number, state
 
 
 def _fresh_state():
@@ -188,10 +201,30 @@ def _fresh_state():
     return SymbolSpace({"this": fresh_entry(), "savedState": fresh_entry()})
 
 
-def _keep(state, ctx):
+def _keep(state, ctx, copy=False):
     """(number, state) kept for `state`'s fingerprint in this app: a state
-    equal to one already kept shares that one and its number."""
-    return ctx.states.setdefault(fingerprint(state), (len(ctx.states), state))
+    equal to one already kept shares that one and its number; a new one is
+    kept, as a deep copy with `copy`."""
+    key = fingerprint(state)
+    kept = ctx.states.get(key)
+    if kept is None:
+        kept = ctx.states[key] = (len(ctx.states), state.deep_copy() if copy else state)
+    return kept
+
+
+def _number(node, ctx):
+    """Give `node` its number and kept state when a step first starts from
+    it: its parent's if its run wrote nothing, else those `_keep` finds for
+    its trail redone on its parent's kept state, which is then undone."""
+    if node.number is None:
+        parent, trail = node.parent, node.trail
+        if trail:
+            redo(trail)
+            node.number, node.state = _keep(parent.state, ctx, copy=True)
+            undo(trail)
+        else:
+            node.number, node.state = parent.number, parent.state
+        node.parent = node.trail = None
 
 
 def _visit(component, segments, node, seq, start, ctx):
@@ -200,11 +233,12 @@ def _visit(component, segments, node, seq, start, ctx):
     this app, is replayed from its record in `ctx.unit_runs`: its findings
     are reported at their segments and its last step is returned.  Otherwise
     each callback steps from the state the step before left: its run from an
-    equal state is taken from `ctx.memo`, or it runs on a copy of that state
-    and the run's findings are stored with the state it left.  `_emit`
-    reports the findings as warnings of `seq`.  The unit's record is stored
-    once its last callback has stepped, so a killed unit leaves none.
-    Returns the unit's last step (`node` if none)."""
+    equal state is taken from `ctx.memo`, or it runs in place on the kept
+    state and then undoes its writes, and its findings are stored with its
+    trail.  `_emit` reports the findings as warnings of `seq`.  The unit's
+    record is stored once its last callback has stepped, so a killed unit
+    leaves none.  Returns the unit's last step (`node` if none)."""
+    _number(node, ctx)
     key = (component.class_name, segments, node.number)
     record = ctx.unit_runs.get(key)
     if record is not None:
@@ -214,15 +248,18 @@ def _visit(component, segments, node, seq, start, ctx):
     steps = []
     for offset, segment in enumerate(segments):
         for callback in segment.callbacks:
+            _number(node, ctx)
             memo_key = (component.class_name, callback, node.number)
             step = ctx.memo.get(memo_key)
             if step is None:
-                state = node.state.deep_copy()
+                symbols.trail = trail = []
                 try:
-                    _run_callback(component, callback, state, ctx)
-                finally:  # a killed run reports what it found, and is not stored
+                    _run_callback(component, callback, node.state, ctx)
+                finally:  # a killed run is undone, reports what it found, and is not stored
+                    symbols.trail = None
+                    undo(trail)
                     _emit(ctx.found, component, seq, start + offset, ctx)
-                step = ctx.memo[memo_key] = _Node(tuple(ctx.found), *_keep(state, ctx))
+                step = ctx.memo[memo_key] = _Node(tuple(ctx.found), node, trail)
             else:
                 _emit(step.found, component, seq, start + offset, ctx)
             if step.found:
@@ -378,25 +415,25 @@ def handle_instruction(instr, ctx, frame, method):
         if field is None:
             frame.own()
             field = fresh_entry()
-            obj.fields[ops[2]] = field
+            store(obj.fields, ops[2], field)
         frame.regs[ops[0]] = bind_copy(field)
     elif kind == "IPUT":
         obj = _lookup(frame, ops[0], method, instr)
         src = _lookup(frame, ops[2], method, instr)
         if frame.group is not None:  # the hottest write: no call when unshared
             frame.own()
-        obj.fields[ops[1]] = bind_copy(src)
+        store(obj.fields, ops[1], bind_copy(src))
     elif kind == "SGET":
         slot = frame.statics.get(ops[1])
         if slot is None:
             frame.own()
             slot = fresh_entry()
-            frame.statics[ops[1]] = slot
+            store(frame.statics, ops[1], slot)
         frame.regs[ops[0]] = bind_copy(slot)
     elif kind == "SPUT":
         src = _lookup(frame, ops[1], method, instr)
         frame.own()
-        frame.statics[ops[0]] = bind_copy(src)
+        store(frame.statics, ops[0], bind_copy(src))
     elif kind == "COLLECTION_NEW":
         frame.regs[ops[0]] = fresh_entry(COLLECTION)
     elif kind == "COLLECTION_PUT":
@@ -490,8 +527,12 @@ def _call(target, ctx, frame, receiver, args):
         ret, exit_frame = analyze_method(target, ctx, callee)
     finally:
         ctx.method_stack.pop()
-    frame.regs, frame.outer = exit_frame.outer[-1], exit_frame.outer[:-1]
-    frame.statics = exit_frame.statics
+    # a top-level call's frame is the component state: the callback's trail
+    # takes its tables
+    adopt = setattr if ctx.method_stack else assign
+    adopt(frame, "regs", exit_frame.outer[-1])
+    adopt(frame, "outer", exit_frame.outer[:-1])
+    adopt(frame, "statics", exit_frame.statics)
     return ret
 
 

@@ -6,7 +6,7 @@ everything not listed here, falls through to the default invoke rule, which
 marks the receiver and the result tainted whenever any input is tainted.
 """
 
-from .symbols import add_taints, collect_taints, value_entry
+from .symbols import add_taints, assign, collect_taints, value_entry
 
 
 def _concat_const(a, b):
@@ -20,7 +20,10 @@ def _concat_const(a, b):
 def builder_append(receiver, args):
     arg = args[0]
     add_taints(receiver, collect_taints(arg))
-    receiver.const_value = _concat_const(receiver, arg)
+    # a builder that a kept state holds is a mutable object, whose constant
+    # is None unless a join made a number and its String.valueOf one
+    # object: tests/test_trail.py covers that write
+    assign(receiver, "const_value", _concat_const(receiver, arg))
     return receiver  # append returns the builder itself
 
 

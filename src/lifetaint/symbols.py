@@ -15,6 +15,18 @@ Taint sets are immutable frozensets, shared by copies and replaced on write
 object that nothing changed since a copy holds the very set its source
 holds, which a merge of the two then skips.  Copies are built without
 running constructors.
+
+A callback runs in place on a kept component state, and `trail` logs every
+write to an object or table that the state it leaves can reach, so that
+`undo` brings the start state back and `redo` the state the run left.
+These writes go through the trail: a name bound in the statics or a field
+list (`store`: IPUT, IGET and SGET of a missing field or static, SPUT and
+`_join`'s adoption), and an attribute (`assign`: the taint set in
+`add_taints`, `builder_append`'s constant, `_join`'s constant and kind,
+and the component state's tables, which it adopts at the end of a
+callback).  A method frame's register writes are not logged, as no state
+a run leaves holds a method's register table, and neither is the filling
+of a copy that `own` makes.
 """
 
 from collections import namedtuple
@@ -31,6 +43,46 @@ TaintTag = namedtuple("TaintTag", "source_api location")
 
 _NO_TAINTS = frozenset()
 _new = object.__new__
+
+# the running callback's writes while it runs in place, else None: each is
+# (table or object, name or attribute, old value, new value)
+trail = None
+_UNBOUND = object()           # the old value of a name that a write binds
+
+
+def store(table, name, entry):
+    """table[name] = entry, logged on the trail."""
+    if trail is not None:
+        trail.append((table, name, table.get(name, _UNBOUND), entry))
+    table[name] = entry
+
+
+def assign(obj, attr, value):
+    """obj.attr = value, logged on the trail when it changes it."""
+    old = getattr(obj, attr)
+    if trail is not None and old is not value:
+        trail.append((obj, attr, old, value))
+    setattr(obj, attr, value)
+
+
+def undo(log):
+    """Take back the writes of `log`, last first."""
+    for target, name, old, _ in reversed(log):
+        if old is _UNBOUND:
+            del target[name]
+        elif target.__class__ is dict:
+            target[name] = old
+        else:
+            setattr(target, name, old)
+
+
+def redo(log):
+    """Make the writes of `log` again, in order."""
+    for target, name, _, new in log:
+        if target.__class__ is dict:
+            target[name] = new
+        else:
+            setattr(target, name, new)
 
 
 class Entry:
@@ -112,7 +164,7 @@ def add_taints(entry, tags):
     """Let the object `entry` also carry `tags`.  Its set is replaced, never
     changed in place, and left alone when `tags` adds nothing."""
     if not tags <= entry.taints:
-        entry.taints = entry.taints | tags if entry.taints else frozenset(tags)
+        assign(entry, "taints", entry.taints | tags if entry.taints else frozenset(tags))
 
 
 def collect_taints(*entries):
@@ -230,7 +282,7 @@ def _join(table, pairs, seen):
         for name, other in pending:
             base = table.get(name)
             if base is None:
-                table[name] = other
+                store(table, name, other)
                 continue
             if (base, other) in seen:
                 continue
@@ -238,11 +290,11 @@ def _join(table, pairs, seen):
             if other.taints is not base.taints:   # the same set: unchanged since a copy
                 add_taints(base, other.taints)
             if base.const_value != other.const_value:
-                base.const_value = None
+                assign(base, "const_value", None)
             if base.value_kind != other.value_kind:
                 # conflicting kinds collapse to a mutable object, the weakest claim
                 kinds = (base.value_kind, other.value_kind)
-                base.value_kind = COLLECTION if COLLECTION in kinds else MUTABLE_REF
+                assign(base, "value_kind", COLLECTION if COLLECTION in kinds else MUTABLE_REF)
             if other.fields:
                 # listed first: an adopted field can alias `other` itself,
                 # which a nested merge then extends

@@ -15,18 +15,24 @@ present it as the paper does, so the tests can compare the two:
   without the memo;
 - `shares_match`: whether a method's run, where each earlier reader of a
   block shares its heap, equals the run where each takes a deep copy;
-  `random_heap_app` makes methods for it.
+  `random_heap_app` makes methods for it;
+- `trail_mismatches`: where a callback run in place on its kept start state
+  differs from the same run on a deep copy; `repeat_levels` runs a random
+  heap app's method from the states it leaves.
 """
 
 import random
 
+from lifetaint import analysis, symbols
 from lifetaint.analysis import (
-    AnalysisContext, _emit, _fresh_state, _run_callback, analyze_method,
+    AnalysisContext, _emit, _fresh_state, _run_callback, analyze_component, analyze_method,
 )
 from lifetaint.errors import ModelError
 from lifetaint.ir import app_from_dict
 from lifetaint.lifecycle import Step, _exits, _settle, derive_paths
-from lifetaint.sequences import _distinct_paths, _implemented
+from lifetaint.sequences import (
+    MISC_CALLBACK, PermutationPlan, PermutationUnit, Segment, _distinct_paths, _implemented,
+)
 from lifetaint.symbols import SymbolSpace, fingerprint
 
 
@@ -139,6 +145,66 @@ def shares_match(app, config):
     finally:
         SymbolSpace.share = share
     return shared == copied
+
+
+def trail_mismatches(app, config, levels, number_all=False):
+    """Run `levels`, (component, plan, m) triples, on one context of `app`,
+    and check each callback run in place against the same run on a deep
+    copy of its start state: the two find the same, the start state's
+    fingerprint is as before once the run is stored, and the state the run
+    left, once numbered, has the copy's fingerprint, as every kept state
+    still has its own at the end.  With `number_all` each run's end is
+    numbered as soon as the run is stored, else only when a step starts
+    from it.  Returns the mismatches, each (callback, what differs)."""
+    ctx = AnalysisContext(app, config)
+    bad, pending, ends = [], [], []
+
+    def run(component, callback, state, ctx):
+        if symbols.trail is None:  # not in place: nothing to compare
+            return _run_callback(component, callback, state, ctx)
+        trail, symbols.trail, copy = symbols.trail, None, state.deep_copy()
+        try:
+            _run_callback(component, callback, copy, ctx)
+        finally:
+            symbols.trail = trail
+        pending.append((callback, state, fingerprint(state), tuple(ctx.found),
+                        fingerprint(copy)))
+        _run_callback(component, callback, state, ctx)
+
+    class Checked(dict):
+        """A memo that checks each run as `_visit` stores it, undone."""
+
+        def __setitem__(self, key, node):
+            callback, state, start, found, end = pending.pop()
+            if fingerprint(state) != start:
+                bad.append((callback, "start state"))
+            if node.found != found:
+                bad.append((callback, "findings"))
+            if number_all:
+                analysis._number(node, ctx)
+            ends.append((callback, node, end))
+            super().__setitem__(key, node)
+
+    ctx.memo = Checked()
+    analysis._run_callback = run
+    try:
+        for component, plan, m in levels:
+            analyze_component(app, component, plan, m, ctx)
+    finally:
+        analysis._run_callback = _run_callback
+    bad += [(callback, "end state") for callback, node, end in ends
+            if node.number is not None and fingerprint(node.state) != end]
+    bad += [(None, "kept state %d" % number) for key, (number, state) in ctx.states.items()
+            if fingerprint(state) != key]
+    return bad
+
+
+def repeat_levels(app):
+    """`random_heap_app`'s component as `trail_mismatches` levels: `main`
+    runs three times in a row, from the fresh state and then from each
+    state it leaves."""
+    unit = PermutationUnit(MISC_CALLBACK, ("main",), (Segment("main", ("main", "main")),))
+    return [(app.components[0], PermutationPlan((unit,), (Segment("main", ("main",)),)), 1)]
 
 
 _REGS = ("a", "b", "d", "e")

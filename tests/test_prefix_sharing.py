@@ -2,12 +2,13 @@
 
 A flat run analyzes every generated sequence from a fresh component state
 through `oracles.run_sequence`; the walk shares each prefix between the sequences
-that start with it.  Both must give the same deduplicated warnings and
-count the same sequences, and the walk must run each tree node's callbacks
-once.
+that start with it.  Both must give the same deduplicated warnings, the
+same set of raw warnings with their event traces, and count the same
+sequences, and the walk must run each tree node's callbacks once.
 """
 
 import itertools
+import json
 import os
 from math import perm
 
@@ -52,15 +53,20 @@ def plans(app, models, m_max):
 
 
 def per_level(path, models, config, m_max, analyze):
-    """(component, m, deduplicated warnings, sequences) for every component
-    at every m up to m_max, each level on a fresh context."""
+    """(component, m, deduplicated warnings, raw warnings, sequences) for
+    every component at every m up to m_max, each level on a fresh context.
+    The raw warnings are a sorted set, each as JSON, with its event trace
+    and m: the walk reports a tree node's findings once, for the first
+    sequence through it, and flat replay once per sequence."""
     app = load_app(path)
     out = []
     for component, plan, m in plans(app, models, m_max):
         ctx = AnalysisContext(app, config)
         found = analyze(app, component, plan, m, ctx)
         out.append((component.class_name, m,
-                    [w.to_dict() for w in dedup_warnings(found)], ctx.sequences_analyzed))
+                    [w.to_dict() for w in dedup_warnings(found)],
+                    sorted({json.dumps(w.to_dict(), sort_keys=True) for w in found}),
+                    ctx.sequences_analyzed))
     return out
 
 
@@ -85,7 +91,7 @@ class TestOracle:
         for path in family_paths(family, tmp_path, monkeypatch, seed):
             tree = per_level(path, models, config, m_max, analyze_component)
             assert tree == per_level(path, models, config, m_max, flat_component)
-            warned += any(warnings for _, _, warnings, _ in tree)
+            warned += any(warnings for _, _, warnings, _, _ in tree)
         assert warned == 1  # the family's planted leak
 
 
@@ -182,10 +188,13 @@ class TestWork:
         # replay would make perm(n, m) * (1 + m) calls
         assert work.calls.count("onCreate") == 1
         assert len(work.calls) == len(work.runs) == 1 + nodes(n, m)
-        # every run, the prefix's too, is on its own copy of its parent's
-        # state, and the memo keeps the run and the state it left
-        assert len(work.copies) == 1 + nodes(n, m)
-        assert len(ctx.memo) == len(ctx.states) == len(work.runs)
+        # every run is in place on its parent's kept state; the state a
+        # node left is kept, as a copy, once a child starts from it: the
+        # prefix leaves the fresh state it started from, and every other
+        # node of depth 1..m-1 a state of its own
+        assert len(work.copies) == nodes(n, m - 1)
+        assert len(ctx.memo) == len(work.runs)
+        assert len(ctx.states) == 1 + nodes(n, m - 1)
 
     @pytest.mark.parametrize("n", [1, 3, 4])
     def test_escalation_reruns_no_unit(self, n, config, monkeypatch):
@@ -194,9 +203,11 @@ class TestWork:
         app, aui = unit_app(n)
         work = Work(monkeypatch)
         ctx = AnalysisContext(app, config)
-        # level 1 runs the prefix and each unit once, each on a copy; every
-        # node of a later level is replayed.  (calls, runs, replays, copies):
-        expected = [(1 + n, 1 + n, 0, 1 + n)]
+        # level 1 runs the prefix and each unit once, each in place on the
+        # fresh state, which none of them changes, so nothing is copied;
+        # every node of a later level is replayed.  (calls, runs, replays,
+        # copies):
+        expected = [(1 + n, 1 + n, 0, 0)]
         expected += [(0, 0, 1 + nodes(n, m), 0) for m in range(2, n + 1)]
         assert escalate(app, aui, work, ctx) == expected
         assert ctx.sequences_analyzed == sum(perm(n, m) for m in range(1, n + 1))
@@ -210,12 +221,18 @@ class TestWork:
         app, aui = unit_app(n, distinct=True)
         work = Work(monkeypatch)
         ctx = AnalysisContext(app, config)
-        expected = [(1 + n, 1 + n, 0, 1 + n)]
-        expected += [(perm(n, m), perm(n, m), 1 + nodes(n, m - 1), perm(n, m))
+        # the state a node left is copied when its first child starts from
+        # it, at the level after its own: level m copies its perm(n, m - 1)
+        # parents of depth m - 1, and level 1 none, as the prefix leaves the
+        # fresh state
+        expected = [(1 + n, 1 + n, 0, 0)]
+        expected += [(perm(n, m), perm(n, m), 1 + nodes(n, m - 1), perm(n, m - 1))
                      for m in range(2, n + 1)]
         assert escalate(app, aui, work, ctx) == expected
-        # each (component, callback, start state) ran exactly once
-        assert len(work.runs) == len(ctx.memo) == len(ctx.states) == 1 + nodes(n, n)
+        # each (component, callback, start state) ran exactly once; the
+        # leaves' states are never started from, so never kept
+        assert len(work.runs) == len(ctx.memo) == 1 + nodes(n, n)
+        assert len(ctx.states) == 1 + nodes(n, n - 1)
 
 
 class KillAt:
