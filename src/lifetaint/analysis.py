@@ -29,8 +29,9 @@ frames, merged when there are several, so taints survive path-local
 untainting.  A block holds the frame it ran on as its OUT_d; the last reader
 of that frame, known when the plan is compiled, takes the frame itself, and
 every earlier reader a share: its own register table over the frame's heap.
-Each write to the heap first gives the other sharers copies (`own`).  What
-each invoke of a plan calls is resolved with it, once per app (`_decode`).
+The heap's only writers, `symbols.store`, `assign` and `add_taints`, first
+give the other sharers copies (`own`).  What each invoke of a plan calls is
+resolved with it, once per app (`_decode`).
 """
 
 import time
@@ -413,35 +414,29 @@ def handle_instruction(instr, ctx, frame, method):
         obj = _lookup(frame, ops[1], method, instr)
         field = obj.fields.get(ops[2])
         if field is None:
-            frame.own()
             field = fresh_entry()
-            store(obj.fields, ops[2], field)
+            store(frame, obj.fields, ops[2], field)
         frame.regs[ops[0]] = bind_copy(field)
     elif kind == "IPUT":
         obj = _lookup(frame, ops[0], method, instr)
         src = _lookup(frame, ops[2], method, instr)
-        if frame.group is not None:  # the hottest write: no call when unshared
-            frame.own()
-        store(obj.fields, ops[1], bind_copy(src))
+        store(frame, obj.fields, ops[1], bind_copy(src))
     elif kind == "SGET":
         slot = frame.statics.get(ops[1])
         if slot is None:
-            frame.own()
             slot = fresh_entry()
-            store(frame.statics, ops[1], slot)
+            store(frame, frame.statics, ops[1], slot)
         frame.regs[ops[0]] = bind_copy(slot)
     elif kind == "SPUT":
         src = _lookup(frame, ops[1], method, instr)
-        frame.own()
-        store(frame.statics, ops[0], bind_copy(src))
+        store(frame, frame.statics, ops[0], bind_copy(src))
     elif kind == "COLLECTION_NEW":
         frame.regs[ops[0]] = fresh_entry(COLLECTION)
     elif kind == "COLLECTION_PUT":
         coll = _lookup(frame, ops[0], method, instr)
         src = _lookup(frame, ops[2], method, instr)
-        frame.own()
         # index is irrelevant: element taint always taints the whole object
-        add_taints(coll, collect_taints(src))
+        add_taints(frame, coll, collect_taints(src))
     elif kind == "COLLECTION_GET":
         coll = _lookup(frame, ops[1], method, instr)
         frame.regs[ops[0]] = value_entry(coll.taints)
@@ -476,16 +471,18 @@ def handle_invoke(invoke, ctx, frame, method):
     if kind is _Trigger:
         return handle_discontinuity(*target, ctx, frame, invoke, method)
     if target is not None:  # an API handler
-        if target in api_handlers.WRITING:
+        result = target(frame, receiver, args)
+        if result is receiver is not None and frame.group is not None:
+            # the receiver rule: `_joins_in_place` would adopt the result, a
+            # heap object, in place as if it were a new string or number
             frame.own()
-        return target(receiver, args)
+        return result
 
     # any other API propagates taint from every input to the receiver and
     # the result, and never clears anything
     tags = collect_taints(*args)
     if receiver is not None:
-        frame.own()
-        add_taints(receiver, tags)
+        add_taints(frame, receiver, tags)
         tags = collect_taints(receiver)
     return value_entry(tags)
 
@@ -529,7 +526,7 @@ def _call(target, ctx, frame, receiver, args):
         ctx.method_stack.pop()
     # a top-level call's frame is the component state: the callback's trail
     # takes its tables
-    adopt = setattr if ctx.method_stack else assign
+    adopt = setattr if ctx.method_stack else partial(assign, frame)
     adopt(frame, "regs", exit_frame.outer[-1])
     adopt(frame, "outer", exit_frame.outer[:-1])
     adopt(frame, "statics", exit_frame.statics)

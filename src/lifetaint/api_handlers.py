@@ -4,6 +4,7 @@ Handlers are keyed by ``Class.method``, each with whether it reads a receiver
 and the number of arguments it reads; a call that passes less, and
 everything not listed here, falls through to the default invoke rule, which
 marks the receiver and the result tainted whenever any input is tainted.
+A handler is called as `handler(frame, receiver, args)`.
 """
 
 from .symbols import add_taints, assign, collect_taints, value_entry
@@ -17,37 +18,37 @@ def _concat_const(a, b):
     return None
 
 
-def builder_append(receiver, args):
+def builder_append(frame, receiver, args):
     arg = args[0]
-    add_taints(receiver, collect_taints(arg))
+    add_taints(frame, receiver, collect_taints(arg))
     # a builder that a kept state holds is a mutable object, whose constant
     # is None unless a join made a number and its String.valueOf one
     # object: tests/test_trail.py covers that write
-    assign(receiver, "const_value", _concat_const(receiver, arg))
+    assign(frame, receiver, "const_value", _concat_const(receiver, arg))
     return receiver  # append returns the builder itself
 
 
-def builder_to_string(receiver, args):
+def builder_to_string(frame, receiver, args):
     return value_entry(collect_taints(receiver), receiver.const_value)
 
 
-def string_concat(receiver, args):
+def string_concat(frame, receiver, args):
     return value_entry(collect_taints(receiver, args[0]), _concat_const(receiver, args[0]))
 
 
-def string_value_of(receiver, args):
+def string_value_of(frame, receiver, args):
     src = args[0]
     return value_entry(collect_taints(src), src.const_value)
 
 
-def string_format(receiver, args):
+def string_format(frame, receiver, args):
     # formatting mangles the text, so the result is never a code constant
     return value_entry(collect_taints(*args))
 
 
-def array_copy(receiver, args):
+def array_copy(frame, receiver, args):
     # System.arraycopy(src, srcPos, dst, dstPos, length)
-    add_taints(args[2], collect_taints(args[0]))
+    add_taints(frame, args[2], collect_taints(args[0]))
     return None
 
 
@@ -61,11 +62,6 @@ HANDLERS = {
     "String.format": (string_format, False, 0),
     "System.arraycopy": (array_copy, False, 3),
 }
-
-# the handlers that change the contents of their receiver or an argument; a
-# frame that shares its heap takes it for its own before one of them runs
-WRITING = frozenset({builder_append, array_copy})
-
 
 def lookup(signature, has_receiver):
     """The handler for a call of a Class.method/argc signature, with a

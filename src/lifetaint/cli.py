@@ -108,7 +108,7 @@ def run(config):
         models = load_models(config.models_dir)
         ss_config = (load_config(config.config_path) if config.config_path
                      else default_config())
-    except (ConfigError, LifetaintError, OSError) as exc:
+    except (LifetaintError, OSError) as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -30,12 +30,12 @@ class ConfigError(LifetaintError):
 
 
 def load_json(path, error):
-    """The JSON document in the file at `path`; a file that is not JSON
-    raises `error`, naming the path."""
+    """The JSON document in the file at `path`; a file that is not UTF-8
+    JSON within the parser's nesting limit raises `error`, naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise error("%s: not valid JSON: %s" % (path, exc)) from exc
 
 

@@ -16,17 +16,15 @@ object that nothing changed since a copy holds the very set its source
 holds, which a merge of the two then skips.  Copies are built without
 running constructors.
 
-A callback runs in place on a kept component state, and `trail` logs every
-write to an object or table that the state it leaves can reach, so that
-`undo` brings the start state back and `redo` the state the run left.
-These writes go through the trail: a name bound in the statics or a field
-list (`store`: IPUT, IGET and SGET of a missing field or static, SPUT and
-`_join`'s adoption), and an attribute (`assign`: the taint set in
-`add_taints`, `builder_append`'s constant, `_join`'s constant and kind,
-and the component state's tables, which it adopts at the end of a
-callback).  A method frame's register writes are not logged, as no state
-a run leaves holds a method's register table, and neither is the filling
-of a copy that `own` makes.
+The heap has one write rule.  Its only writers are `store` (a name bound
+in the statics or a field list), `assign` (an attribute of an object or a
+space) and `add_taints`, each given the space that writes.  A write that
+changes something first gives the other members of that space's group
+their copies (`own`), then logs itself on `trail` while a callback runs in
+place on a kept component state, so that `undo` brings the start state
+back and `redo` the state the run left.  A run logs nothing else: a method
+frame's registers and return value, which no state a run leaves holds, and
+the copies that `own` fills.
 """
 
 from collections import namedtuple
@@ -50,19 +48,26 @@ trail = None
 _UNBOUND = object()           # the old value of a name that a write binds
 
 
-def store(table, name, entry):
-    """table[name] = entry, logged on the trail."""
-    if trail is not None:
-        trail.append((table, name, table.get(name, _UNBOUND), entry))
-    table[name] = entry
+def store(space, table, name, entry):
+    """table[name] = entry, a write to `space`'s heap."""
+    old = table.get(name, _UNBOUND)
+    if old is not entry:
+        if space.group is not None:
+            space.own()
+        if trail is not None:
+            trail.append((table, name, old, entry))
+        table[name] = entry
 
 
-def assign(obj, attr, value):
-    """obj.attr = value, logged on the trail when it changes it."""
+def assign(space, obj, attr, value):
+    """obj.attr = value, a write to `space`'s heap."""
     old = getattr(obj, attr)
-    if trail is not None and old is not value:
-        trail.append((obj, attr, old, value))
-    setattr(obj, attr, value)
+    if old is not value:
+        if space.group is not None:
+            space.own()
+        if trail is not None:
+            trail.append((obj, attr, old, value))
+        setattr(obj, attr, value)
 
 
 def undo(log):
@@ -160,11 +165,11 @@ def bind_copy(entry):
     return entry.deep_copy()
 
 
-def add_taints(entry, tags):
-    """Let the object `entry` also carry `tags`.  Its set is replaced, never
-    changed in place, and left alone when `tags` adds nothing."""
+def add_taints(space, entry, tags):
+    """`entry` also carries `tags`, a write to `space`'s heap: its set is
+    replaced, never changed in place, and kept when `tags` adds nothing."""
     if not tags <= entry.taints:
-        assign(entry, "taints", entry.taints | tags if entry.taints else frozenset(tags))
+        assign(space, entry, "taints", entry.taints | tags if entry.taints else frozenset(tags))
 
 
 def collect_taints(*entries):
@@ -270,31 +275,32 @@ def fingerprint(space):
     return tuple(out)
 
 
-def _join(table, pairs, seen):
-    """Join (name, entry) pairs of another space into `table`: adopt the
-    entry where the name is unbound, else merge the two objects and then
-    their fields the same way.  A nested merge finishes before the next
-    pair of its level is taken, as in a recursive walk: a field cycle can
-    lead back to an object this join has already extended."""
+def _join(space, table, pairs, seen):
+    """Join (name, entry) pairs of another space into `table` of `space`:
+    adopt the entry where the name is unbound, else merge the two objects
+    and then their fields the same way.  A nested merge finishes before the
+    next pair of its level is taken, as in a recursive walk: a field cycle
+    can lead back to an object this join has already extended."""
     stack = [(table, iter(pairs))]
     while stack:
         table, pending = stack[-1]
         for name, other in pending:
             base = table.get(name)
             if base is None:
-                store(table, name, other)
+                store(space, table, name, other)
                 continue
             if (base, other) in seen:
                 continue
             seen.add((base, other))
             if other.taints is not base.taints:   # the same set: unchanged since a copy
-                add_taints(base, other.taints)
+                add_taints(space, base, other.taints)
             if base.const_value != other.const_value:
-                assign(base, "const_value", None)
+                assign(space, base, "const_value", None)
             if base.value_kind != other.value_kind:
                 # conflicting kinds collapse to a mutable object, the weakest claim
                 kinds = (base.value_kind, other.value_kind)
-                assign(base, "value_kind", COLLECTION if COLLECTION in kinds else MUTABLE_REF)
+                kind = COLLECTION if COLLECTION in kinds else MUTABLE_REF
+                assign(space, base, "value_kind", kind)
             if other.fields:
                 # listed first: an adopted field can alias `other` itself,
                 # which a nested merge then extends
@@ -330,12 +336,12 @@ def merge_spaces(frames):
                 pairs = src.items()
                 if in_place:  # a name bound to one object on both sides is skipped
                     pairs = [(n, e) for n, e in pairs if table.get(n) is not e]
-                _join(table, pairs, seen)
+                _join(base, table, pairs, seen)
         if base.returned is None:
             base.returned = other.returned
         elif other.returned is not None:
             # the two return values, as one-entry tables
-            _join({0: base.returned}, [(0, other.returned)], seen)
+            _join(base, {0: base.returned}, [(0, other.returned)], seen)
     return base
 
 

@@ -213,11 +213,14 @@ _FIELDS = ("f", "g")
 
 
 def _heap_ops(rng, n, params):
-    """`n` random instructions that read the registers `_REGS` and `params`
-    and also write `_LATE`; a branch targets the label of an instruction,
-    or "L<n>", the end."""
+    """`n` random draws of instructions that read the registers `_REGS`,
+    `params` and `this`, and also write `_LATE`; a branch targets the label
+    "L<k>" of the k-th instruction, k <= n.  A draw is one instruction, or
+    a branch over an arm of one to three that only bind registers (`binds`),
+    so that the join after it can run in place."""
     regs = _REGS + params
     objs = regs + ("this",)
+    ops = []
 
     def reg():
         return rng.choice(regs)
@@ -228,31 +231,56 @@ def _heap_ops(rng, n, params):
     def label():
         return "L%d" % rng.randint(0, n)
 
-    kinds = [
+    def self_append(builder):
+        # a builder appended to itself gains no taint, and one that holds no
+        # constant is unchanged: a join adopts the result, the builder itself
+        return ["INVOKE_VIRTUAL", rng.choice(_LATE), builder,
+                "StringBuilder.append/1", [builder]]
+
+    binds = [
+        (8, lambda: ["MOVE", dst(), rng.choice(objs)]),   # may alias `this`
+        (5, lambda: ["NEW_INSTANCE", dst(), "Foo"]),
+        (8, lambda: ["INVOKE_VIRTUAL", dst(), "this", "TelephonyManager.getDeviceId/0", []]),
+        (4, lambda: ["INVOKE_VIRTUAL", dst(), reg(), "String.concat/1", [reg()]]),
+        (2, lambda: ["COLLECTION_GET", dst(), reg(), 0]),
+        (2, lambda: ["CONST_STRING", dst(), rng.choice(("x", "y"))]),
+        # a number, a string and a collection: a join of two of them drops
+        # a constant or collapses a kind
+        (2, lambda: ["CONST_NUM", dst(), rng.choice((1, 2))]),
+        (2, lambda: ["INVOKE_STATIC", dst(), "String.valueOf/1", [reg()]]),
+        (2, lambda: ["COLLECTION_NEW", dst()]),
+        (5, lambda: self_append(reg())),
+        (4, lambda: ["IGET", dst(), "this", rng.choice(_FIELDS)]),  # a field a run bound
+    ]
+
+    def arm():
+        body = [rng.choices(binds, [w for w, _ in binds])[0][1]()
+                for _ in range(rng.randint(1, 3))]
+        return [["IF_GOTO", "c", "L%d" % (len(ops) + 1 + len(body))]] + body
+
+    kinds = binds + [
         (25, lambda: ["IF_GOTO", "c", label()]),
         (4, lambda: ["GOTO", label()]),
         (12, lambda: ["IGET", dst(), rng.choice(objs), rng.choice(_FIELDS)]),
         (10, lambda: ["IPUT", rng.choice(objs), rng.choice(_FIELDS), reg()]),
-        (8, lambda: ["MOVE", dst(), reg()]),
-        (5, lambda: ["NEW_INSTANCE", dst(), "Foo"]),
         (4, lambda: ["SGET", dst(), "S." + rng.choice(_FIELDS)]),
         (3, lambda: ["SPUT", "S." + rng.choice(_FIELDS), reg()]),
-        (8, lambda: ["INVOKE_VIRTUAL", dst(), "this", "TelephonyManager.getDeviceId/0", []]),
         (10, lambda: ["INVOKE_STATIC", None, "Log.e/2", [reg(), rng.choice(objs)]]),
-        (4, lambda: ["INVOKE_VIRTUAL", dst(), reg(), "String.concat/1", [reg()]]),
         (4, lambda: ["INVOKE_VIRTUAL", dst(), reg(), "StringBuilder.append/1", [reg()]]),
         (6, lambda: ["INVOKE_VIRTUAL", dst(), reg(), "Foo.put/1", [reg()]]),
         (2, lambda: ["INVOKE_STATIC", None, "System.arraycopy/5",
                      [reg(), "c", reg(), "c", "c"]]),
         (2, lambda: ["COLLECTION_PUT", reg(), 0, reg()]),
-        (2, lambda: ["COLLECTION_GET", dst(), reg(), 0]),
-        (2, lambda: ["CONST_STRING", dst(), rng.choice(("x", "y"))]),
         (2, lambda: ["RETURN", reg()]),
+        (20, arm),
     ]
     if not params:  # the main method calls the helper, which calls nothing
         kinds.append((3, lambda: ["INVOKE_VIRTUAL", dst(), "this", "Main.helper/1", [reg()]]))
     weights = [w for w, _ in kinds]
-    return [rng.choices(kinds, weights)[0][1]() for _ in range(n)]
+    for _ in range(n):
+        make = rng.choices(kinds, weights)[0][1]
+        ops += make() if make is arm else [make()]
+    return ops
 
 
 def _heap_method(rng, sig, params):
@@ -261,10 +289,11 @@ def _heap_method(rng, sig, params):
     for r in _REGS:
         prologue.append(rng.choice([["IGET", r, "this", rng.choice(_FIELDS)],
                                     ["NEW_INSTANCE", r, "Foo"],
-                                    ["CONST_STRING", r, r]]))
-    n = rng.randint(3, 14)
-    instructions = prologue + _heap_ops(rng, n, tuple(params[1:]))
-    labels = {"L%d" % k: len(prologue) + k for k in range(n + 1)}
+                                    ["CONST_STRING", r, r],
+                                    ["MOVE", r, "this"]]))
+    ops = _heap_ops(rng, rng.randint(3, 14), tuple(params[1:]))
+    instructions = prologue + ops
+    labels = {"L%d" % k: len(prologue) + k for k in range(len(ops) + 1)}
     instructions.append(rng.choice([["RETURN_VOID"], ["RETURN", rng.choice(_REGS)]]))
     return {"sig": sig, "params": params, "instructions": instructions, "labels": labels}
 

@@ -446,20 +446,26 @@ class TestArgs:
 class TestNotJson:
     """Apps, models and configurations are all read by one JSON reader."""
 
-    @pytest.mark.parametrize("load, error", [
+    LOADERS = pytest.mark.parametrize("load, error", [
         (load_app, AppLoadError), (load_model, ModelError), (load_config, ConfigError),
     ], ids=["app", "model", "config"])
-    def test_each_loader_raises_its_own_error(self, tmp_path, load, error):
+    # files the decoder itself cannot read: bytes that are not UTF-8, and
+    # arrays nested deeper than the parser's recursion limit
+    UNREADABLE = pytest.mark.parametrize("content", [
+        b'{"app_id": "\xff"}', b"[" * 100000,
+    ], ids=["not UTF-8", "nested too deep"])
+
+    def loader_error(self, tmp_path, load, error, content):
         path = tmp_path / "broken.json"
-        path.write_text('{"app_id": ')
+        path.write_bytes(content)
         with pytest.raises(error) as info:
             load(str(path))
         assert type(info.value) is error
         assert str(info.value).startswith("%s: not valid JSON: " % path)
 
-    def test_app_file_becomes_only_its_own_error_report(self, tmp_path):
+    def app_report(self, tmp_path, content):
         broken = tmp_path / "broken.app"
-        broken.write_text("not json")
+        broken.write_bytes(content)
         good = corpus_path("sms_hardcoded")
         status, text = run_cli([str(broken), good])
         first, second = _split_json(text)
@@ -469,10 +475,9 @@ class TestNotJson:
         assert doc["error"].startswith("%s: not valid JSON: " % broken)
         assert second + "\n" == run_cli([good])[1]
 
-    @pytest.mark.parametrize("where", ["config", "model"])
-    def test_config_or_model_file_is_config_error(self, tmp_path, capsys, where):
+    def config_error(self, tmp_path, capsys, where, content):
         broken = tmp_path / ("activity.json" if where == "model" else "config.json")
-        broken.write_text("not json")
+        broken.write_bytes(content)
         if where == "model":
             models = pathlib.Path(_data_path("models"))
             (tmp_path / "service.json").write_text(models.joinpath("service.json").read_text())
@@ -483,6 +488,32 @@ class TestNotJson:
         assert (status, text) == (1, "")
         assert capsys.readouterr().err.startswith(
             "configuration error: %s: not valid JSON: " % broken)
+
+    @LOADERS
+    def test_each_loader_raises_its_own_error(self, tmp_path, load, error):
+        self.loader_error(tmp_path, load, error, b'{"app_id": ')
+
+    @UNREADABLE
+    @LOADERS
+    def test_an_unreadable_file_is_the_loaders_error(self, tmp_path, load, error, content):
+        self.loader_error(tmp_path, load, error, content)
+
+    def test_app_file_becomes_only_its_own_error_report(self, tmp_path):
+        self.app_report(tmp_path, b"not json")
+
+    @UNREADABLE
+    def test_an_unreadable_app_file_becomes_its_error_report(self, tmp_path, content):
+        self.app_report(tmp_path, content)
+
+    @pytest.mark.parametrize("where", ["config", "model"])
+    def test_config_or_model_file_is_config_error(self, tmp_path, capsys, where):
+        self.config_error(tmp_path, capsys, where, b"not json")
+
+    @UNREADABLE
+    @pytest.mark.parametrize("where", ["config", "model"])
+    def test_an_unreadable_config_or_model_file_is_config_error(
+            self, tmp_path, capsys, where, content):
+        self.config_error(tmp_path, capsys, where, content)
 
 
 def _split_json(text):

@@ -154,11 +154,12 @@ class TestSharedTaints:
 
     def test_a_write_replaces_the_set_only_when_it_adds(self):
         entry = Entry(MUTABLE_REF, {TAG})
+        space = SymbolSpace({"r": entry})
         before = entry.taints
-        add_taints(entry, {TAG})
-        add_taints(entry, set())
+        add_taints(space, entry, {TAG})
+        add_taints(space, entry, set())
         assert entry.taints is before
-        add_taints(entry, {OTHER})
+        add_taints(space, entry, {OTHER})
         assert entry.taints == {TAG, OTHER} and before == {TAG}
 
     def test_merge_of_two_copies_is_the_space(self):
