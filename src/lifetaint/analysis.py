@@ -41,7 +41,7 @@ from functools import partial
 from . import api_handlers, symbols
 from .cfg import build_cfg, remove_back_edges, reverse_post_order
 from .detectors import (
-    INFO_LEAK, Warning, detect_sms_attacks, sink_location, source_locations,
+    INFO_LEAK, FoundWarning, detect_sms_attacks,
 )
 from .errors import AnalysisError, ConfigError, list_of, load_json
 from .ir import MethodDef, resolve_method
@@ -276,12 +276,9 @@ def _emit(found, component, seq, segment, ctx):
     count, with the event trace up to that segment."""
     if not found:
         return
-    m = len(seq.unit_indexes)
     for kind, tags, sink_api, location in found:
-        ctx.warnings.append(Warning(
-            kind, {t.source_api for t in tags}, sink_api,
-            source_locations(tags) + [sink_location(sink_api, location)],
-            component.class_name, m, seq.event_trace(segment)))
+        ctx.warnings.append(FoundWarning(kind, tags, sink_api, location,
+                                         component.class_name, seq, segment))
 
 
 def _run_callback(component, callback, state, ctx):

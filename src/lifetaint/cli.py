@@ -113,9 +113,10 @@ def run(config):
         return 1
 
     # apps run one after another, in input order, whatever config.jobs says:
-    # under the interpreter lock, threads add only their own overhead.  The
-    # analysis makes no reference cycles (tests/test_garbage.py), so each
-    # app's heap is freed once its report is written, with no collection.
+    # under the interpreter lock, threads add only their own overhead.
+    # Neither the analysis nor the rendering makes reference cycles
+    # (tests/test_garbage.py), so each app's heap is freed once its report
+    # is written, with no collection.
     any_killed = False
     for path in config.app_paths:
         app = None

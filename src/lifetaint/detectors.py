@@ -1,6 +1,6 @@
 """Warning construction, deduplication, SMS checks, report rendering."""
 
-import json
+from json.encoder import encode_basestring_ascii
 
 from .symbols import collect_taints
 
@@ -35,6 +35,33 @@ class Warning:
             "detected_at_m": self.m,
             "event_trace": list(self.event_trace),
         }
+
+
+class FoundWarning(Warning):
+    """The warning of a finding at `location`, in the callback that runs in
+    segment `segment` of the sequence `seq`, at m = its unit count.  Dedup
+    reads only the key and keeps few of the raw warnings, so the locations
+    and the event trace are built on first read, and then kept as a
+    `Warning`'s are."""
+
+    def __init__(self, kind, tags, sink_api, location, component, seq, segment):
+        self.kind = kind
+        self.source_apis = frozenset(t.source_api for t in tags)
+        self.sink_api = sink_api
+        self.component = component
+        self.m = len(seq.unit_indexes)
+        self._tags, self._location, self._seq, self._segment = tags, location, seq, segment
+
+    def __getattr__(self, name):  # only for an attribute not yet set
+        if name == "locations":
+            value = tuple(source_locations(self._tags)
+                          + [sink_location(self.sink_api, self._location)])
+        elif name == "event_trace":
+            value = self._seq.event_trace(self._segment)
+        else:
+            raise AttributeError(name)
+        setattr(self, name, value)
+        return value
 
 
 def source_locations(tags):
@@ -118,10 +145,46 @@ class Report:
         return doc
 
 
+def _json(value, indent, out):
+    """Append `value` to `out` as `json.dumps(value, indent=2,
+    sort_keys=True)` writes it, for the str, int, bool, None, dict and list
+    values of a report; `indent` is the current line's indent."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, (dict, list)):
+        ends = "{}" if isinstance(value, dict) else "[]"
+        if not value:
+            out.append(ends)
+            return
+        inner = indent + "  "
+        sep = ends[0] + "\n" + inner
+        for item in sorted(value) if ends == "{}" else value:
+            out.append(sep)
+            if ends == "{}":
+                out += (encode_basestring_ascii(item), ": ")
+                item = value[item]
+            _json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + ends[1])
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError("a report holds no %s" % type(value).__name__)
+
+
 def render_report(report, fmt):
-    """Render a report as stable JSON or a terminal table."""
+    """Render a report as stable JSON or a terminal table.
+
+    The JSON is `json.dumps(doc, indent=2, sort_keys=True)`, written by
+    `_json`: with an indent the standard encoder runs in pure Python and
+    leaves reference cycles behind (its nested closures), so a batch that
+    forces no collection would hold them."""
     if fmt == "json":
-        return json.dumps(report.to_dict(), indent=2, sort_keys=True)
+        out = []
+        _json(report.to_dict(), "", out)
+        return "".join(out)
     if fmt == "table":
         lines = [
             "app: %s" % report.app_id,

@@ -61,6 +61,11 @@ class LifecycleModel:
         for tr in transitions:
             self._by_source.setdefault(tr.source, []).append(tr)
         self._paths_cache = None    # derive_paths(self), cached on first use
+        # sequences.build_plan's: (prefix length, each path's steps after the
+        # prefix with their callbacks flattened, every path callback), and
+        # (lifecycle units, prefix) per set of path callbacks implemented
+        self._flat_paths = None
+        self._plans = {}
 
     def outgoing(self, state_name):
         return self._by_source.get(state_name, [])
@@ -177,20 +182,33 @@ def _exits(model, state_name, current, previous):
     return explicit or elses
 
 
-def _settle(model, tr, previous):
+def _memo_exits(memo, model, state_name, current, previous):
+    """`_exits`, kept in `memo` by its arguments: a walk asks for the same
+    exits many times."""
+    key = (state_name, current, previous)
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = _exits(model, state_name, current, previous)
+    return found
+
+
+def _settle(model, tr, previous, memo=None):
     """Follow the static exit `tr` through transient states to a static one.
 
     Each transient state is left by its first matching transition.  Returns
     (callbacks, static state name), or (callbacks, None) when the chain comes
-    back to a transient state it already passed.
+    back to a transient state it already passed.  `memo` keeps `_exits`'
+    results, as `_memo_exits` does.
     """
+    if memo is None:
+        memo = {}
     event, callbacks, passed = tr.triggers, tr.callbacks, set()
     while model.states[tr.destination].kind == TRANSIENT:
         name = tr.destination
         if name in passed:
             return callbacks, None
         passed.add(name)
-        matches = _exits(model, name, event, previous)
+        matches = _memo_exits(memo, model, name, event, previous)
         if not matches:
             raise ModelError(
                 "stuck machine: transient state %r has no transition for event %r"
@@ -222,9 +240,9 @@ def _walk(model):
     with its visit count from before the path entered it and its exits still
     to follow, so a path of any length fits; `visits` counts each static
     state's visits on the path, and `path` holds one Step into each state on
-    the stack but the first.
+    the stack but the first.  `memo` keeps `_exits`' results for the walk.
     """
-    paths, path, visits, stack = [], [], {}, []
+    paths, path, visits, stack, memo = [], [], {}, [], {}
     name, incoming = model.initial, None
     while True:
         # `path` ends in static state `name` after event `incoming`
@@ -235,14 +253,15 @@ def _walk(model):
             visits[name] = seen + 1
             # In a static state the walk of the incoming event has finished,
             # so that event is what prev_event guards are checked against.
-            stack.append((name, seen, incoming, iter(_exits(model, name, None, incoming))))
+            exits = _memo_exits(memo, model, name, None, incoming)
+            stack.append((name, seen, incoming, iter(exits)))
         # follow the next exit of the deepest state that has one left
         while stack:
             name, seen, incoming, exits = stack[-1]
             del path[len(stack) - 1:]
             for tr in exits:
                 if tr.destination != name:  # avoid self-loop
-                    callbacks, end = _settle(model, tr, incoming)
+                    callbacks, end = _settle(model, tr, incoming, memo)
                     if end is not None:  # a transient cycle cuts the branch
                         break
             else:

@@ -50,15 +50,21 @@ def _restrict(path, implemented):
     )
 
 
-def _distinct_paths(paths, implemented, drop=0):
+def _flatten(paths, drop):
+    """(steps, callbacks) of each path after its first `drop` steps: the
+    steps and their callbacks in order."""
+    return [(path[drop:], tuple(cb for step in path[drop:] for cb in step.callbacks))
+            for path in paths]
+
+
+def _distinct_paths(paths, implemented, drop=0, flat=None):
     """(segments, callbacks) of each path after its first `drop` steps,
     restricted to the `implemented` callbacks; a path whose callbacks are
     empty or repeat an earlier path's is skipped, keeping the first, before
-    its segments are built."""
+    its segments are built.  `flat` is `_flatten(paths, drop)`, if known."""
     seen = set()
-    for path in paths:
-        steps = path[drop:]
-        key = tuple(cb for step in steps for cb in step.callbacks if cb in implemented)
+    for steps, callbacks in _flatten(paths, drop) if flat is None else flat:
+        key = tuple(cb for cb in callbacks if cb in implemented)
         if key and key not in seen:
             seen.add(key)
             yield _restrict(steps, implemented), key
@@ -77,20 +83,28 @@ def build_plan(model, component):
     declaration order, then miscellaneous callbacks.  For activities the
     prefix is the first path's leading creation event and the lifecycle
     units are the per-path segments after it; for services they are whole
-    paths.
+    paths.  The lifecycle units and the prefix depend only on which of the
+    model's path callbacks the component implements, so the model keeps
+    them per set of those, with each path's callbacks flattened once.
     """
     paths = derive_paths(model)
-    implemented = _implemented(component)
-    prefix, drop = (), 0
-    if model.component_kind == "ACTIVITY":
-        drop = 1
-        if paths:
-            prefix = _restrict(paths[0][:1], implemented)
-    units = [PermutationUnit(LIFECYCLE_SUBSEQUENCE, tuple(s.event for s in segs), segs)
-             for segs, _ in _distinct_paths(paths, implemented, drop)]
-    units += [_callback_unit(AUI_CALLBACK, name) for name in component.aui_callbacks]
-    units += [_callback_unit(MISC_CALLBACK, name) for name in component.misc_callbacks]
-    return PermutationPlan(tuple(units), prefix)
+    if model._flat_paths is None:
+        drop = 1 if model.component_kind == "ACTIVITY" else 0
+        model._flat_paths = (drop, _flatten(paths, drop),
+                             frozenset(cb for path in paths for step in path
+                                       for cb in step.callbacks))
+    drop, flat, path_callbacks = model._flat_paths
+    implemented = path_callbacks.intersection(_implemented(component))
+    cached = model._plans.get(implemented)
+    if cached is None:
+        prefix = _restrict(paths[0][:1], implemented) if drop and paths else ()
+        units = tuple(PermutationUnit(LIFECYCLE_SUBSEQUENCE, tuple(s.event for s in segs), segs)
+                      for segs, _ in _distinct_paths(paths, implemented, drop, flat))
+        cached = model._plans[implemented] = (units, prefix)
+    units, prefix = cached
+    units += tuple(_callback_unit(AUI_CALLBACK, name) for name in component.aui_callbacks)
+    units += tuple(_callback_unit(MISC_CALLBACK, name) for name in component.misc_callbacks)
+    return PermutationPlan(units, prefix)
 
 
 def receiver_plan(component):

@@ -14,7 +14,8 @@ present it as the paper does, so the tests can compare the two:
 - `run_sequence`: runs one generated sequence flat, from a fresh state and
   without the memo;
 - `shares_match`: whether a method's run, where each earlier reader of a
-  block shares its heap, equals the run where each takes a deep copy;
+  block shares its heap, equals the run where each takes a deep copy,
+  instruction by instruction;
   `random_heap_app` makes methods for it;
 - `trail_mismatches`: where a callback run in place on its kept start state
   differs from the same run on a deep copy; `repeat_levels` runs a random
@@ -26,6 +27,7 @@ import random
 from lifetaint import analysis, symbols
 from lifetaint.analysis import (
     AnalysisContext, _emit, _fresh_state, _run_callback, analyze_component, analyze_method,
+    handle_instruction,
 )
 from lifetaint.errors import ModelError
 from lifetaint.ir import app_from_dict
@@ -134,14 +136,40 @@ def heap_run(app, config):
     return ctx.found, fingerprint(exit_frame)
 
 
+def stepped_heap_run(app, config):
+    """`heap_run`'s (findings, exit frame's fingerprint), and the fingerprint
+    of the frame after each instruction, callees' included, from the run's
+    first `SymbolSpace.share` on: up to that call, a run in which `share`
+    is a deep copy takes the same steps on the same frames."""
+    frames, shared = [], False
+    share = SymbolSpace.share
+
+    def sharing(space):
+        nonlocal shared
+        shared = True
+        return share(space)
+
+    def step(instr, ctx, frame, method):
+        handle_instruction(instr, ctx, frame, method)
+        if shared:
+            frames.append(fingerprint(frame))
+
+    analysis.handle_instruction, SymbolSpace.share = step, sharing
+    try:
+        return heap_run(app, config), frames
+    finally:
+        analysis.handle_instruction, SymbolSpace.share = handle_instruction, share
+
+
 def shares_match(app, config):
-    """Whether `heap_run` gives the same findings and exit frame as it does
-    where `SymbolSpace.share` is a deep copy."""
-    shared = heap_run(app, config)
+    """Whether `heap_run` gives the same findings and exit frame, and the
+    same frame after every instruction, as it does where
+    `SymbolSpace.share` is a deep copy."""
+    shared = stepped_heap_run(app, config)
     share = SymbolSpace.share
     SymbolSpace.share = SymbolSpace.deep_copy
     try:
-        copied = heap_run(app, config)
+        copied = stepped_heap_run(app, config)
     finally:
         SymbolSpace.share = share
     return shared == copied

@@ -1,14 +1,20 @@
+import io
 import json
 import random
 
 import pytest
 
+from lifetaint import cli, detectors
 from lifetaint.detectors import (
     INFO_LEAK, SMS_AUTOREPLY, SMS_HARDCODED,
-    Report, Warning, dedup_warnings, detect_sms_attacks, render_report,
+    FoundWarning, Report, Warning, dedup_warnings, detect_sms_attacks, render_report,
+    sink_location, source_locations,
 )
 from lifetaint.analysis import AnalysisConfig
+from lifetaint.sequences import FlattenedSequence, Segment
 from lifetaint.symbols import Entry, IMMUTABLE_REF, TaintTag
+
+from conftest import all_corpus_paths
 
 
 def w(sources, sink, kind=INFO_LEAK, m=1, trace=("createActivity",)):
@@ -138,3 +144,47 @@ class TestRendering:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             render_report(self._report(), "yaml")
+
+
+class TestFoundWarning:
+    """A raw warning of the analysis builds its locations and event trace
+    only when they are read."""
+
+    def test_it_reads_as_the_warning_built_from_lists(self):
+        tags = {TaintTag("getDeviceId", ("C", "onCreate/1", 4)),
+                TaintTag("getLine1Number", ("C", "onCreate/1", 2))}
+        seq = FlattenedSequence((2, 0), (Segment("create", ("onCreate",)),
+                                         Segment("resume", ("onResume",)),
+                                         Segment("click", ("onClick",))))
+        found = FoundWarning(INFO_LEAK, tags, "Log.e/2", ("C", "onResume/0", 7), "C", seq, 1)
+        built = Warning(INFO_LEAK, {"getDeviceId", "getLine1Number"}, "Log.e/2",
+                        source_locations(tags) + [sink_location("Log.e/2",
+                                                                ("C", "onResume/0", 7))],
+                        "C", 2, ("create", "resume"))
+        assert found.key() == built.key() and found.m == built.m == 2
+        assert "locations" not in vars(found) and "event_trace" not in vars(found)
+        assert found.to_dict() == built.to_dict()
+        assert found.locations is found.locations  # built once, then kept
+        assert found.event_trace == ("create", "resume")
+        assert dedup_warnings([built, found]) == [built]
+        with pytest.raises(AttributeError):
+            found.no_such_field
+
+    def test_a_corpus_run_builds_only_the_kept_locations(self, monkeypatch):
+        raw, kept, built = [], [], []
+
+        def dedup(warnings):
+            raw.extend(warnings)
+            result = dedup_warnings(warnings)
+            kept.extend(result)
+            return result
+
+        def locations(tags):
+            built.append(tags)
+            return source_locations(tags)
+
+        monkeypatch.setattr(cli, "dedup_warnings", dedup)
+        monkeypatch.setattr(detectors, "source_locations", locations)
+        assert cli.run(cli.RunConfig(all_corpus_paths(), m_max=3, out=io.StringIO())) == 0
+        assert (len(raw), len(kept), len(built)) == (166, 20, 20)
+        assert not any("locations" in vars(x) for x in raw if x not in kept)

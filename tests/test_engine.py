@@ -1108,6 +1108,28 @@ class TestKnownGaps:
         ], labels={"join": 5} if branch else {})
         assert len(run_main(app, config)) == warnings
 
+    @pytest.mark.parametrize("branch,warnings", [(True, 0), (False, 1)])
+    def test_an_alias_stored_in_a_field_on_one_arm_is_lost_at_the_join(
+            self, config, branch, warnings):
+        # the field-store variant: on the arm through `a.g = b`, reading
+        # a.g back after the join gives b's object, which holds the device
+        # id; the join keeps the first input's alias structure, in which
+        # a.g is not b's object, so the branchy method reports nothing
+        app = make_app([
+            ["CONST_NUM", "c", 1],
+            ["NEW_INSTANCE", "a", "Foo"],
+            ["NEW_INSTANCE", "b", "Foo"],
+            *([["IF_GOTO", "c", "join"]] if branch else []),
+            ["IPUT", "a", "g", "b"],
+            *taint_instr("x"),                  # join
+            ["IPUT", "b", "f", "x"],
+            ["IGET", "b", "a", "g"],
+            ["IGET", "y", "b", "f"],
+            *sink_instr("y"),
+            ["RETURN_VOID"],
+        ], labels={"join": 5} if branch else {})
+        assert len(run_main(app, config)) == warnings
+
 
 class TestSequenceState:
     def test_a_leak_that_needs_one_unit_twice_is_not_reported(self, models, config):

@@ -1,15 +1,17 @@
 """`cli.run` forces no garbage collection: reference counting alone must free
-what the analysis of an app allocates.  A reference cycle, such as an engine
-record that points back at its context, would leave garbage that only the
-collector finds, and a long batch would hold it until then."""
+what the analysis of an app and the rendering of its report allocate.  A
+reference cycle, such as an engine record that points back at its context,
+would leave garbage that only the collector finds, and a long batch would
+hold it until then."""
 
 import gc
+import io
 import itertools
 import os
 
 import pytest
 
-from lifetaint import analyze_app, load_app
+from lifetaint import analyze_app, cli, load_app
 from lifetaint.ir import app_from_dict
 
 from conftest import ROOT, all_corpus_paths
@@ -42,6 +44,23 @@ def test_analysis_leaves_no_cyclic_garbage(models, config, tmp_path, monkeypatch
             left[os.path.basename(path)] = gc.collect()
     assert len(left) == 23
     assert left == dict.fromkeys(left, 0)
+
+
+def test_a_batch_leaves_no_cyclic_garbage(tmp_path, monkeypatch, collector_off):
+    # the whole of `cli.run`: loading, planning, the analysis, dedup and
+    # rendering each report
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import gen
+    batches = {"corpus": (all_corpus_paths(), 3)}
+    for family in ("wide", "deep"):
+        batches[family] = (gen.write_family(family, 1, str(tmp_path / family)),
+                           gen.FAMILIES[family].m_max)
+    left = {}
+    for name, (paths, m_max) in batches.items():
+        gc.collect()
+        assert cli.run(cli.RunConfig(paths, m_max=m_max, out=io.StringIO())) == 0
+        left[name] = gc.collect()
+    assert left == {"corpus": 0, "wide": 0, "deep": 0}
 
 
 def out_at_read(n):

@@ -1,16 +1,17 @@
 import copy
+import io
 import json
 import os
 import pickle
 
 import pytest
 
-from lifetaint import load_models
+from lifetaint import cli, lifecycle, load_models
 from lifetaint.cli import analyze_app
 from lifetaint.errors import ModelError
 from lifetaint.lifecycle import Step, _exits, _settle, derive_paths, load_model, model_from_dict
 
-from conftest import corpus_app, run_isolated
+from conftest import all_corpus_paths, corpus_app, run_isolated
 from oracles import callbacks_for_event, event_sequences, replay_events
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -301,6 +302,37 @@ class TestLongPaths:
         # one recursion per event would pass the interpreter's limit
         model = chain_model(1200)
         assert replay_events(model, ("next",) * 1199) == derive_paths(model)
+
+
+class TestExitsMemo:
+    """A derivation walk asks `_exits` once per (state, event, previous
+    event)."""
+
+    def counting_exits(self, monkeypatch):
+        calls = []
+        real = lifecycle._exits
+
+        def counting(*args):
+            calls.append(args[1:])
+            return real(*args)
+
+        monkeypatch.setattr(lifecycle, "_exits", counting)
+        return calls
+
+    def test_each_model_walk(self, monkeypatch):
+        calls = self.counting_exits(monkeypatch)
+        counts = {}
+        for kind, model in load_models().items():
+            del calls[:]
+            derive_paths(model)
+            assert len(calls) == len(set(calls))
+            counts[kind] = len(calls)
+        assert counts == {"ACTIVITY": 128, "SERVICE": 15}
+
+    def test_a_corpus_run(self, monkeypatch):
+        calls = self.counting_exits(monkeypatch)
+        assert cli.run(cli.RunConfig(all_corpus_paths(), m_max=3, out=io.StringIO())) == 0
+        assert len(calls) == 143
 
 
 def recursive_replay(model, events):

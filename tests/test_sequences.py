@@ -1,13 +1,14 @@
+import io
 import math
 import os
 
 import pytest
 
-from lifetaint import load_app, sequences
+from lifetaint import cli, load_app, load_models, sequences
 from lifetaint.ir import app_from_dict
 from lifetaint.lifecycle import derive_paths
 from lifetaint.sequences import (
-    AUI_CALLBACK, MISC_CALLBACK, PermutationPlan, Segment, PermutationUnit,
+    AUI_CALLBACK, LIFECYCLE_SUBSEQUENCE, MISC_CALLBACK, PermutationPlan, Segment, PermutationUnit,
     _distinct_paths, _implemented, build_plan, generate_m_way, receiver_plan,
 )
 
@@ -165,12 +166,79 @@ class TestDistinctPaths:
         assert callbacks_of(plan.prefix) == ("onCreate", "onResume")
 
 
+def reference_plan(model, component):
+    """The reference for `build_plan`: every unit built from the paths for
+    this component alone."""
+    paths, implemented = derive_paths(model), _implemented(component)
+    drop = 1 if model.component_kind == "ACTIVITY" else 0
+    prefix = tuple(Segment(step.event, tuple(cb for cb in step.callbacks if cb in implemented))
+                   for step in paths[0][:drop]) if paths else ()
+    units = [PermutationUnit(LIFECYCLE_SUBSEQUENCE, tuple(s.event for s in segs), segs)
+             for segs, _ in restrict_then_key(paths, implemented, drop)]
+    units += [PermutationUnit(kind, (name,), (Segment(name, (name,)),))
+              for kind, names in ((AUI_CALLBACK, component.aui_callbacks),
+                                  (MISC_CALLBACK, component.misc_callbacks))
+              for name in names]
+    return PermutationPlan(tuple(units), prefix)
+
+
+class TestPlanMemo:
+    """A model keeps its lifecycle units and prefix per set of its path
+    callbacks that a component implements."""
+
+    def counting_distinct_paths(self, monkeypatch):
+        calls = []
+        real = sequences._distinct_paths
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(sequences, "_distinct_paths", counting)
+        return calls
+
+    def test_kept_plans_equal_plans_built_alone(self, models, monkeypatch):
+        comps = [c for p in all_corpus_paths() for c in load_app(p).components
+                 if c.kind != "RECEIVER"]
+        comps += generated_components("wide", monkeypatch)
+        comps += generated_components("deep", monkeypatch)
+        comps += [component_with(SERVICE_CALLBACKS + ["onLowMemory"], kind="SERVICE",
+                                 misc=["onLowMemory"]),
+                  component_with(MOTIV_CALLBACKS + ["helper", "onClick"], aui=["onClick"]),
+                  component_with([]), component_with([], kind="SERVICE")]
+        fresh = load_models()
+        for _ in range(2):  # built, then taken from the model
+            for comp in comps:
+                model = fresh[comp.kind]
+                assert build_plan(model, comp) == reference_plan(models[comp.kind], comp)
+
+    def test_a_corpus_run_keys_eleven_plans(self, monkeypatch):
+        # 19 activities and services, 11 distinct sets of implemented path
+        # callbacks; each run loads its models, so each run keys them again
+        calls = self.counting_distinct_paths(monkeypatch)
+        for _ in range(2):
+            del calls[:]
+            assert cli.run(cli.RunConfig(all_corpus_paths(), m_max=3, out=io.StringIO())) == 0
+            assert len(calls) == 11
+
+    def test_callbacks_outside_the_paths_share_a_plan(self, monkeypatch):
+        calls = self.counting_distinct_paths(monkeypatch)
+        model = load_models()["ACTIVITY"]
+        plain = build_plan(model, component_with(MOTIV_CALLBACKS))
+        helped = build_plan(model, component_with(MOTIV_CALLBACKS + ["helper", "onBtn"],
+                                                  aui=["onBtn"]))
+        assert len(calls) == 1
+        assert helped.prefix == plain.prefix
+        assert helped.units[:-1] == plain.units
+        assert callbacks_of(helped.units[-1].segments) == ("onBtn",)
+
+
 def _plan(units, prefix=()):
     return PermutationPlan(tuple(units), tuple(prefix))
 
 
 def _unit(label):
-    return PermutationUnit("LIFECYCLE_SUBSEQUENCE", (label,),
+    return PermutationUnit(LIFECYCLE_SUBSEQUENCE, (label,),
                            (Segment(label, (label,)),))
 
 
