@@ -23,7 +23,8 @@ its heap writes on a trail and undoes them after (as a backtracking
 machine's trail does, Warren 1983): the state it left is kept, as a copy,
 only when a step first starts from it, by redoing the trail (`_number`).
 Each method is compiled once per app into a plan: its de-looped CFG's
-blocks in reverse post order, each with the predecessors it reads.  One rule
+blocks in reverse post order, each with the predecessors it reads; a method
+of one basic block, as most are, is one step and builds no CFG.  One rule
 runs every block but the entry: it starts from its predecessors' OUT_d
 frames, merged when there are several, so taints survive path-local
 untainting.  A block holds the frame it ran on as its OUT_d; the last reader
@@ -39,7 +40,7 @@ from collections import namedtuple
 from functools import partial
 
 from . import api_handlers, symbols
-from .cfg import build_cfg, remove_back_edges, reverse_post_order
+from .cfg import build_cfg, leaders, remove_back_edges, reverse_post_order
 from .detectors import (
     INFO_LEAK, FoundWarning, detect_sms_attacks,
 )
@@ -214,18 +215,17 @@ def _keep(state, ctx, copy=False):
 
 
 def _number(node, ctx):
-    """Give `node` its number and kept state when a step first starts from
-    it: its parent's if its run wrote nothing, else those `_keep` finds for
-    its trail redone on its parent's kept state, which is then undone."""
-    if node.number is None:
-        parent, trail = node.parent, node.trail
-        if trail:
-            redo(trail)
-            node.number, node.state = _keep(parent.state, ctx, copy=True)
-            undo(trail)
-        else:
-            node.number, node.state = parent.number, parent.state
-        node.parent = node.trail = None
+    """Give unnumbered `node` its number and kept state when a step first
+    starts from it: its parent's if its run wrote nothing, else those `_keep`
+    finds for its trail redone on its parent's kept state, then undone."""
+    parent, trail = node.parent, node.trail
+    if trail:
+        redo(trail)
+        node.number, node.state = _keep(parent.state, ctx, copy=True)
+        undo(trail)
+    else:
+        node.number, node.state = parent.number, parent.state
+    node.parent = node.trail = None
 
 
 def _visit(component, segments, node, seq, start, ctx):
@@ -239,7 +239,8 @@ def _visit(component, segments, node, seq, start, ctx):
     trail.  `_emit` reports the findings as warnings of `seq`.  The unit's
     record is stored once its last callback has stepped, so a killed unit
     leaves none.  Returns the unit's last step (`node` if none)."""
-    _number(node, ctx)
+    if node.number is None:
+        _number(node, ctx)
     key = (component.class_name, segments, node.number)
     record = ctx.unit_runs.get(key)
     if record is not None:
@@ -249,7 +250,8 @@ def _visit(component, segments, node, seq, start, ctx):
     steps = []
     for offset, segment in enumerate(segments):
         for callback in segment.callbacks:
-            _number(node, ctx)
+            if node.number is None:
+                _number(node, ctx)
             memo_key = (component.class_name, callback, node.number)
             step = ctx.memo.get(memo_key)
             if step is None:
@@ -261,7 +263,7 @@ def _visit(component, segments, node, seq, start, ctx):
                     undo(trail)
                     _emit(ctx.found, component, seq, start + offset, ctx)
                 step = ctx.memo[memo_key] = _Node(tuple(ctx.found), node, trail)
-            else:
+            elif step.found:
                 _emit(step.found, component, seq, start + offset, ctx)
             if step.found:
                 steps.append((offset, step.found))
@@ -331,9 +333,16 @@ def _compile(method):
     (predecessor, last) for each reached predecessor, sorted, and `last`
     marks the block's final reader in step order.  The entry reads nothing.
     Several exits are joined by a last step, block None, with no
-    instructions; a sole exit comes last in RPO and is the exit frame.
+    instructions; a sole exit comes last in RPO and is the exit frame.  A
+    method of one basic block is that one step, built without a CFG.
     """
-    dag = remove_back_edges(build_cfg(method))
+    if len(leaders(method)) == 1:
+        return [(0, method.instructions[:], [])]
+    return _dag_steps(remove_back_edges(build_cfg(method)))
+
+
+def _dag_steps(dag):
+    """`_compile`'s steps for the de-looped CFG `dag`."""
     order = reverse_post_order(dag)
     reached = set(order)
     steps = [(bid, dag.instructions(dag.blocks[bid]),

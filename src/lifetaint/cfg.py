@@ -31,22 +31,31 @@ class Cfg:
         return self.method.instructions[block.start:block.end]
 
 
+def leaders(method):
+    """The first instruction index of each basic block, in order: 0, every
+    branch target and label below the end, and each index after a branch
+    or a return."""
+    instrs = method.instructions
+    n = len(instrs)
+    found = {0}
+    for ins in instrs:
+        if ins.kind in ("IF_GOTO", "GOTO"):
+            found.add(method.labels[ins.operands[-1]])
+            if ins.index + 1 < n:
+                found.add(ins.index + 1)
+        elif ins.kind in ("RETURN", "RETURN_VOID") and ins.index + 1 < n:
+            found.add(ins.index + 1)
+    for target in method.labels.values():
+        if target < n:
+            found.add(target)
+    return sorted(found)
+
+
 def build_cfg(method):
     """Partition instructions into leader-delimited blocks and wire edges."""
     instrs = method.instructions
     n = len(instrs)
-    leaders = {0}
-    for ins in instrs:
-        if ins.kind in ("IF_GOTO", "GOTO"):
-            leaders.add(method.labels[ins.operands[-1]])
-            if ins.index + 1 < n:
-                leaders.add(ins.index + 1)
-        elif ins.kind in ("RETURN", "RETURN_VOID") and ins.index + 1 < n:
-            leaders.add(ins.index + 1)
-    for target in method.labels.values():
-        if target < n:
-            leaders.add(target)
-    starts = sorted(leaders)
+    starts = leaders(method)
     blocks = []
     for i, start in enumerate(starts):
         end = starts[i + 1] if i + 1 < len(starts) else n

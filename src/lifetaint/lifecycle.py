@@ -61,10 +61,10 @@ class LifecycleModel:
         for tr in transitions:
             self._by_source.setdefault(tr.source, []).append(tr)
         self._paths_cache = None    # derive_paths(self), cached on first use
-        # sequences.build_plan's: (prefix length, each path's steps after the
-        # prefix with their callbacks flattened, every path callback), and
+        # sequences.build_plan's: (prefix length, the paths after the prefix
+        # as indexes into their distinct steps, every path callback), and
         # (lifecycle units, prefix) per set of path callbacks implemented
-        self._flat_paths = None
+        self._path_index = None
         self._plans = {}
 
     def outgoing(self, state_name):
@@ -240,7 +240,8 @@ def _walk(model):
     with its visit count from before the path entered it and its exits still
     to follow, so a path of any length fits; `visits` counts each static
     state's visits on the path, and `path` holds one Step into each state on
-    the stack but the first.  `memo` keeps `_exits`' results for the walk.
+    the stack but the first.  `memo` keeps `_exits`' and `_settle`'s results
+    for the walk.
     """
     paths, path, visits, stack, memo = [], [], {}, [], {}
     name, incoming = model.initial, None
@@ -261,7 +262,10 @@ def _walk(model):
             del path[len(stack) - 1:]
             for tr in exits:
                 if tr.destination != name:  # avoid self-loop
-                    callbacks, end = _settle(model, tr, incoming, memo)
+                    settled = memo.get((tr, incoming))
+                    if settled is None:
+                        settled = memo[tr, incoming] = _settle(model, tr, incoming, memo)
+                    callbacks, end = settled
                     if end is not None:  # a transient cycle cuts the branch
                         break
             else:

@@ -50,24 +50,29 @@ def _restrict(path, implemented):
     )
 
 
-def _flatten(paths, drop):
-    """(steps, callbacks) of each path after its first `drop` steps: the
-    steps and their callbacks in order."""
-    return [(path[drop:], tuple(cb for step in path[drop:] for cb in step.callbacks))
+def _index(paths, drop):
+    """(steps, rows): the distinct steps of the paths after each path's
+    first `drop`, in order of first use, and each path as the indexes of
+    its steps among them."""
+    found = {}
+    rows = [tuple(found.setdefault(step, len(found)) for step in path[drop:])
             for path in paths]
+    return list(found), rows
 
 
-def _distinct_paths(paths, implemented, drop=0, flat=None):
+def _distinct_paths(paths, implemented, drop=0, index=None):
     """(segments, callbacks) of each path after its first `drop` steps,
     restricted to the `implemented` callbacks; a path whose callbacks are
-    empty or repeat an earlier path's is skipped, keeping the first, before
-    its segments are built.  `flat` is `_flatten(paths, drop)`, if known."""
+    empty or repeat an earlier path's is skipped, keeping the first.  Each
+    step of `index`, `_index(paths, drop)` if not given, is restricted once."""
+    steps, rows = _index(paths, drop) if index is None else index
+    segments = _restrict(steps, implemented)
     seen = set()
-    for steps, callbacks in _flatten(paths, drop) if flat is None else flat:
-        key = tuple(cb for cb in callbacks if cb in implemented)
+    for row in rows:
+        key = sum((segments[i].callbacks for i in row), ())
         if key and key not in seen:
             seen.add(key)
-            yield _restrict(steps, implemented), key
+            yield tuple(segments[i] for i in row), key
 
 
 def _callback_unit(kind, name):
@@ -85,21 +90,21 @@ def build_plan(model, component):
     units are the per-path segments after it; for services they are whole
     paths.  The lifecycle units and the prefix depend only on which of the
     model's path callbacks the component implements, so the model keeps
-    them per set of those, with each path's callbacks flattened once.
+    them per set of those, with its paths indexed once (`_index`).
     """
     paths = derive_paths(model)
-    if model._flat_paths is None:
+    if model._path_index is None:
         drop = 1 if model.component_kind == "ACTIVITY" else 0
-        model._flat_paths = (drop, _flatten(paths, drop),
+        model._path_index = (drop, _index(paths, drop),
                              frozenset(cb for path in paths for step in path
                                        for cb in step.callbacks))
-    drop, flat, path_callbacks = model._flat_paths
+    drop, index, path_callbacks = model._path_index
     implemented = path_callbacks.intersection(_implemented(component))
     cached = model._plans.get(implemented)
     if cached is None:
         prefix = _restrict(paths[0][:1], implemented) if drop and paths else ()
         units = tuple(PermutationUnit(LIFECYCLE_SUBSEQUENCE, tuple(s.event for s in segs), segs)
-                      for segs, _ in _distinct_paths(paths, implemented, drop, flat))
+                      for segs, _ in _distinct_paths(paths, implemented, drop, index))
         cached = model._plans[implemented] = (units, prefix)
     units, prefix = cached
     units += tuple(_callback_unit(AUI_CALLBACK, name) for name in component.aui_callbacks)

@@ -174,6 +174,8 @@ def add_taints(space, entry, tags):
 
 def collect_taints(*entries):
     """All tags reachable from the entries through their fields (cycle-safe)."""
+    if len(entries) == 1 and not entries[0].fields:
+        return set(entries[0].taints)
     tags = set()
     seen = set()
     stack = list(entries)

@@ -1,10 +1,11 @@
+import io
 import random
 
 import pytest
 
-from lifetaint import analysis, api_handlers
+from lifetaint import analysis, api_handlers, cli
 from lifetaint.analysis import AnalysisConfig, AnalysisContext, analyze_component
-from lifetaint.cfg import build_cfg, remove_back_edges, reverse_post_order
+from lifetaint.cfg import build_cfg, leaders, remove_back_edges, reverse_post_order
 from lifetaint.cli import analyze_app
 from lifetaint.errors import AnalysisError
 from lifetaint.ir import Instruction, app_from_dict, load_app, resolve_method
@@ -14,6 +15,7 @@ from lifetaint.symbols import SymbolSpace, TaintTag, fingerprint, fresh_entry, v
 from conftest import all_corpus_paths, corpus_app
 from oracles import heap_run, random_heap_app, run_sequence, shares_match
 from test_golden_dags import RANDOM_METHODS, random_method
+from test_prefix_sharing import family_paths
 
 SOURCE = "TelephonyManager.getDeviceId/0"
 SINK = "Log.e/2"
@@ -820,6 +822,88 @@ class TestCompiledPlans:
         shares, copies, merged, readers = self.snapshots(config, monkeypatch, writing, labels)
         assert shares == copies == sum(n - 1 for n in readers if n > 1)
         assert merged == widths
+
+
+def cfg_steps(method):
+    """`analysis._compile`'s steps of `method` built from its de-looped CFG,
+    whatever its number of blocks."""
+    return analysis._dag_steps(remove_back_edges(build_cfg(method)))
+
+
+class TestOneBlockPlans:
+    """A method of one basic block is planned as that block without a CFG,
+    and the plan is the one its de-looped CFG gives."""
+
+    # (instructions, labels): each is one basic block
+    ONE_BLOCK = {
+        "empty": ([], {}),
+        "straight, labels at the start and the end": (
+            [["CONST_NUM", "c", 1], ["CONST_NUM", "x", 2]], {"start": 0, "end": 2}),
+        "a last goto to the start": ([["CONST_NUM", "c", 1], ["GOTO", "start"]], {"start": 0}),
+        "a last branch to the start": (
+            [["CONST_NUM", "c", 1], ["IF_GOTO", "c", "start"]], {"start": 0}),
+        "a trailing return": ([["CONST_NUM", "c", 1], ["RETURN", "c"]], {}),
+    }
+    # (instructions, labels): each is one block but for one branch, return
+    # or label
+    SPLIT = {
+        "a goto to the end": ([["CONST_NUM", "c", 1], ["GOTO", "end"]], {"end": 2}),
+        "a branch to the start before the end": (
+            [["CONST_NUM", "c", 1], ["IF_GOTO", "c", "start"], ["CONST_NUM", "x", 2]],
+            {"start": 0}),
+        "a return before the end": (
+            [["CONST_NUM", "c", 1], ["RETURN", "c"], ["CONST_NUM", "x", 2]], {}),
+        "a label inside": ([["CONST_NUM", "c", 1], ["CONST_NUM", "x", 2]], {"mid": 1}),
+    }
+
+    @staticmethod
+    def counting(monkeypatch, name):
+        """The methods that each call of `analysis.<name>` takes."""
+        calls = []
+        real = getattr(analysis, name)
+        monkeypatch.setattr(analysis, name, lambda method: calls.append(method) or real(method))
+        return calls
+
+    @pytest.mark.parametrize("shape", sorted(ONE_BLOCK))
+    def test_one_block_builds_no_cfg(self, monkeypatch, shape):
+        instructions, labels = self.ONE_BLOCK[shape]
+        method = make_app(instructions, labels=labels).classes[0].methods[0]
+        built = self.counting(monkeypatch, "build_cfg")
+        assert analysis._compile(method) == cfg_steps(method) == [(0, method.instructions, [])]
+        assert built == []
+
+    @pytest.mark.parametrize("shape", sorted(SPLIT))
+    def test_several_blocks_build_a_cfg(self, monkeypatch, shape):
+        instructions, labels = self.SPLIT[shape]
+        method = make_app(instructions, labels=labels).classes[0].methods[0]
+        built = self.counting(monkeypatch, "build_cfg")
+        assert len(leaders(method)) > 1
+        assert analysis._compile(method) == cfg_steps(method)
+        assert built == [method]
+
+    def test_random_methods_with_sparse_labels(self):
+        # CI compares the 10,000 seeds after these
+        one_block = 0
+        for seed in range(1000):
+            method = random_method(seed, sparse=True)
+            one_block += len(leaders(method)) == 1
+            assert analysis._compile(method) == cfg_steps(method), seed
+        assert 0 < one_block < 1000
+
+    @pytest.mark.parametrize("workload, m_max, compiled, built", [
+        ("corpus", 3, 58, 3), ("wide", 2, 36, 2), ("deep", 3, 20, 6)])
+    def test_a_pass_builds_a_cfg_per_method_of_several_blocks(
+            self, monkeypatch, tmp_path, workload, m_max, compiled, built):
+        # a pass at the benchmark's settings, seed 1: each method it runs is
+        # compiled once, and only those of several blocks build a CFG
+        if workload == "corpus":
+            paths = all_corpus_paths()
+        else:
+            paths = family_paths(workload, tmp_path, monkeypatch, seed=1)
+        compiles = self.counting(monkeypatch, "_compile")
+        builds = self.counting(monkeypatch, "build_cfg")
+        assert cli.run(cli.RunConfig(paths, m_max=m_max, out=io.StringIO())) == 0
+        assert (len(compiles), len(builds)) == (compiled, built)
 
 
 class TestDeepHeap:

@@ -27,7 +27,11 @@ CORPUS = os.path.join(os.path.dirname(HERE), "corpus")
 RANDOM_METHODS = 600
 
 
-def random_method(seed):
+def random_method(seed, sparse=False):
+    """A random method; `sparse` binds only its branch targets and, at
+    random, labels at its start, at its end and at one other index, so that
+    some of its methods are one basic block (a label at every index splits
+    all but those of one instruction)."""
     rng = random.Random(seed)
     n = rng.randint(1, 14)
     instrs = []
@@ -42,13 +46,18 @@ def random_method(seed):
             instrs.append(["RETURN_VOID"])
         else:
             instrs.append(["CONST_NUM", "c", 1])
+    labels = {"L%d" % i: i for i in range(n + 1)}
+    if sparse:
+        bound = {ins[-1] for ins in instrs if ins[0] in ("IF_GOTO", "GOTO")}
+        bound.update("L%d" % i for i in (0, n, rng.randint(0, n)) if rng.random() < 0.5)
+        labels = {name: labels[name] for name in sorted(bound)}
     doc = {
         "app_id": "r%d" % seed,
         "classes": [{
             "name": "R", "parent_kind": "PLAIN", "static_fields": [],
             "methods": [{
                 "sig": "m/0", "params": [], "instructions": instrs,
-                "labels": {"L%d" % i: i for i in range(n + 1)},
+                "labels": labels,
             }],
         }],
         "components": [],

@@ -335,6 +335,28 @@ class TestExitsMemo:
         assert len(calls) == 143
 
 
+class TestSettleMemo:
+    """A derivation walk follows each static exit through the transient
+    states once per previous event."""
+
+    def test_each_model_walk(self, monkeypatch):
+        calls = []
+        real = lifecycle._settle
+
+        def counting(model, tr, previous, memo=None):
+            calls.append((tr, previous))
+            return real(model, tr, previous, memo)
+
+        monkeypatch.setattr(lifecycle, "_settle", counting)
+        counts = {}
+        for kind, model in load_models().items():
+            del calls[:]
+            derive_paths(model)
+            assert len(calls) == len(set(calls))
+            counts[kind] = len(calls)
+        assert counts == {"ACTIVITY": 31, "SERVICE": 19}
+
+
 def recursive_replay(model, events):
     """`replay_events` as it was before it walked on an explicit stack: one
     recursion per replayed event (test oracle)."""
