@@ -6,6 +6,7 @@ nothing is found, m < m-max and some component has more than m units.  Any
 warning stops the escalation for that app and the run moves on to the next.
 """
 
+import gc
 import os
 import sys
 import time
@@ -17,6 +18,9 @@ from .errors import ConfigError, LifetaintError
 from .ir import load_app
 from .lifecycle import load_model
 from .sequences import build_plan, receiver_plan
+
+# generation 0's threshold while a batch runs (`run`)
+BATCH_GC_THRESHOLD = 100_000
 
 
 class RunConfig:
@@ -116,27 +120,34 @@ def run(config):
     # under the interpreter lock, threads add only their own overhead.
     # Neither the analysis nor the rendering makes reference cycles
     # (tests/test_garbage.py), so each app's heap is freed once its report
-    # is written, with no collection.
-    any_killed = False
-    for path in config.app_paths:
-        app = None
-        try:
-            app = load_app(path)
-            report = analyze_app(app, models, ss_config, config.m_max,
-                                 config.budget_secs)
-        except Exception as exc:
-            # whatever goes wrong with one app becomes its report's error,
-            # and the rest of the batch is still analyzed
-            error = str(exc) if isinstance(exc, LifetaintError) else (
-                "%s: %s" % (type(exc).__name__, exc))
-            report = Report(app.app_id if app is not None else os.path.basename(path),
-                            [], 0, 0, 0.0, True, error=error)
-        if config.dump_cfg and app is not None:
-            _dump_cfgs(app, out)
-        out.write(render_report(report, config.fmt))
-        out.write("\n")
-        any_killed = any_killed or not report.finished
-    return 2 if any_killed else 0
+    # is written.  A young collection would find nothing, so the batch runs
+    # with generation 0's threshold raised, and gives the caller's
+    # thresholds back however it ends
+    thresholds = gc.get_threshold()
+    gc.set_threshold(BATCH_GC_THRESHOLD, *thresholds[1:])
+    try:
+        any_killed = False
+        for path in config.app_paths:
+            app = None
+            try:
+                app = load_app(path)
+                report = analyze_app(app, models, ss_config, config.m_max,
+                                     config.budget_secs)
+            except Exception as exc:
+                # whatever goes wrong with one app becomes its report's error,
+                # and the rest of the batch is still analyzed
+                error = str(exc) if isinstance(exc, LifetaintError) else (
+                    "%s: %s" % (type(exc).__name__, exc))
+                report = Report(app.app_id if app is not None else os.path.basename(path),
+                                [], 0, 0, 0.0, True, error=error)
+            if config.dump_cfg and app is not None:
+                _dump_cfgs(app, out)
+            out.write(render_report(report, config.fmt))
+            out.write("\n")
+            any_killed = any_killed or not report.finished
+        return 2 if any_killed else 0
+    finally:
+        gc.set_threshold(*thresholds)
 
 
 def main(argv=None):

@@ -30,10 +30,17 @@ PermutationUnit = namedtuple("PermutationUnit", "kind events segments")
 PermutationPlan = namedtuple("PermutationPlan", "units prefix")
 
 
-class FlattenedSequence(namedtuple("FlattenedSequence", "unit_indexes segments")):
-    """One generated ordering: prefix plus m units, flattened to segments."""
+class FlattenedSequence(namedtuple("FlattenedSequence", "unit_indexes plan")):
+    """One generated ordering: the plan's prefix, then its units at
+    `unit_indexes`.  Only a kept warning's event trace reads the segments,
+    so `segments` flattens them on each read."""
 
     __slots__ = ()
+
+    @property
+    def segments(self):
+        units = self.plan.units
+        return sum((units[i].segments for i in self.unit_indexes), self.plan.prefix)
 
     def event_trace(self, upto_segment):
         return tuple(seg.event for seg in self.segments[: upto_segment + 1])
@@ -134,9 +141,6 @@ def generate_m_way(plan, m):
     n = len(plan.units)
     if not 1 <= m <= n:
         raise ValueError("m must satisfy 1 <= m <= %d, got %d" % (n, m))
-    units = [unit.segments for unit in plan.units]
+    new = tuple.__new__  # FlattenedSequence's own __new__ is a Python call
     for combo in itertools.permutations(range(n), m):
-        segments = plan.prefix
-        for idx in combo:
-            segments += units[idx]
-        yield FlattenedSequence(combo, segments)
+        yield new(FlattenedSequence, (combo, plan))

@@ -8,7 +8,9 @@ shares instead: spaces with their own register tables over its heap, in one
 group.  The first write through a member (`own`) gives every other member
 a deep copy, equal to one taken at the share, as nothing wrote the heap in
 between.  Copies, merges and taint collection walk the heap with explicit
-stacks, so a heap of any depth fits.
+stacks, so a heap of any depth fits.  A merge of spaces over one heap joins
+only the registers bound to different objects, pair by pair when the
+inputs' objects have no fields.
 
 Taint sets are immutable frozensets, shared by copies and replaced on write
 (`add_taints`), so a write through one copy never shows in another, and an
@@ -319,26 +321,36 @@ def merge_spaces(frames):
     activation, so their caller tables pair up.  The first is updated in
     place and returned, the others are consumed, as if all were private
     copies: a space that shares an input's heap and is not joined in place
-    takes a copy first.  Inputs that all share the first's heap are joined
-    in place when `_joins_in_place` allows, skipping what is the same on
-    both sides.
+    takes a copy first.
+
+    Inputs that all share the first's heap differ from it only in their
+    registers and return values; one scan of the registers finds the names
+    bound to other objects.  `_joins_directly` joins those pairs when no
+    input's object has fields, else `_joins_in_place` decides whether they
+    are joined in place, skipping what is the same on both sides.
     """
-    base = frames[0]
-    in_place = False
-    if base.group is not None:
-        sharing = [f for f in frames[1:] if f.group is base.group]
-        in_place = len(sharing) == len(frames) - 1 and _joins_in_place(base, sharing)
-        base.own(sharing if in_place else ())
+    base, others = frames[0], frames[1:]
+    regs, group = base.regs, base.group
+    diffs = None          # each input's registers bound to another object
+    if group is not None and all(other.group is group for other in others):
+        diffs = [[(name, entry) for name, entry in other.regs.items()
+                  if regs.get(name) is not entry] for other in others]
+        if _joins_directly(base, others, diffs):
+            return base
+        if not _joins_in_place(base, others, diffs):
+            diffs = None
+    if group is not None:
+        base.own(others if diffs is not None else ())
     seen = set()
-    for other in frames[1:]:
-        other.own()  # a heap but the first's: the rest of its group copies it
-        for table, src in zip((base.regs, base.statics) + base.outer,
-                              (other.regs, other.statics) + other.outer):
-            if table is not src:
-                pairs = src.items()
-                if in_place:  # a name bound to one object on both sides is skipped
-                    pairs = [(n, e) for n, e in pairs if table.get(n) is not e]
-                _join(base, table, pairs, seen)
+    for i, other in enumerate(others):
+        if diffs is not None:
+            _join(base, regs, diffs[i], seen)
+        else:
+            other.own()  # a heap but the first's: the rest of its group copies it
+            for table, src in zip((regs, base.statics) + base.outer,
+                                  (other.regs, other.statics) + other.outer):
+                if table is not src:
+                    _join(base, table, src.items(), seen)
         if base.returned is None:
             base.returned = other.returned
         elif other.returned is not None:
@@ -347,19 +359,52 @@ def merge_spaces(frames):
     return base
 
 
-def _joins_in_place(base, frames):
+def _joins_directly(base, others, diffs):
+    """Join `others`, which share `base`'s heap, into it pair by pair, and
+    return True, if `base` binds every name in `diffs`, the inputs' objects
+    there have no fields and none is one of `base`'s that the join changes,
+    and the return values are `base`'s: `_join` would then take just these
+    pairs, in place."""
+    regs = base.regs
+    changed = {regs.get(name) for pairs in diffs for name, _ in pairs}
+    if None in changed:
+        return False
+    for other, pairs in zip(others, diffs):
+        if other.returned is not base.returned:
+            return False
+        for _, entry in pairs:
+            if entry.fields or entry in changed:
+                return False
+    base.own(others)
+    # `_join`'s step, in its order (a pair met again changes nothing); a
+    # call per pair would slow `_join`'s walk of a large heap
+    for pairs in diffs:
+        for name, other in pairs:
+            entry = regs[name]
+            if other.taints is not entry.taints:
+                add_taints(base, entry, other.taints)
+            if entry.const_value != other.const_value:
+                assign(base, entry, "const_value", None)
+            if entry.value_kind != other.value_kind:
+                kinds = (entry.value_kind, other.value_kind)
+                assign(base, entry, "value_kind",
+                       COLLECTION if COLLECTION in kinds else MUTABLE_REF)
+    return True
+
+
+def _joins_in_place(base, frames, diffs):
     """Whether joining `frames`, which share `base`'s heap, into `base`
     changes it as joining private copies of them would: no join adopts an
     object of the heap, and no object that a join changes is read by
-    another.  The pairs of two objects are walked as `_join` pairs them,
-    on a stack."""
-    stack = [(base.regs, other.regs) for other in frames]
-    stack += [({0: base.returned}, {0: other.returned})
+    another.  The pairs of two objects, from `diffs`, are walked as `_join`
+    pairs them, on a stack."""
+    stack = [(base.regs, pairs) for pairs in diffs]
+    stack += [({0: base.returned}, [(0, other.returned)])
               for other in frames if other.returned is not None]
     pairs = set()
     while stack:
         table, src = stack.pop()
-        for name, other in src.items():
+        for name, other in src:
             entry = table.get(name)
             if entry is None:
                 # an adoption; of a register only since bound, and then to a
@@ -369,6 +414,6 @@ def _joins_in_place(base, frames):
                 return False
             if entry is not other and (entry, other) not in pairs:
                 pairs.add((entry, other))
-                stack.append((entry.fields, other.fields))
+                stack.append((entry.fields, other.fields.items()))
     changed = {entry for entry, _ in pairs}
     return not any(other in changed for _, other in pairs)

@@ -12,11 +12,14 @@ present it as the paper does, so the tests can compare the two:
 - `replay_events`: replays an event sequence against a model by guard
   evaluation, independently of the derivation's walk;
 - `run_sequence`: runs one generated sequence flat, from a fresh state and
-  without the memo;
+  without the memo; `sequence_of` makes a sequence of given segments;
 - `shares_match`: whether a method's run, where each earlier reader of a
   block shares its heap, equals the run where each takes a deep copy,
   instruction by instruction;
   `random_heap_app` makes methods for it;
+- `direct_joins_match`: whether that run, and `stepped_app_run`'s whole
+  analysis of an app, are the same where no join is direct
+  (`without_direct_joins`);
 - `trail_mismatches`: where a callback run in place on its kept start state
   differs from the same run on a deep copy; `repeat_levels` runs a random
   heap app's method from the states it leaves.
@@ -29,11 +32,14 @@ from lifetaint.analysis import (
     AnalysisContext, _emit, _fresh_state, _run_callback, analyze_component, analyze_method,
     handle_instruction,
 )
+from lifetaint.cli import analyze_app
+from lifetaint.detectors import render_report
 from lifetaint.errors import ModelError
 from lifetaint.ir import app_from_dict
 from lifetaint.lifecycle import Step, _exits, _settle, derive_paths
 from lifetaint.sequences import (
-    MISC_CALLBACK, PermutationPlan, PermutationUnit, Segment, _distinct_paths, _implemented,
+    MISC_CALLBACK, FlattenedSequence, PermutationPlan, PermutationUnit, Segment, _distinct_paths,
+    _implemented,
 )
 from lifetaint.symbols import SymbolSpace, fingerprint
 
@@ -124,6 +130,14 @@ def run_sequence(component, seq, ctx):
             _emit(ctx.found, component, seq, i, ctx)
 
 
+def sequence_of(unit_indexes, segments):
+    """A sequence of the units `unit_indexes` whose segments are `segments`:
+    its plan's prefix holds them all, and its units are empty."""
+    empty = PermutationUnit(MISC_CALLBACK, (), ())
+    plan = PermutationPlan((empty,) * (max(unit_indexes) + 1), tuple(segments))
+    return FlattenedSequence(unit_indexes, plan)
+
+
 def heap_run(app, config):
     """(findings, fingerprint of the exit frame) of the app's first method,
     run as a callback from a fresh component state."""
@@ -173,6 +187,40 @@ def shares_match(app, config):
     finally:
         SymbolSpace.share = share
     return shared == copied
+
+
+def without_direct_joins(run, *args):
+    """`run(*args)` where `merge_spaces` joins no inputs directly
+    (`symbols._joins_directly`), but by the general walk."""
+    direct = symbols._joins_directly
+    symbols._joins_directly = lambda base, others, diffs: False
+    try:
+        return run(*args)
+    finally:
+        symbols._joins_directly = direct
+
+
+def stepped_app_run(app, models, config, m_max):
+    """The JSON report of `analyze_app` and the fingerprint of the frame
+    after every instruction it runs."""
+    frames = []
+
+    def step(instr, ctx, frame, method):
+        handle_instruction(instr, ctx, frame, method)
+        frames.append(fingerprint(frame))
+
+    analysis.handle_instruction = step
+    try:
+        return render_report(analyze_app(app, models, config, m_max), "json"), frames
+    finally:
+        analysis.handle_instruction = handle_instruction
+
+
+def direct_joins_match(run, *args):
+    """Whether `run(*args)`, `stepped_heap_run` or `stepped_app_run`, gives
+    the same findings or report and the same frame after every instruction
+    as it does where no join is direct."""
+    return run(*args) == without_direct_joins(run, *args)
 
 
 def trail_mismatches(app, config, levels, number_all=False):
@@ -330,13 +378,18 @@ def random_heap_app(seed):
     """An app whose class Main has a random branchy method `main/0`, which
     reads and writes fields and statics, moves values, calls sources,
     sinks, handlers and the default rule, and calls a random `helper/1`."""
+    return app_from_dict(random_heap_doc(seed))
+
+
+def random_heap_doc(seed):
+    """`random_heap_app(seed)` as the JSON document of its IR."""
     rng = random.Random(seed)
     methods = [_heap_method(rng, "main/0", ["this"]),
                _heap_method(rng, "helper/1", ["this", "p"])]
-    return app_from_dict({
+    return {
         "app_id": "h%d" % seed,
         "classes": [{"name": "Main", "parent_kind": "ACTIVITY", "static_fields": [],
                      "methods": methods}],
         "components": [{"class": "Main", "kind": "ACTIVITY",
                         "aui_callbacks": [], "misc_callbacks": ["main"]}],
-    })
+    }

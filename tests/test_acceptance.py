@@ -11,13 +11,13 @@ from lifetaint.cli import RunConfig, analyze_app, run
 from lifetaint.detectors import Warning, dedup_warnings
 from lifetaint.ir import load_app
 from lifetaint.sequences import (
-    FlattenedSequence, PermutationPlan, PermutationUnit, Segment, build_plan, generate_m_way,
+    PermutationPlan, PermutationUnit, Segment, build_plan, generate_m_way,
 )
 from lifetaint.symbols import MUTABLE_REF, bind_copy, collect_taints, fresh_entry, TaintTag
 
 from conftest import all_corpus_paths, corpus_app
 from oracles import (
-    callback_sequences, callbacks_of, event_sequences, replay_events, run_sequence,
+    callback_sequences, callbacks_of, event_sequences, replay_events, run_sequence, sequence_of,
 )
 
 GET_DEVICE_ID = "TelephonyManager.getDeviceId/0"
@@ -107,7 +107,7 @@ def _replay_column_triggers(app, comp, model, column, config):
         Segment(step.event, tuple(cb for cb in step.callbacks if cb in implemented))
         for step in paths[0]
     )
-    seq = FlattenedSequence((0,), segments)
+    seq = sequence_of((0,), segments)
     ctx = AnalysisContext(app, config)
     run_sequence(comp, seq, ctx)
     return any(w.kind == "INFO_LEAK" for w in ctx.warnings)

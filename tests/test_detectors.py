@@ -11,10 +11,11 @@ from lifetaint.detectors import (
     sink_location, source_locations,
 )
 from lifetaint.analysis import AnalysisConfig
-from lifetaint.sequences import FlattenedSequence, Segment
+from lifetaint.sequences import Segment
 from lifetaint.symbols import Entry, IMMUTABLE_REF, TaintTag
 
 from conftest import all_corpus_paths
+from oracles import sequence_of
 
 
 def w(sources, sink, kind=INFO_LEAK, m=1, trace=("createActivity",)):
@@ -153,9 +154,9 @@ class TestFoundWarning:
     def test_it_reads_as_the_warning_built_from_lists(self):
         tags = {TaintTag("getDeviceId", ("C", "onCreate/1", 4)),
                 TaintTag("getLine1Number", ("C", "onCreate/1", 2))}
-        seq = FlattenedSequence((2, 0), (Segment("create", ("onCreate",)),
-                                         Segment("resume", ("onResume",)),
-                                         Segment("click", ("onClick",))))
+        seq = sequence_of((2, 0), (Segment("create", ("onCreate",)),
+                                   Segment("resume", ("onResume",)),
+                                   Segment("click", ("onClick",))))
         found = FoundWarning(INFO_LEAK, tags, "Log.e/2", ("C", "onResume/0", 7), "C", seq, 1)
         built = Warning(INFO_LEAK, {"getDeviceId", "getLine1Number"}, "Log.e/2",
                         source_locations(tags) + [sink_location("Log.e/2",

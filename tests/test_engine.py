@@ -3,17 +3,23 @@ import random
 
 import pytest
 
-from lifetaint import analysis, api_handlers, cli
+from lifetaint import analysis, api_handlers, cli, symbols
 from lifetaint.analysis import AnalysisConfig, AnalysisContext, analyze_component
 from lifetaint.cfg import build_cfg, leaders, remove_back_edges, reverse_post_order
 from lifetaint.cli import analyze_app
 from lifetaint.errors import AnalysisError
 from lifetaint.ir import Instruction, app_from_dict, load_app, resolve_method
-from lifetaint.sequences import FlattenedSequence, Segment, build_plan
-from lifetaint.symbols import SymbolSpace, TaintTag, fingerprint, fresh_entry, value_entry
+from lifetaint.sequences import Segment, build_plan
+from lifetaint.symbols import (
+    PRIMITIVE, SymbolSpace, TaintTag, const_entry, fingerprint, fresh_entry, merge_spaces,
+    value_entry,
+)
 
 from conftest import all_corpus_paths, corpus_app
-from oracles import heap_run, random_heap_app, run_sequence, shares_match
+from oracles import (
+    direct_joins_match, heap_run, random_heap_app, run_sequence, sequence_of, shares_match,
+    stepped_app_run, stepped_heap_run, without_direct_joins,
+)
 from test_golden_dags import RANDOM_METHODS, random_method
 from test_prefix_sharing import family_paths
 
@@ -46,8 +52,7 @@ def run_main(app, config):
     """Run Main's `main` callback once, as a one-segment sequence, and
     return the raw warnings."""
     ctx = AnalysisContext(app, config)
-    run_sequence(app.components[0], FlattenedSequence((0,), (Segment("main", ("main",)),)),
-                 ctx)
+    run_sequence(app.components[0], sequence_of((0,), (Segment("main", ("main",)),)), ctx)
     return ctx.warnings
 
 
@@ -1139,6 +1144,128 @@ class TestLazySnapshots:
             assert fingerprint(shared) == fingerprint(alone), name
 
 
+def _tagged(i, const=None):
+    """A new string of its own tag, or a number if `const` is given."""
+    if const is not None:
+        return const_entry(const, PRIMITIVE)
+    return value_entry({TaintTag("In.get%d/0" % i, ("C", "m/0", i))})
+
+
+class TestDirectJoins:
+    """A join of frames that share the first's heap takes their differing
+    registers pair by pair when the inputs' objects have no fields
+    (`symbols._joins_directly`); every run must equal the run where each
+    join takes the general walk (`oracles.direct_joins_match`)."""
+
+    @pytest.fixture()
+    def direct(self, monkeypatch):
+        """The results of `_joins_directly`, call by call."""
+        results = []
+        real = symbols._joins_directly
+        monkeypatch.setattr(symbols, "_joins_directly",
+                            lambda *args: results.append(real(*args)) or results[-1])
+        return results
+
+    def test_random_heap_methods_match_the_general_join(self, config, direct):
+        # seeds from 0; the CI oracle step runs the 10,000 seeds after these
+        mismatches, joined = [], 0
+        for seed in range(RANDOM_HEAP_METHODS):
+            del direct[:]
+            if not direct_joins_match(stepped_heap_run, random_heap_app(seed), config):
+                mismatches.append(seed)
+            joined += any(direct)
+        assert mismatches == []
+        assert joined > RANDOM_HEAP_METHODS // 3
+
+    @pytest.mark.parametrize("seed", [1, 7, 173])
+    @pytest.mark.parametrize("family", ["wide", "deep"])
+    def test_generated_family_matches_the_general_join(self, family, seed, models, config,
+                                                       tmp_path, monkeypatch):
+        paths = family_paths(family, tmp_path, monkeypatch, seed)
+        import gen
+        for path in paths:
+            assert direct_joins_match(stepped_app_run, load_app(path), models, config,
+                                      gen.FAMILIES[family].m_max)
+
+    @staticmethod
+    def frames(base, *inputs):
+        """A space over the registers `base` and a share of it per input,
+        each a dict whose names rebind the share's registers; the name
+        `returned` sets its return value instead."""
+        space = SymbolSpace({n: e for n, e in base.items() if n != "returned"})
+        space.returned = base.get("returned")
+        frames = [space] + [space.share() for _ in inputs]
+        for frame, rebound in zip(frames[1:], inputs):
+            for name, entry in rebound.items():
+                if name == "returned":
+                    frame.returned = entry
+                else:
+                    frame.regs[name] = entry
+        return frames
+
+    # name -> (base's registers, each input's rebound registers, whether
+    # the join is direct); each input also shares `this` with the base
+    CASES = {
+        # taints join, a constant collapses, then a number and a string
+        # collapse to a mutable object
+        "strings and numbers": (
+            {"x": 0, "y": (1, 5)}, [{"x": 2, "y": (3, 6)}, {"x": 4, "y": 7}], True),
+        # a join that writes nothing still ends the share group
+        "two alike strings": ({"x": "plain"}, [{"x": "plain"}], True),
+        "a pair with fields": ({"x": 0}, [{"x": "fields"}], False),
+        "a register only an input binds": ({"x": 0}, [{"x": 1, "z": 2}], False),
+        "an input reads an object the join changes": (
+            {"x": 0, "y": 1}, [{"x": "y", "y": 2}], False),
+        "another return value": ({"x": 0}, [{"x": 1, "returned": 2}], False),
+    }
+
+    def build(self, case):
+        """The case's frames, each object built afresh."""
+        base, inputs, _ = self.CASES[case]
+        made = {}
+
+        def entry(spec):
+            if spec == "fields":
+                obj = fresh_entry()
+                obj.fields["f"] = _tagged(9)
+                return obj
+            if spec == "y":  # the base's object at `y`
+                return made["y"]
+            if spec == "plain":
+                return value_entry()
+            return _tagged(*spec) if isinstance(spec, tuple) else _tagged(spec)
+
+        made.update((name, entry(spec)) for name, spec in base.items())
+        this = fresh_entry()
+        return self.frames(dict(made, this=this),
+                           *({n: entry(s) for n, s in rebound.items()} for rebound in inputs))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_hand_made_join_matches_the_join_of_copies(self, case, direct):
+        copies = [frame.deep_copy() for frame in self.build(case)]
+        general = without_direct_joins(merge_spaces, self.build(case))
+        joined = merge_spaces(self.build(case))
+        assert direct == [self.CASES[case][2]]
+        assert fingerprint(joined) == fingerprint(general) == fingerprint(merge_spaces(copies))
+        assert joined.group is None
+
+    def test_direct_joins_per_pass(self, tmp_path, monkeypatch, direct):
+        merges = []
+        real = analysis.merge_spaces
+        monkeypatch.setattr(analysis, "merge_spaces",
+                            lambda frames: merges.append(len(frames)) or real(frames))
+        batches = {"corpus": (all_corpus_paths(), 3, 2)}
+        for family, m_max in (("wide", 2), ("deep", 3)):
+            batches[family] = (family_paths(family, tmp_path, monkeypatch, 1), m_max, 1)
+        counts = {}
+        for name, (paths, m_max, jobs) in batches.items():
+            del merges[:], direct[:]
+            config = cli.RunConfig(paths, m_max=m_max, jobs=jobs, out=io.StringIO())
+            assert cli.run(config) == 0
+            counts[name] = (sum(direct), len(merges))
+        assert counts == {"corpus": (0, 23), "wide": (160, 184), "deep": (0, 30)}
+
+
 class TestLoops:
     @pytest.mark.parametrize("second_loop", [False, True])
     def test_loop_body_flow_reaches_code_after_loop(self, config, second_loop):
@@ -1284,7 +1411,7 @@ class TestSequenceState:
                             "aui_callbacks": [], "misc_callbacks": []}],
         }
         app = app_from_dict(doc)
-        seq = FlattenedSequence((0,), (
+        seq = sequence_of((0,), (
             Segment("boot", ("onCreate", "onResume")),
         ))
         ctx = AnalysisContext(app, config)
@@ -1324,7 +1451,7 @@ class TestSequenceState:
                             "aui_callbacks": [], "misc_callbacks": []}],
         }
         app = app_from_dict(doc)
-        seq = FlattenedSequence((0,), (
+        seq = sequence_of((0,), (
             Segment("save", ("onSaveInstanceState",)),
             Segment("restore", ("onRestoreInstanceState",)),
         ))

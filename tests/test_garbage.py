@@ -1,20 +1,24 @@
-"""`cli.run` forces no garbage collection: reference counting alone must free
-what the analysis of an app and the rendering of its report allocate.  A
-reference cycle, such as an engine record that points back at its context,
-would leave garbage that only the collector finds, and a long batch would
-hold it until then."""
+"""`cli.run` forces no garbage collection, and raises the collector's first
+threshold while a batch runs: reference counting alone must free what the
+analysis of an app and the rendering of its report allocate.  A reference
+cycle, such as an engine record that points back at its context, would
+leave garbage that only the collector finds, and a long batch would hold it
+until then.  The caller's thresholds come back however the batch ends."""
 
 import gc
 import io
 import itertools
+import json
 import os
 
 import pytest
 
 from lifetaint import analyze_app, cli, load_app
+from lifetaint.detectors import render_report
 from lifetaint.ir import app_from_dict
 
 from conftest import ROOT, all_corpus_paths
+from oracles import random_heap_doc
 
 
 @pytest.fixture()
@@ -118,3 +122,99 @@ def test_a_kill_while_frames_share_a_heap_leaves_no_cyclic_garbage(models, confi
         left[read] = gc.collect()
     assert killed >= 5
     assert left == dict.fromkeys(left, 0)
+
+
+class _ClosedOut(io.StringIO):
+    """An output stream whose reader went away."""
+
+    def write(self, text):
+        raise BrokenPipeError()
+
+
+# how a batch ends: (RunConfig arguments, what the app's analysis raises or
+# None, the output stream, the exit status or the exception that ends run)
+BATCH_ENDS = {
+    "finished": ({}, None, io.StringIO, 0),
+    "an app raises": ({}, RuntimeError("boom"), io.StringIO, 0),
+    "an app is killed": ({"budget_secs": 1e-9}, None, io.StringIO, 2),
+    "stdout closes": ({}, None, _ClosedOut, BrokenPipeError),
+    "interrupted": ({}, KeyboardInterrupt(), io.StringIO, KeyboardInterrupt),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+@pytest.mark.parametrize("end", sorted(BATCH_ENDS))
+def test_a_batch_gives_back_the_callers_collector_settings(end, enabled, monkeypatch):
+    kwargs, raised, out, status = BATCH_ENDS[end]
+    seen = []
+    real_analyze = cli.analyze_app
+
+    def analyze(*args):
+        seen.append((gc.get_threshold(), gc.isenabled()))
+        if raised is not None:
+            raise raised
+        return real_analyze(*args)
+
+    monkeypatch.setattr(cli, "analyze_app", analyze)
+    config = cli.RunConfig([os.path.join(ROOT, "corpus", "motivating_example.app")],
+                           out=out(), **kwargs)
+    before, was_enabled = gc.get_threshold(), gc.isenabled()
+    gc.set_threshold(700, 12, 9)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if isinstance(status, int):
+            assert cli.run(config) == status
+        else:
+            with pytest.raises(status):
+                cli.run(config)
+        after = gc.get_threshold(), gc.isenabled()
+    finally:
+        gc.set_threshold(*before)
+        (gc.enable if was_enabled else gc.disable)()
+    assert after == ((700, 12, 9), enabled)
+    # while the app runs, only generation 0's threshold is raised
+    assert seen == [((cli.BATCH_GC_THRESHOLD, 12, 9), enabled)]
+
+
+# the random heap apps of seeds 0-299 whose analysis leaves cyclic garbage
+CYCLIC_SEEDS = (31, 69, 70, 81, 103, 109, 116, 172, 194, 221, 274, 280, 288, 294)
+
+
+def test_a_batch_that_leaves_cyclic_garbage(models, config, tmp_path):
+    # the reports are those of each app alone, and the collector still finds
+    # the garbage: during the batch, or at the first collection after it
+    paths = []
+    for seed in CYCLIC_SEEDS:
+        path = tmp_path / ("h%d.app" % seed)
+        path.write_text(json.dumps(random_heap_doc(seed)))
+        paths.append(str(path))
+    expected = "".join(render_report(analyze_app(load_app(p), models, config), "json") + "\n"
+                       for p in paths)
+
+    def left_by_batch():
+        collected = []
+
+        def count(phase, info):
+            if phase == "stop":
+                collected.append(info["collected"])
+
+        out = io.StringIO()
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            assert cli.run(cli.RunConfig(paths, out=out)) == 0
+            gc.collect()
+        finally:
+            gc.callbacks.remove(count)
+        assert out.getvalue() == expected
+        return sum(collected)
+
+    garbage = left_by_batch()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert left_by_batch() == garbage
+    finally:
+        if enabled:
+            gc.enable()
+    assert garbage >= len(CYCLIC_SEEDS)

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import os
 
@@ -306,3 +307,56 @@ class TestMWay:
         assert seq.event_trace(0) == ("createActivity",)
         full = seq.event_trace(len(seq.segments) - 1)
         assert full[0] == "createActivity"
+
+
+def eager_segments(plan, unit_indexes):
+    """A sequence's segments built as each generated sequence once held
+    them: the prefix, then each unit's segments, concatenated."""
+    segments = plan.prefix
+    for i in unit_indexes:
+        segments += plan.units[i].segments
+    return segments
+
+
+class TestSegmentsOnRead:
+    """A generated sequence holds its unit indexes and its plan, and builds
+    its segments when they are read: each read gives what an eagerly built
+    sequence holds."""
+
+    @pytest.fixture()
+    def apps(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+        import gen
+        apps = [(path, 3) for path in all_corpus_paths()]
+        for family in ("wide", "deep"):
+            apps += [(path, gen.FAMILIES[family].m_max)
+                     for path in gen.write_family(family, 1, str(tmp_path / family))]
+        assert len(apps) == 23
+        return apps
+
+    def test_generated_sequences(self, apps, models):
+        for path, m_max in apps:
+            for component in load_app(path).components:
+                plan = (receiver_plan(component) if component.kind == "RECEIVER"
+                        else build_plan(models[component.kind], component))
+                n = len(plan.units)
+                for m in range(1, min(m_max, n) + 1):
+                    seqs = list(generate_m_way(plan, m))
+                    assert [s.unit_indexes for s in seqs] == list(
+                        itertools.permutations(range(n), m))
+                    for seq in seqs:
+                        assert seq.plan is plan
+                        assert seq.segments == eager_segments(plan, seq.unit_indexes)
+
+    def test_raw_warnings_event_traces(self, apps, models, config, monkeypatch):
+        raw = []
+        real_dedup = cli.dedup_warnings
+        monkeypatch.setattr(cli, "dedup_warnings",
+                            lambda warnings: raw.extend(warnings) or real_dedup(warnings))
+        for path, m_max in apps:
+            cli.analyze_app(load_app(path), models, config, m_max)
+        assert len(raw) == 166 + 1 + 1
+        for w in raw:
+            seq = w._seq
+            eager = eager_segments(seq.plan, seq.unit_indexes)
+            assert w.event_trace == tuple(s.event for s in eager[:w._segment + 1])
