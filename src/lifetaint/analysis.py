@@ -8,9 +8,10 @@ callback runs one level deeper on its method stack, as does every app
 method call: a call hands its caller the callee's whole exit heap.
 Sequences that start with the same prefix and units share them: the
 sequences are walked as a permutation tree, and a node's children start from
-the state it left.  Each top-level callback run is memoised for the whole
-app, across m levels, on the component, the callback and the number of its
-start state (equal states, by a canonical fingerprint, share one), in the
+the state it left; a parent's leaves, which come one after another, run in
+one loop.  Each top-level callback run is memoised for the whole app,
+across m levels, on the component, the callback and the number of its start
+state (equal states, by a canonical fingerprint, share one), in the
 spirit of IFDS summaries (Reps, Horwitz and Sagiv, POPL 1995): units built
 from life-cycle paths often share callbacks, and a callback that already ran
 from an equal state reports that run's findings and hands on the state it
@@ -38,6 +39,7 @@ resolved with it, once per app (`_decode`).
 import time
 from collections import namedtuple
 from functools import partial
+from itertools import islice
 
 from . import api_handlers, symbols
 from .cfg import build_cfg, leaders, remove_back_edges, reverse_post_order
@@ -48,8 +50,8 @@ from .errors import AnalysisError, ConfigError, list_of, load_json
 from .ir import MethodDef, resolve_method
 from .sequences import generate_m_way
 from .symbols import (
-    COLLECTION, IMMUTABLE_REF, PRIMITIVE, SymbolSpace, TaintTag,
-    add_taints, assign, bind_copy, collect_taints, const_entry, fingerprint, fresh_entry,
+    BOUND_AS_IS, COLLECTION, IMMUTABLE_REF, PRIMITIVE, Entry, SymbolSpace, TaintTag,
+    add_taints, assign, bind_copy, collect_taints, fingerprint, fresh_entry,
     merge_spaces, redo, store, undo, value_entry,
 )
 
@@ -147,24 +149,29 @@ def analyze_component(app, component, plan, m, ctx):
     is the prefix and whose depth-j nodes hold j units.  `generate_m_way`
     yields them in lexicographic order, which walks that tree depth first, so a
     sequence visits only the nodes after the prefix it shares with the one
-    before it, each from the state its parent left.  `_visit` replays a
-    node's unit from its record when the unit already finished from an equal
-    state, and otherwise runs each callback or takes the memo's run of it.
+    before it, each from the state its parent left.  A parent's first leaf
+    takes that general path; its other N - m leaves, which follow in unit
+    order, run in one loop from the parent's node, each a clock test, a
+    `_visit` and a count.  `_visit` replays a node's unit from its record
+    when the unit already finished from an equal state, and otherwise runs
+    each callback or takes the memo's run of it.
     """
     if not plan.units:
         return []
     before = len(ctx.warnings)
+    units = [unit.segments for unit in plan.units]
     # nodes[j]: the step after the prefix and previous[:j], and the segment
     # offset in the sequence of the unit that follows it
     nodes = []
     previous = ()
-    for seq in generate_m_way(plan, m):
-        combo = seq.unit_indexes
-        k = 0
-        while k < len(previous) and previous[k] == combo[k]:
-            k += 1
-        del nodes[k + 1:]
-        try:
+    sequences = generate_m_way(plan, m)
+    try:
+        for seq in sequences:
+            combo = seq.unit_indexes
+            k = 0
+            while k < len(previous) and previous[k] == combo[k]:
+                k += 1
+            del nodes[k + 1:]
             ctx.check_time()
             if not nodes:  # the prefix runs from the fresh component state
                 root = _Node((), None, None, *_keep(_fresh_state(), ctx))
@@ -172,15 +179,23 @@ def analyze_component(app, component, plan, m, ctx):
                               len(plan.prefix)))
             node, start = nodes[k]
             for u in combo[k:]:
-                segments = plan.units[u].segments
+                segments = units[u]
                 node = _visit(component, segments, node, seq, start, ctx)
                 start += len(segments)
                 nodes.append((node, start))
-        except _TimeBudgetExceeded:
-            ctx.killed = True
-            break
-        previous = combo
-        ctx.sequences_analyzed += 1
+            previous = combo
+            ctx.sequences_analyzed += 1
+            # the parent's other leaves; the next sequence after them leaves
+            # this parent, so it shares with the last of them what it shares
+            # with `previous`
+            parent, start = nodes[m - 1]
+            for seq in islice(sequences, len(units) - m):
+                if ctx._clock() > ctx._deadline:  # check_time's one read
+                    raise _TimeBudgetExceeded()
+                _visit(component, units[seq.unit_indexes[-1]], parent, seq, start, ctx)
+                ctx.sequences_analyzed += 1
+    except _TimeBudgetExceeded:
+        ctx.killed = True
     return ctx.warnings[before:]
 
 
@@ -306,7 +321,8 @@ def analyze_method(method, ctx, frame):
 
     Returns (return-value entry or None, exit frame).
     """
-    ctx.check_time()
+    if ctx._clock() > ctx._deadline:  # check_time's one read
+        raise _TimeBudgetExceeded()
     steps = ctx.plans.get(method)
     if steps is None:
         steps = ctx.plans[method] = _decode(_compile(method), method, ctx)
@@ -407,51 +423,58 @@ def handle_instruction(instr, ctx, frame, method):
         if instr.result is not None:  # None binds a fresh untainted value
             frame.regs[instr.result] = result if result is not None else value_entry()
         return
+    # a register is read as `regs.get(name) or _lookup(...)`: an Entry is
+    # always true, and `_lookup` raises for the unbound name.  `bind_copy`'s
+    # rule is written out where a value is bound
     ops = instr.operands
+    regs = frame.regs
     if kind == "CONST_STRING":
-        frame.regs[ops[0]] = const_entry(ops[1], IMMUTABLE_REF)
+        regs[ops[0]] = Entry(IMMUTABLE_REF, None, ops[1])
     elif kind == "CONST_NUM":
-        frame.regs[ops[0]] = const_entry(ops[1], PRIMITIVE)
+        regs[ops[0]] = Entry(PRIMITIVE, None, ops[1])
     elif kind == "MOVE":
-        frame.regs[ops[0]] = bind_copy(_lookup(frame, ops[1], method, instr))
+        src = regs.get(ops[1]) or _lookup(frame, ops[1], method, instr)
+        regs[ops[0]] = src if src.value_kind in BOUND_AS_IS else src.deep_copy()
     elif kind == "NEW_INSTANCE":
-        frame.regs[ops[0]] = fresh_entry()
+        regs[ops[0]] = Entry()
     elif kind == "IGET":
-        obj = _lookup(frame, ops[1], method, instr)
+        obj = regs.get(ops[1]) or _lookup(frame, ops[1], method, instr)
         field = obj.fields.get(ops[2])
         if field is None:
-            field = fresh_entry()
+            field = Entry()
             store(frame, obj.fields, ops[2], field)
-        frame.regs[ops[0]] = bind_copy(field)
+        regs[ops[0]] = field if field.value_kind in BOUND_AS_IS else field.deep_copy()
     elif kind == "IPUT":
-        obj = _lookup(frame, ops[0], method, instr)
-        src = _lookup(frame, ops[2], method, instr)
-        store(frame, obj.fields, ops[1], bind_copy(src))
+        obj = regs.get(ops[0]) or _lookup(frame, ops[0], method, instr)
+        src = regs.get(ops[2]) or _lookup(frame, ops[2], method, instr)
+        store(frame, obj.fields, ops[1], src if src.value_kind in BOUND_AS_IS else src.deep_copy())
     elif kind == "SGET":
         slot = frame.statics.get(ops[1])
         if slot is None:
-            slot = fresh_entry()
+            slot = Entry()
             store(frame, frame.statics, ops[1], slot)
-        frame.regs[ops[0]] = bind_copy(slot)
+        regs[ops[0]] = slot if slot.value_kind in BOUND_AS_IS else slot.deep_copy()
     elif kind == "SPUT":
-        src = _lookup(frame, ops[1], method, instr)
-        store(frame, frame.statics, ops[0], bind_copy(src))
+        src = regs.get(ops[1]) or _lookup(frame, ops[1], method, instr)
+        store(frame, frame.statics, ops[0],
+              src if src.value_kind in BOUND_AS_IS else src.deep_copy())
     elif kind == "COLLECTION_NEW":
-        frame.regs[ops[0]] = fresh_entry(COLLECTION)
+        regs[ops[0]] = Entry(COLLECTION)
     elif kind == "COLLECTION_PUT":
-        coll = _lookup(frame, ops[0], method, instr)
-        src = _lookup(frame, ops[2], method, instr)
+        coll = regs.get(ops[0]) or _lookup(frame, ops[0], method, instr)
+        src = regs.get(ops[2]) or _lookup(frame, ops[2], method, instr)
         # index is irrelevant: element taint always taints the whole object
         add_taints(frame, coll, collect_taints(src))
     elif kind == "COLLECTION_GET":
-        coll = _lookup(frame, ops[1], method, instr)
-        frame.regs[ops[0]] = value_entry(coll.taints)
+        coll = regs.get(ops[1]) or _lookup(frame, ops[1], method, instr)
+        regs[ops[0]] = value_entry(coll.taints)
     elif kind == "IF_GOTO":
-        _lookup(frame, ops[0], method, instr)  # condition must exist; control only
+        # the condition must exist; control only
+        regs.get(ops[0]) or _lookup(frame, ops[0], method, instr)
     elif kind == "GOTO" or kind == "RETURN_VOID":
         pass
     else:  # RETURN: the loader admits no other opcode, and `_decode` the invokes
-        frame.returned = _lookup(frame, ops[0], method, instr)
+        frame.returned = regs.get(ops[0]) or _lookup(frame, ops[0], method, instr)
 
 
 def handle_invoke(invoke, ctx, frame, method):
@@ -495,10 +518,11 @@ def handle_invoke(invoke, ctx, frame, method):
 
 def _operands(frame, invoke, method):
     """An invoke's (receiver entry or None, argument entries)."""
-    receiver = None
-    if invoke.receiver is not None:
-        receiver = _lookup(frame, invoke.receiver, method, invoke)
-    return receiver, [_lookup(frame, a, method, invoke) for a in invoke.args]
+    regs = frame.regs
+    receiver = invoke.receiver
+    if receiver is not None:
+        receiver = regs.get(receiver) or _lookup(frame, receiver, method, invoke)
+    return receiver, [regs.get(a) or _lookup(frame, a, method, invoke) for a in invoke.args]
 
 
 def _call(target, ctx, frame, receiver, args):
@@ -513,18 +537,20 @@ def _call(target, ctx, frame, receiver, args):
     """
     if target in ctx.method_stack:
         return None
-    frame.own()  # the callee runs on, and may write, `frame`'s heap
-    callee = SymbolSpace({}, frame.statics, frame.outer + (frame.regs,))
-    params = list(target.params)
+    if frame.group is not None:
+        frame.own()  # the callee runs on, and may write, `frame`'s heap
+    regs = {}
+    callee = SymbolSpace(regs, frame.statics, frame.outer + (frame.regs,))
+    params = target.params
     if params and params[0] == "this":
         if receiver is None:
             raise AnalysisError("static call to instance method %s" % target.full_signature)
-        callee.regs["this"] = receiver
+        regs["this"] = receiver
         params = params[1:]
     for pname, actual in zip(params, args):
-        callee.regs[pname] = bind_copy(actual)
+        regs[pname] = actual if actual.value_kind in BOUND_AS_IS else actual.deep_copy()
     for pname in params[len(args):]:
-        callee.regs[pname] = fresh_entry()
+        regs[pname] = Entry()
     ctx.method_stack.append(target)
     try:
         ret, exit_frame = analyze_method(target, ctx, callee)

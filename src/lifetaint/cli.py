@@ -7,6 +7,7 @@ warning stops the escalation for that app and the run moves on to the next.
 """
 
 import gc
+import numbers
 import os
 import sys
 import time
@@ -26,12 +27,19 @@ BATCH_GC_THRESHOLD = 100_000
 class RunConfig:
     def __init__(self, app_paths, models_dir=None, config_path=None, m_max=2,
                  budget_secs=600.0, jobs=1, fmt="json", dump_cfg=False, out=None):
+        # a bool is an int, and would count as 0 or 1
+        if not isinstance(m_max, int) or isinstance(m_max, bool):
+            raise ConfigError("m-max must be an integer")
         if m_max < 1:
             raise ConfigError("m-max must be >= 1")
+        if not isinstance(budget_secs, numbers.Real) or isinstance(budget_secs, bool):
+            raise ConfigError("budget-secs must be a number")
         if not budget_secs > 0:
             raise ConfigError("budget-secs must be > 0")
         if fmt not in ("json", "table"):
             raise ConfigError("format must be json or table")
+        if not isinstance(jobs, int) or isinstance(jobs, bool):
+            raise ConfigError("jobs must be an integer")
         if jobs < 1:
             raise ConfigError("jobs must be >= 1")
         self.app_paths = app_paths

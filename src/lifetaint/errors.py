@@ -43,7 +43,7 @@ def list_of(kind, doc, key, where, error):
     """A copy of doc[key] (default []), checked to be a list of `kind`
     items; otherwise `error` is raised, naming the field."""
     value = doc.get(key, [])
-    if not isinstance(value, list) or not all(isinstance(v, kind) for v in value):
+    if not isinstance(value, list) or not all(map(kind.__instancecheck__, value)):
         noun = {dict: "objects", str: "strings", list: "lists"}[kind]
         raise error("%s: field '%s' must be a list of %s" % (where, key, noun))
     return list(value)

@@ -137,29 +137,39 @@ _OPERAND = {
     "f": ("a number literal", lambda op: isinstance(op, (int, float))),
     "i": ("a collection index", lambda op: True),
     "a": ("a list of register names",
-          lambda op: isinstance(op, (list, tuple)) and all(isinstance(a, str) for a in op)),
+          lambda op: isinstance(op, (list, tuple)) and all(map(str.__instancecheck__, op))),
 }
+
+# opcode -> (its operand letters, whether every operand must be a string,
+# whether it writes its first operand, whether it is an invoke)
+_OPCODES = {kind: (spec, set(spec) <= {"n", "s"}, kind in _WRITES_DST,
+                   kind.startswith("INVOKE_"))
+            for kind, spec in _OPERANDS.items()}
 
 
 def _parse_instruction(raw, idx, where):
     if not raw:
         raise AppLoadError("%s: instruction %d is empty" % (where, idx))
     kind, *ops = raw
-    spec = _OPERANDS.get(kind) if isinstance(kind, str) else None
-    if spec is None:
+    opcode = _OPCODES.get(kind) if isinstance(kind, str) else None
+    if opcode is None:
         raise AppLoadError("%s: unknown opcode %r at %d" % (where, kind, idx))
+    spec, strings, writes, invoke = opcode
     if len(ops) != len(spec):
         raise AppLoadError(
             "%s: %s at %d takes %d operands, got %d" % (where, kind, idx, len(spec), len(ops))
         )
-    for i, op in enumerate(ops):
-        noun, check = _OPERAND[spec[i]]
-        if not check(op):
-            raise AppLoadError("%s: %s at %d: operand %d must be %s, got %r"
-                               % (where, kind, idx, i + 1, noun, op))
-    if kind in _WRITES_DST and ops[0] == "this":
+    # one pass over operands that must all be strings; the check of each
+    # operand in turn names the one that fails
+    if not (strings and all(map(str.__instancecheck__, ops))):
+        for i, op in enumerate(ops):
+            noun, check = _OPERAND[spec[i]]
+            if not check(op):
+                raise AppLoadError("%s: %s at %d: operand %d must be %s, got %r"
+                                   % (where, kind, idx, i + 1, noun, op))
+    if writes and ops[0] == "this":
         raise AppLoadError("%s: %s at %d cannot write to 'this'" % (where, kind, idx))
-    if kind.startswith("INVOKE_"):
+    if invoke:
         args = ops[-1]
         sig = ops[2] if kind != "INVOKE_STATIC" else ops[1]
         if "." not in sig:
@@ -172,7 +182,8 @@ def _parse_instruction(raw, idx, where):
                 "%s: %s at %d passes %d args to %s" % (where, kind, idx, len(args), sig)
             )
         ops = [*ops[:-1], tuple(args)]
-    return Instruction(kind, tuple(ops), idx)
+    # Instruction's own __new__ is a Python call
+    return tuple.__new__(Instruction, (kind, tuple(ops), idx))
 
 
 def _parse_method(raw, class_name, where):

@@ -155,14 +155,14 @@ def value_entry(taints=(), const_value=None):
     return Entry(IMMUTABLE_REF, taints, const_value)
 
 
-def const_entry(value, kind):
-    return Entry(kind, const_value=value)
+# the kinds that an assignment binds as they are, not as a copy
+BOUND_AS_IS = frozenset((MUTABLE_REF, COLLECTION))
 
 
 def bind_copy(entry):
     """Copy semantics for assignment: a mutable object or collection is
     shared, a primitive or immutable reference is duplicated."""
-    if entry.value_kind in (MUTABLE_REF, COLLECTION):
+    if entry.value_kind in BOUND_AS_IS:
         return entry
     return entry.deep_copy()
 

@@ -4,6 +4,7 @@ import pathlib
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -311,6 +312,33 @@ class TestArgs:
         for budget in (0, -1.0, float("nan")):
             with pytest.raises(ConfigError):
                 RunConfig(app_paths=["x"], budget_secs=budget)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("m_max", 2.0, "m-max must be an integer"),
+        ("m_max", "2", "m-max must be an integer"),
+        ("m_max", True, "m-max must be an integer"),
+        ("m_max", None, "m-max must be an integer"),
+        ("jobs", 1.0, "jobs must be an integer"),
+        ("jobs", "1", "jobs must be an integer"),
+        ("jobs", True, "jobs must be an integer"),
+        ("budget_secs", "5", "budget-secs must be a number"),
+        ("budget_secs", None, "budget-secs must be a number"),
+        ("budget_secs", True, "budget-secs must be a number"),
+        ("budget_secs", complex(5, 0), "budget-secs must be a number"),
+    ])
+    def test_wrongly_typed_setting_is_config_error(self, field, value, message):
+        # a float m-max used to reach range() and make every report a
+        # TypeError with exit status 0; a string budget raised TypeError
+        with pytest.raises(ConfigError) as info:
+            RunConfig(app_paths=["x"], **{field: value})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("field,value", [
+        ("m_max", 3), ("jobs", 2), ("budget_secs", 5), ("budget_secs", 0.5),
+        ("budget_secs", Fraction(1, 2)),
+    ])
+    def test_well_typed_setting_is_kept(self, field, value):
+        assert getattr(RunConfig(app_paths=["x"], **{field: value}), field) == value
 
     def test_bad_format(self):
         with pytest.raises(ConfigError):

@@ -11,7 +11,7 @@ from lifetaint.errors import AnalysisError
 from lifetaint.ir import Instruction, app_from_dict, load_app, resolve_method
 from lifetaint.sequences import Segment, build_plan
 from lifetaint.symbols import (
-    PRIMITIVE, SymbolSpace, TaintTag, const_entry, fingerprint, fresh_entry, merge_spaces,
+    PRIMITIVE, Entry, SymbolSpace, TaintTag, fingerprint, fresh_entry, merge_spaces,
     value_entry,
 )
 
@@ -239,6 +239,54 @@ class TestInstructionSemantics:
         ])
         with pytest.raises(AnalysisError, match="ghost"):
             run_main(app, config)
+
+    # (instructions, the index of the one that reads the unbound register
+    # `r`); each read path of the interpreter
+    UNBOUND_READS = {
+        "MOVE source": ([["MOVE", "a", "r"]], 0),
+        "SPUT source": ([["SPUT", "C.s", "r"]], 0),
+        "IPUT source": ([["NEW_INSTANCE", "o", "C"], ["IPUT", "o", "f", "r"]], 1),
+        "COLLECTION_PUT source": ([["COLLECTION_NEW", "c"], ["COLLECTION_PUT", "c", 0, "r"]], 1),
+        "IGET object": ([["IGET", "a", "r", "f"]], 0),
+        "IPUT object": ([["CONST_STRING", "v", "x"], ["IPUT", "r", "f", "v"]], 1),
+        "COLLECTION_PUT collection": (
+            [["CONST_STRING", "v", "x"], ["COLLECTION_PUT", "r", 0, "v"]], 1),
+        "COLLECTION_GET collection": ([["COLLECTION_GET", "a", "r", 0]], 0),
+        "IF_GOTO condition": ([["IF_GOTO", "r", "end"]], 0),
+        "RETURN": ([["CONST_STRING", "v", "x"], ["RETURN", "r"]], 1),
+        "receiver": ([["INVOKE_VIRTUAL", None, "r", "Lib.get/0", []]], 0),
+        "handler receiver": ([["INVOKE_VIRTUAL", "a", "r", "StringBuilder.toString/0", []]], 0),
+        "handler argument": ([["NEW_INSTANCE", "sb", "StringBuilder"],
+                              ["INVOKE_VIRTUAL", None, "sb", "StringBuilder.append/1", ["r"]]], 1),
+        "app-method argument": ([["INVOKE_DIRECT", None, "this", "C.helper/1", ["r"]]], 0),
+        "default-rule argument": ([["CONST_STRING", "v", "x"],
+                                   ["INVOKE_STATIC", None, "Lib.put/2", ["v", "r"]]], 1),
+        "sink argument": ([["CONST_STRING", "t", "t"], ["INVOKE_STATIC", None, SINK, ["t", "r"]]], 1),
+        "trigger argument": ([["NEW_INSTANCE", "task", "Task"],
+                              ["INVOKE_VIRTUAL", None, "task", "Task.execute/1", ["r"]]], 1),
+    }
+
+    @pytest.mark.parametrize("case", UNBOUND_READS)
+    def test_each_read_of_an_unbound_register_names_it(self, case, config):
+        instructions, index = self.UNBOUND_READS[case]
+        app = app_from_dict({
+            "app_id": "unbound",
+            "classes": [
+                {"name": "C", "parent_kind": "ACTIVITY", "static_fields": [], "methods": [
+                    {"sig": "m/0", "params": ["this"], "labels": {"end": len(instructions)},
+                     "instructions": instructions + [["RETURN_VOID"]]},
+                    {"sig": "helper/1", "params": ["this", "p"], "labels": {},
+                     "instructions": [["RETURN_VOID"]]}]},
+                {"name": "Task", "parent_kind": "ASYNC_TASK", "static_fields": [], "methods": [
+                    {"sig": "doInBackground/1", "params": ["this", "p"], "labels": {},
+                     "instructions": [["RETURN_VOID"]]}]}],
+            "components": [{"class": "C", "kind": "ACTIVITY",
+                            "aui_callbacks": [], "misc_callbacks": ["m"]}],
+        })
+        ctx = AnalysisContext(app, config)
+        with pytest.raises(AnalysisError) as info:
+            run_sequence(app.components[0], sequence_of((0,), (Segment("m", ("m",)),)), ctx)
+        assert str(info.value) == "use of undefined register 'r' (at C.m/0[%d])" % index
 
     def test_static_fields_flow(self, config):
         app = make_app([
@@ -1147,7 +1195,7 @@ class TestLazySnapshots:
 def _tagged(i, const=None):
     """A new string of its own tag, or a number if `const` is given."""
     if const is not None:
-        return const_entry(const, PRIMITIVE)
+        return Entry(PRIMITIVE, const_value=const)
     return value_entry({TaintTag("In.get%d/0" % i, ("C", "m/0", i))})
 
 

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from lifetaint import ir
 from lifetaint.errors import AppLoadError
 from lifetaint.ir import app_from_dict, load_app, resolve_method
 
@@ -229,6 +230,54 @@ class TestMalformed:
         doc = minimal(instructions=[instr, ["RETURN_VOID"]], labels={"x": 0})
         with pytest.raises(AppLoadError, match="%s at 0: operand %d" % (instr[0], operand)):
             app_from_dict(doc)
+
+    # operand letter -> (a valid operand, a wrongly typed one, the noun that
+    # names what it must be); "i" takes any operand
+    LETTERS = {
+        "n": ("x", 5, "a name"),
+        "r": (None, 5, "a register name or null"),
+        "s": ("s", 5, "a string literal"),
+        "f": (1, "1", "a number literal"),
+        "i": (0, None, None),
+        "a": ([], "x", "a list of register names"),
+    }
+
+    @staticmethod
+    def valid(kind):
+        """An instruction of opcode `kind` that loads."""
+        ops = [TestMalformed.LETTERS[letter][0] for letter in ir._OPERANDS[kind]]
+        if kind.startswith("INVOKE_"):
+            ops[-2] = "Lib.f/0"
+        return [kind, *ops]
+
+    @pytest.mark.parametrize("kind,position", [
+        (kind, i) for kind, spec in ir._OPERANDS.items()
+        for i, letter in enumerate(spec) if letter != "i"])
+    def test_each_operand_error_names_its_operand(self, kind, position):
+        letter = ir._OPERANDS[kind][position]
+        _, wrong, noun = self.LETTERS[letter]
+        instr = self.valid(kind)
+        app_from_dict(minimal(instructions=[instr, ["RETURN_VOID"]], labels={"x": 0}))
+        instr[1 + position] = wrong
+        with pytest.raises(AppLoadError) as info:
+            app_from_dict(minimal(instructions=[instr, ["RETURN_VOID"]], labels={"x": 0}))
+        assert str(info.value) == "<dict>:C.go/0: %s at 0: operand %d must be %s, got %r" % (
+            kind, position + 1, noun, wrong)
+
+    def test_operands_of_a_str_subclass_load(self):
+        class Name(str):
+            pass
+
+        doc = minimal(instructions=[
+            ["CONST_STRING", Name("a"), Name("s")],
+            ["MOVE", Name("b"), Name("a")],
+            ["INVOKE_STATIC", Name("c"), Name("Lib.f/1"), [Name("b")]],
+            ["RETURN_VOID"]])
+        doc["classes"][0]["static_fields"] = [Name("f")]
+        app = app_from_dict(doc)
+        assert [i.operands for i in app.classes[0].methods[0].instructions] == [
+            ("a", "s"), ("b", "a"), ("c", "Lib.f/1", ("b",)), ()]
+        assert app.classes[0].static_fields == ["f"]
 
     @pytest.mark.parametrize("argc", ["00", "01", "²", "٣", " 1", "-1", "+1"])
     def test_argc_is_plain_ascii_digits(self, argc):

@@ -22,7 +22,7 @@ from lifetaint.sequences import (
     LIFECYCLE_SUBSEQUENCE, PermutationPlan, PermutationUnit, Segment, build_plan,
 )
 from lifetaint.symbols import (
-    IMMUTABLE_REF, PRIMITIVE, SymbolSpace, TaintTag, const_entry, fingerprint, fresh_entry,
+    IMMUTABLE_REF, PRIMITIVE, Entry, SymbolSpace, TaintTag, fingerprint, fresh_entry,
     value_entry,
 )
 
@@ -348,7 +348,7 @@ class TestRandomActivities:
 def space_with_fields(order):
     this = fresh_entry()
     for name in order:
-        this.fields[name] = const_entry("v", IMMUTABLE_REF)
+        this.fields[name] = Entry(IMMUTABLE_REF, const_value="v")
     return SymbolSpace({"this": this})
 
 
@@ -388,7 +388,7 @@ class TestFingerprint:
 
     @pytest.mark.parametrize("kind", [PRIMITIVE, IMMUTABLE_REF])
     def test_constants_of_equal_value_and_other_types_differ(self, kind):
-        prints = {fingerprint(SymbolSpace({"v": const_entry(value, kind)}))
+        prints = {fingerprint(SymbolSpace({"v": Entry(kind, const_value=value)}))
                   for value in CONSTANTS}
         assert len(prints) == len(CONSTANTS)
 

@@ -25,7 +25,7 @@ from lifetaint.sequences import (
 )
 from lifetaint.symbols import SymbolSpace
 
-from conftest import ROOT, all_corpus_paths, corpus_app
+from conftest import ROOT, all_corpus_paths, corpus_app, corpus_path
 from oracles import run_sequence
 
 
@@ -74,6 +74,15 @@ def family_paths(family, tmp_path, monkeypatch, seed=5):
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     import gen
     return gen.write_family(family, seed, str(tmp_path / family))
+
+
+def leaky_app(family, tmp_path, monkeypatch):
+    """The path of the family's app with the planted leak."""
+    paths = family_paths(family, tmp_path, monkeypatch)
+    with open(tmp_path / family / "expected.json", encoding="utf-8") as fh:
+        expected = json.load(fh)
+    return next(p for p in paths
+                if expected[os.path.splitext(os.path.basename(p))[0]]["warnings"])
 
 
 class TestOracle:
@@ -356,6 +365,103 @@ class TestBudgetKill:
         assert ctx.killed and ctx.sequences_analyzed == 0
         assert [(w.kind, w.sink_api, w.m) for w in ctx.warnings] == [("INFO_LEAK", "Log.d/2", 1)]
         assert ctx.memo == {}
+
+
+# -- kills among a parent's leaves --------------------------------------------
+
+def parent_sample(count):
+    """The first, second, middle and last of `count` parents."""
+    return sorted({0, 1, count // 2, count - 1} & set(range(count)))
+
+
+def leaf_kills(app, models, m_max, sample=range):
+    """KillAt's k for the first, second and last leaf under each parent that
+    `sample(parents)` picks, at every level, in the order `analyze_app` meets
+    them.  `generate_m_way` yields a parent's leaves one after another, so
+    leaf j of parent p of a level is its sequence p * width + j."""
+    before = 0
+    for _, plan, m in plans(app, models, m_max):
+        n = len(plan.units)
+        width = n - m + 1            # the leaves under one parent
+        for parent in sample(perm(n, m - 1)):
+            for leaf in sorted({0, min(1, width - 1), width - 1}):
+                yield before + parent * width + leaf, leaf
+        before += perm(n, m)
+
+
+def kill_mismatches(path, models, config, m_max, sample=range):
+    """((k, read) of every kill whose report differs from flat replay's,
+    (k, read) of the kills that stopped inside a parent's later leaf) for
+    `leaf_kills`, each at the first and at the second clock read after
+    sequence k is yielded.  The first read is the sequence's boundary
+    check; the second is inside the sequence's run if it enters a method,
+    else the next boundary's.  Flat replay is killed at the boundary of the
+    sequence the walk stopped in.  A kill past the escalation's last
+    sequence is skipped."""
+    app = load_app(path)
+    total = analyze_app(app, models, config, m_max=m_max).sequences_analyzed
+    bad, inside, flat = [], [], {}
+    with pytest.MonkeyPatch.context() as patch:
+        for k, leaf in leaf_kills(app, models, m_max, sample):
+            if k >= total:
+                break
+            for read in (1, 2):
+                tree = analyze_app(app, models, config, m_max=m_max, budget_secs=1.0,
+                                   clock=KillAt(patch, k, read))
+                stopped = tree.sequences_analyzed
+                if stopped not in flat:
+                    with patch.context() as flat_run:
+                        flat_run.setattr(cli, "analyze_component", flat_component)
+                        flat[stopped] = report_dict(analyze_app(
+                            app, models, config, m_max=m_max, budget_secs=1.0,
+                            clock=KillAt(flat_run, stopped)))
+                if report_dict(tree) != flat[stopped] or stopped not in (k, k + read - 1):
+                    bad.append((k, read))
+                elif read == 2 and stopped == k and leaf:
+                    inside.append((k, read))
+    return bad, inside
+
+
+class TestSiblingKills:
+    """The walk runs a parent's later leaves in one loop; a kill there ends
+    the level as a kill at any other sequence does."""
+
+    def test_motivating_example_every_parent(self, models, config):
+        bad, inside = kill_mismatches(corpus_path("motivating_example"), models, config, 2)
+        assert bad == [] and inside
+
+    @pytest.mark.parametrize("family", ["wide", "deep"])
+    def test_leaky_family_app(self, family, models, config, tmp_path, monkeypatch):
+        path = leaky_app(family, tmp_path, monkeypatch)
+        import gen
+        bad, inside = kill_mismatches(path, models, config, gen.FAMILIES[family].m_max,
+                                      parent_sample)
+        assert bad == [] and inside
+
+    @pytest.mark.parametrize("name,m_max", [("motivating_example", 2), ("wide", 2), ("deep", 3)])
+    def test_one_clock_read_per_sequence_and_per_method(self, name, m_max, models, config,
+                                                        tmp_path, monkeypatch):
+        # each level reads the clock once at every sequence's boundary and
+        # once as each method is entered, nothing else
+        path = (corpus_path(name) if name == "motivating_example"
+                else leaky_app(name, tmp_path, monkeypatch))
+        app = load_app(path)
+        reads, entered = [], []
+        real = analysis.analyze_method
+
+        def enter(*args):
+            entered.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(analysis, "analyze_method", enter)
+        ctx = AnalysisContext(app, config, clock=lambda: reads.append(1) or 0.0)
+        for component, plan, m in plans(app, models, m_max):
+            del reads[:], entered[:]
+            before = ctx.sequences_analyzed
+            analyze_component(app, component, plan, m, ctx)
+            sequences = ctx.sequences_analyzed - before
+            assert sequences == perm(len(plan.units), m) and not ctx.killed
+            assert len(reads) == sequences + len(entered)
 
 
 # -- unit records -------------------------------------------------------------

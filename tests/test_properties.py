@@ -10,7 +10,7 @@ from lifetaint.sequences import PermutationPlan, PermutationUnit, Segment, gener
 from lifetaint.symbols import (
     COLLECTION, IMMUTABLE_REF, MUTABLE_REF, PRIMITIVE,
     Entry, SymbolSpace, TaintTag, add_taints, bind_copy, collect_taints,
-    const_entry, fingerprint, fresh_entry, merge_spaces, value_entry,
+    fingerprint, fresh_entry, merge_spaces, value_entry,
 )
 
 TAG = TaintTag("Api.src/0", ("C", "m/0", 0))
@@ -104,7 +104,7 @@ def cyclic_space():
     a.fields["items"] = items
     items.taints |= {TAG}
     b.fields["name"] = value_entry({OTHER}, "text")
-    space = SymbolSpace({"a": a, "items": items, "n": const_entry(1, PRIMITIVE)},
+    space = SymbolSpace({"a": a, "items": items, "n": Entry(PRIMITIVE, const_value=1)},
                         {"S.box": items}, ({"this": b},))
     space.returned = value_entry({TAG})
     return space
