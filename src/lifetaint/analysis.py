@@ -428,16 +428,7 @@ def handle_instruction(instr, ctx, frame, method):
     # rule is written out where a value is bound
     ops = instr.operands
     regs = frame.regs
-    if kind == "CONST_STRING":
-        regs[ops[0]] = Entry(IMMUTABLE_REF, None, ops[1])
-    elif kind == "CONST_NUM":
-        regs[ops[0]] = Entry(PRIMITIVE, None, ops[1])
-    elif kind == "MOVE":
-        src = regs.get(ops[1]) or _lookup(frame, ops[1], method, instr)
-        regs[ops[0]] = src if src.value_kind in BOUND_AS_IS else src.deep_copy()
-    elif kind == "NEW_INSTANCE":
-        regs[ops[0]] = Entry()
-    elif kind == "IGET":
+    if kind == "IGET":
         obj = regs.get(ops[1]) or _lookup(frame, ops[1], method, instr)
         field = obj.fields.get(ops[2])
         if field is None:
@@ -448,6 +439,15 @@ def handle_instruction(instr, ctx, frame, method):
         obj = regs.get(ops[0]) or _lookup(frame, ops[0], method, instr)
         src = regs.get(ops[2]) or _lookup(frame, ops[2], method, instr)
         store(frame, obj.fields, ops[1], src if src.value_kind in BOUND_AS_IS else src.deep_copy())
+    elif kind == "CONST_STRING":
+        regs[ops[0]] = Entry(IMMUTABLE_REF, None, ops[1])
+    elif kind == "CONST_NUM":
+        regs[ops[0]] = Entry(PRIMITIVE, None, ops[1])
+    elif kind == "MOVE":
+        src = regs.get(ops[1]) or _lookup(frame, ops[1], method, instr)
+        regs[ops[0]] = src if src.value_kind in BOUND_AS_IS else src.deep_copy()
+    elif kind == "NEW_INSTANCE":
+        regs[ops[0]] = Entry()
     elif kind == "SGET":
         slot = frame.statics.get(ops[1])
         if slot is None:
@@ -500,12 +500,7 @@ def handle_invoke(invoke, ctx, frame, method):
     if kind is _Trigger:
         return handle_discontinuity(*target, ctx, frame, invoke, method)
     if target is not None:  # an API handler
-        result = target(frame, receiver, args)
-        if result is receiver is not None and frame.group is not None:
-            # the receiver rule: `_joins_in_place` would adopt the result, a
-            # heap object, in place as if it were a new string or number
-            frame.own()
-        return result
+        return target(frame, receiver, args)
 
     # any other API propagates taint from every input to the receiver and
     # the result, and never clears anything

@@ -27,6 +27,10 @@ BATCH_GC_THRESHOLD = 100_000
 class RunConfig:
     def __init__(self, app_paths, models_dir=None, config_path=None, m_max=2,
                  budget_secs=600.0, jobs=1, fmt="json", dump_cfg=False, out=None):
+        # a str would be iterated as one path per character
+        if not isinstance(app_paths, (list, tuple)) or not all(
+                isinstance(path, (str, os.PathLike)) for path in app_paths):
+            raise ConfigError("app paths must be a list of paths")
         # a bool is an int, and would count as 0 or 1
         if not isinstance(m_max, int) or isinstance(m_max, bool):
             raise ConfigError("m-max must be an integer")

@@ -8,9 +8,9 @@ shares instead: spaces with their own register tables over its heap, in one
 group.  The first write through a member (`own`) gives every other member
 a deep copy, equal to one taken at the share, as nothing wrote the heap in
 between.  Copies, merges and taint collection walk the heap with explicit
-stacks, so a heap of any depth fits.  A merge of spaces over one heap joins
-only the registers bound to different objects, pair by pair when the
-inputs' objects have no fields.
+stacks, so a heap of any depth fits.  A merge has two paths: spaces over
+one heap that differ only in fieldless objects at registers are joined
+pair by pair in place, and any other spaces are joined as private copies.
 
 Taint sets are immutable frozensets, shared by copies and replaced on write
 (`add_taints`), so a write through one copy never shows in another, and an
@@ -107,7 +107,7 @@ class Entry:
     @property
     def details(self):
         # the entry itself; only perfbench/tracer.py's _count_details reads
-        # it, and ROADMAP item 1's benchmark step deletes it
+        # it, and ROADMAP item 14's benchmark step deletes it
         return self
 
     def deep_copy(self):
@@ -319,38 +319,28 @@ def merge_spaces(frames):
     first). Taint sets union; constants agree or collapse to "not a
     constant"; fields merge the same way.  The spaces belong to one
     activation, so their caller tables pair up.  The first is updated in
-    place and returned, the others are consumed, as if all were private
-    copies: a space that shares an input's heap and is not joined in place
-    takes a copy first.
+    place and returned, the others are consumed.
 
-    Inputs that all share the first's heap differ from it only in their
-    registers and return values; one scan of the registers finds the names
-    bound to other objects.  `_joins_directly` joins those pairs when no
-    input's object has fields, else `_joins_in_place` decides whether they
-    are joined in place, skipping what is the same on both sides.
+    A join takes one of two paths.  Inputs that all share the first's heap
+    are joined directly when `_joins_directly` finds that they differ from
+    it only in fieldless objects at registers it binds.  Every other join
+    is of private copies: each space that shares an input's heap takes a
+    copy first, and `_join` then merges every table.
     """
     base, others = frames[0], frames[1:]
-    regs, group = base.regs, base.group
-    diffs = None          # each input's registers bound to another object
-    if group is not None and all(other.group is group for other in others):
-        diffs = [[(name, entry) for name, entry in other.regs.items()
-                  if regs.get(name) is not entry] for other in others]
-        if _joins_directly(base, others, diffs):
-            return base
-        if not _joins_in_place(base, others, diffs):
-            diffs = None
+    group = base.group
     if group is not None:
-        base.own(others if diffs is not None else ())
+        if all(other.group is group for other in others) and _joins_directly(base, others):
+            return base
+        base.own()
+    regs = base.regs
     seen = set()
-    for i, other in enumerate(others):
-        if diffs is not None:
-            _join(base, regs, diffs[i], seen)
-        else:
-            other.own()  # a heap but the first's: the rest of its group copies it
-            for table, src in zip((regs, base.statics) + base.outer,
-                                  (other.regs, other.statics) + other.outer):
-                if table is not src:
-                    _join(base, table, src.items(), seen)
+    for other in others:
+        other.own()  # a heap but the first's: the rest of its group copies it
+        for table, src in zip((regs, base.statics) + base.outer,
+                              (other.regs, other.statics) + other.outer):
+            if table is not src:
+                _join(base, table, src.items(), seen)
         if base.returned is None:
             base.returned = other.returned
         elif other.returned is not None:
@@ -359,13 +349,17 @@ def merge_spaces(frames):
     return base
 
 
-def _joins_directly(base, others, diffs):
+def _joins_directly(base, others):
     """Join `others`, which share `base`'s heap, into it pair by pair, and
-    return True, if `base` binds every name in `diffs`, the inputs' objects
-    there have no fields and none is one of `base`'s that the join changes,
-    and the return values are `base`'s: `_join` would then take just these
-    pairs, in place."""
+    return True, if what they bind differently from `base` is only
+    registers: `base` binds each such name, the inputs' objects there have
+    no fields and none is one of `base`'s that the join changes, and the
+    return values are `base`'s.  `_join` of private copies would then take
+    just these pairs, and change only `base`'s objects at those names."""
     regs = base.regs
+    # each input's registers bound to another object
+    diffs = [[(name, entry) for name, entry in other.regs.items()
+              if regs.get(name) is not entry] for other in others]
     changed = {regs.get(name) for pairs in diffs for name, _ in pairs}
     if None in changed:
         return False
@@ -390,30 +384,3 @@ def _joins_directly(base, others, diffs):
                 assign(base, entry, "value_kind",
                        COLLECTION if COLLECTION in kinds else MUTABLE_REF)
     return True
-
-
-def _joins_in_place(base, frames, diffs):
-    """Whether joining `frames`, which share `base`'s heap, into `base`
-    changes it as joining private copies of them would: no join adopts an
-    object of the heap, and no object that a join changes is read by
-    another.  The pairs of two objects, from `diffs`, are walked as `_join`
-    pairs them, on a stack."""
-    stack = [(base.regs, pairs) for pairs in diffs]
-    stack += [({0: base.returned}, [(0, other.returned)])
-              for other in frames if other.returned is not None]
-    pairs = set()
-    while stack:
-        table, src = stack.pop()
-        for name, other in src:
-            entry = table.get(name)
-            if entry is None:
-                # an adoption; of a register only since bound, and then to a
-                # new object if a string or a number
-                if table is base.regs and other.value_kind in (PRIMITIVE, IMMUTABLE_REF):
-                    continue
-                return False
-            if entry is not other and (entry, other) not in pairs:
-                pairs.add((entry, other))
-                stack.append((entry.fields, other.fields.items()))
-    changed = {entry for entry, _ in pairs}
-    return not any(other in changed for _, other in pairs)

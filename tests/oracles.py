@@ -18,7 +18,7 @@ present it as the paper does, so the tests can compare the two:
   instruction by instruction;
   `random_heap_app` makes methods for it;
 - `direct_joins_match`: whether that run, and `stepped_app_run`'s whole
-  analysis of an app, are the same where no join is direct
+  analysis of an app, are the same where every join is of private copies
   (`without_direct_joins`);
 - `trail_mismatches`: where a callback run in place on its kept start state
   differs from the same run on a deep copy; `repeat_levels` runs a random
@@ -191,9 +191,9 @@ def shares_match(app, config):
 
 def without_direct_joins(run, *args):
     """`run(*args)` where `merge_spaces` joins no inputs directly
-    (`symbols._joins_directly`), but by the general walk."""
+    (`symbols._joins_directly`): every join is of private copies."""
     direct = symbols._joins_directly
-    symbols._joins_directly = lambda base, others, diffs: False
+    symbols._joins_directly = lambda base, others: False
     try:
         return run(*args)
     finally:
@@ -293,7 +293,7 @@ def _heap_ops(rng, n, params):
     `params` and `this`, and also write `_LATE`; a branch targets the label
     "L<k>" of the k-th instruction, k <= n.  A draw is one instruction, or
     a branch over an arm of one to three that only bind registers (`binds`),
-    so that the join after it can run in place."""
+    so that the join after it can be direct."""
     regs = _REGS + params
     objs = regs + ("this",)
     ops = []

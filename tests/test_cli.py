@@ -325,20 +325,27 @@ class TestArgs:
         ("budget_secs", None, "budget-secs must be a number"),
         ("budget_secs", True, "budget-secs must be a number"),
         ("budget_secs", complex(5, 0), "budget-secs must be a number"),
+        ("app_paths", "corpus/sms_hardcoded.app", "app paths must be a list of paths"),
+        ("app_paths", b"corpus/sms_hardcoded.app", "app paths must be a list of paths"),
+        ("app_paths", ["x", 3], "app paths must be a list of paths"),
+        ("app_paths", [b"x"], "app paths must be a list of paths"),
+        ("app_paths", iter(["x"]), "app paths must be a list of paths"),
+        ("app_paths", None, "app paths must be a list of paths"),
     ])
     def test_wrongly_typed_setting_is_config_error(self, field, value, message):
         # a float m-max used to reach range() and make every report a
-        # TypeError with exit status 0; a string budget raised TypeError
+        # TypeError with exit status 0; a string budget raised TypeError; a
+        # string of app paths wrote one error report per character
         with pytest.raises(ConfigError) as info:
-            RunConfig(app_paths=["x"], **{field: value})
+            RunConfig(**{"app_paths": ["x"], field: value})
         assert str(info.value) == message
 
     @pytest.mark.parametrize("field,value", [
         ("m_max", 3), ("jobs", 2), ("budget_secs", 5), ("budget_secs", 0.5),
-        ("budget_secs", Fraction(1, 2)),
+        ("budget_secs", Fraction(1, 2)), ("app_paths", ("x", pathlib.Path("y"))),
     ])
     def test_well_typed_setting_is_kept(self, field, value):
-        assert getattr(RunConfig(app_paths=["x"], **{field: value}), field) == value
+        assert getattr(RunConfig(**{"app_paths": ["x"], field: value}), field) == value
 
     def test_bad_format(self):
         with pytest.raises(ConfigError):

@@ -818,6 +818,10 @@ class TestCompiledPlans:
              ["RETURN_VOID"], ["IF_GOTO", "c", "d"], ["RETURN_VOID"], ["RETURN_VOID"]],
             {"b": 4, "d": 6}, [3]),
     }
+    # the deep copies of a run that writes no heap, by shape: the join of
+    # `loop` and of `three paths into one join` adopts `x`, which only one
+    # arm binds, so it is no direct join and joins copies
+    JOIN_COPIES = {"loop": 1, "three paths into one join": 2}
 
     @staticmethod
     def snapshots(config, monkeypatch, instructions, labels):
@@ -859,9 +863,9 @@ class TestCompiledPlans:
         shares, copies, merged, readers = self.snapshots(
             config, monkeypatch, instructions, labels)
         # each earlier reader of a block takes a share; nothing writes the
-        # heap, so no share is ever copied
+        # heap, so only a join that is not direct copies
         assert shares == sum(n - 1 for n in readers if n > 1)
-        assert copies == 0
+        assert copies == self.JOIN_COPIES.get(shape, 0)
         assert merged == widths
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -1028,11 +1032,12 @@ class TestDeepHeap:
         assert self.copies_of_run(app, config, monkeypatch) == (1, [("INFO_LEAK", "Log.d/2")])
         assert shares_match(app, config)
 
-    def test_an_in_place_join_of_two_long_chains_is_checked_without_recursion(
+    def test_a_join_of_two_long_chains_copies_once_without_recursion(
             self, config, monkeypatch):
-        # the arm points `h` at a second 1,200-node chain; the join pairs the
-        # two chains node by node, which the in-place check walks, and joins
-        # them with no copy: the second chain's tainted tail reaches the first
+        # the arm points `h` at a second 1,200-node chain; `h` holds an object
+        # with fields, so the join is not direct: the input that shares the
+        # first's heap takes its one copy, and the join pairs the two chains
+        # node by node, so the second chain's tainted tail reaches the first
         n = 1200
         body = (self.chain("one", n) + [["CONST_STRING", "k", "k"], ["IPUT", "cur", "value", "k"]]
                 + self.chain("two", n) + taint_instr("x") + [["IPUT", "cur", "value", "x"]])
@@ -1046,7 +1051,7 @@ class TestDeepHeap:
             ["RETURN_VOID"],
         ]
         app = make_app(body, labels={"join": len(body) - 3})
-        assert self.copies_of_run(app, config, monkeypatch) == (0, [("INFO_LEAK", "Log.d/2")])
+        assert self.copies_of_run(app, config, monkeypatch) == (1, [("INFO_LEAK", "Log.d/2")])
         assert shares_match(app, config)
 
 
@@ -1128,8 +1133,8 @@ class TestLazySnapshots:
             ["RETURN_VOID"],
         ], {"w": 7}, []),
         # append returns its receiver, which m then aliases: the join that
-        # adopts m adopts an object of the heap, and must not do so in
-        # place (the receiver rule), though append wrote nothing here
+        # adopts m adopts an object of the heap, so it must join copies
+        # first, though append wrote nothing here
         "a handler that returns its receiver": ([
             ["CONST_NUM", "c", 1],
             ["NEW_INSTANCE", "d", "Foo"],
@@ -1203,7 +1208,7 @@ class TestDirectJoins:
     """A join of frames that share the first's heap takes their differing
     registers pair by pair when the inputs' objects have no fields
     (`symbols._joins_directly`); every run must equal the run where each
-    join takes the general walk (`oracles.direct_joins_match`)."""
+    join is of private copies (`oracles.direct_joins_match`)."""
 
     @pytest.fixture()
     def direct(self, monkeypatch):
@@ -1310,8 +1315,9 @@ class TestDirectJoins:
             del merges[:], direct[:]
             config = cli.RunConfig(paths, m_max=m_max, jobs=jobs, out=io.StringIO())
             assert cli.run(config) == 0
-            counts[name] = (sum(direct), len(merges))
-        assert counts == {"corpus": (0, 23), "wide": (160, 184), "deep": (0, 30)}
+            counts[name] = (sum(direct), len(direct), len(merges))
+        # (direct joins, joins whose inputs all share the first's heap, joins)
+        assert counts == {"corpus": (0, 21, 23), "wide": (160, 160, 184), "deep": (0, 0, 30)}
 
 
 class TestLoops:

@@ -98,7 +98,7 @@ KEEP_ONE = arms(NUMBER, VALUE_OF, [["IPUT", "this", "f", "v"]])
 # kept state, and onClick0 changes it, or `this`, through the site.  In
 # onClick0's branches, an arm that reads this.f into v holds the kept
 # object itself, as IGET shares a mutable object; where neither arm
-# writes the heap, the join merges v's two objects in place.
+# writes the heap, the join merges v's two objects directly, in place.
 SITES = {
     # the taken arm runs first and writes h on the kept `this`, so the
     # fall-through arm writes g on a copy, into which the join then adopts
