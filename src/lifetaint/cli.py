@@ -1,5 +1,11 @@
 """Batch driver: load models, apps and config, run the m-escalating analysis.
 
+The models and the configuration are loaded once per process while their
+files hold the same bytes: `run` keeps the last ones it loaded, with the
+paths and plans derived from them, for the next batch.  That saves work
+only where a process calls `run` more than once (the benchmark's pass
+loop); the `lifetaint` command calls it once.
+
 Per app, each component's permutation units are built once, and m is only
 the depth of the walk over them: it starts at 1 and is raised by one while
 nothing is found, m < m-max and some component has more than m units.  Any
@@ -31,6 +37,10 @@ class RunConfig:
         if not isinstance(app_paths, (list, tuple)) or not all(
                 isinstance(path, (str, os.PathLike)) for path in app_paths):
             raise ConfigError("app paths must be a list of paths")
+        for name, path in (("models directory", models_dir), ("config path", config_path)):
+            # an int would be read as a file descriptor, and closed
+            if path is not None and not isinstance(path, (str, os.PathLike)):
+                raise ConfigError("%s must be a path" % name)
         # a bool is an int, and would count as 0 or 1
         if not isinstance(m_max, int) or isinstance(m_max, bool):
             raise ConfigError("m-max must be an integer")
@@ -61,22 +71,50 @@ def _data_path(*parts):
     return os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", *parts)
 
 
+def _model_paths(models_dir):
+    base = _data_path("models") if models_dir is None else models_dir
+    return {kind: os.path.join(base, fname)
+            for kind, fname in (("ACTIVITY", "activity.json"), ("SERVICE", "service.json"))}
+
+
 def load_models(models_dir=None):
     """The bundled (or overridden) activity and service machines."""
-    if models_dir is None:
-        base = _data_path("models")
-    else:
-        base = models_dir
-        if not os.path.isdir(base):
-            raise ConfigError("models directory %r does not exist" % base)
-    models = {}
-    for kind, fname in (("ACTIVITY", "activity.json"), ("SERVICE", "service.json")):
-        models[kind] = load_model(os.path.join(base, fname))
-    return models
+    if models_dir is not None and not os.path.isdir(models_dir):
+        raise ConfigError("models directory %r does not exist" % models_dir)
+    return {kind: load_model(path) for kind, path in _model_paths(models_dir).items()}
 
 
 def default_config():
     return load_config(_data_path("config", "default_config.json"))
+
+
+# what `_kept_load` keeps: key -> (its files' paths and bytes, loaded value)
+_kept = {}
+
+
+def _file_bytes(paths):
+    stamp = []
+    try:
+        for path in paths:
+            with open(path, "rb") as fh:
+                stamp.append((path, fh.read()))
+    except (OSError, ValueError):
+        return None  # the loader reports it
+    return stamp
+
+
+def _kept_load(key, paths, load):
+    """load(), or what it gave the last run while each file in `paths`
+    holds the same bytes as then; a load that fails keeps nothing."""
+    stamp = _file_bytes(paths)
+    kept = _kept.pop(key, None)
+    if kept is None or kept[0] != stamp:
+        kept = (stamp, load())
+        # a file rewritten while it loaded may not hold what was stamped
+        if stamp is None or _file_bytes(paths) != stamp:
+            return kept[1]
+    _kept[key] = kept
+    return kept[1]
 
 
 def analyze_app(app, models, config, m_max=2, budget_secs=600.0, clock=time.monotonic):
@@ -121,9 +159,10 @@ def run(config):
     """Run the batch; exit status 0, or 2 if any app was killed, 1 on bad config."""
     out = config.out if config.out is not None else sys.stdout
     try:
-        models = load_models(config.models_dir)
-        ss_config = (load_config(config.config_path) if config.config_path
-                     else default_config())
+        models = _kept_load("models", _model_paths(config.models_dir).values(),
+                            lambda: load_models(config.models_dir))
+        config_path = config.config_path or _data_path("config", "default_config.json")
+        ss_config = _kept_load("config", (config_path,), lambda: load_config(config_path))
     except (LifetaintError, OSError) as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return 1

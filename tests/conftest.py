@@ -53,6 +53,15 @@ def config():
 
 
 @pytest.fixture()
+def no_kept_loads(monkeypatch):
+    """`cli.run` with nothing kept from earlier runs: its first run loads
+    the models and the configuration."""
+    from lifetaint import cli
+
+    monkeypatch.setattr(cli, "_kept", {})
+
+
+@pytest.fixture()
 def tmp_app(tmp_path):
     """Write an app dict to disk and return its path."""
 

@@ -15,7 +15,8 @@ from lifetaint.errors import AppLoadError, ConfigError, ModelError
 from lifetaint.lifecycle import load_model
 from lifetaint.sequences import build_plan
 
-from conftest import all_corpus_paths, corpus_app, corpus_path, isolated_env, run_isolated
+from conftest import (
+    ROOT, all_corpus_paths, corpus_app, corpus_path, isolated_env, run_isolated)
 
 
 def run_cli(paths, **kw):
@@ -331,11 +332,21 @@ class TestArgs:
         ("app_paths", [b"x"], "app paths must be a list of paths"),
         ("app_paths", iter(["x"]), "app paths must be a list of paths"),
         ("app_paths", None, "app paths must be a list of paths"),
+        ("models_dir", 7, "models directory must be a path"),
+        ("models_dir", 7.5, "models directory must be a path"),
+        ("models_dir", b"models", "models directory must be a path"),
+        ("models_dir", ["models"], "models directory must be a path"),
+        ("config_path", 3, "config path must be a path"),
+        ("config_path", 3.5, "config path must be a path"),
+        ("config_path", b"config.json", "config path must be a path"),
+        ("config_path", ["config.json"], "config path must be a path"),
     ])
     def test_wrongly_typed_setting_is_config_error(self, field, value, message):
         # a float m-max used to reach range() and make every report a
         # TypeError with exit status 0; a string budget raised TypeError; a
-        # string of app paths wrote one error report per character
+        # string of app paths wrote one error report per character; an int
+        # config path was read as a file descriptor, and closed, and a float
+        # models directory escaped `run` as a TypeError
         with pytest.raises(ConfigError) as info:
             RunConfig(**{"app_paths": ["x"], field: value})
         assert str(info.value) == message
@@ -343,6 +354,8 @@ class TestArgs:
     @pytest.mark.parametrize("field,value", [
         ("m_max", 3), ("jobs", 2), ("budget_secs", 5), ("budget_secs", 0.5),
         ("budget_secs", Fraction(1, 2)), ("app_paths", ("x", pathlib.Path("y"))),
+        ("models_dir", "m"), ("models_dir", pathlib.Path("m")),
+        ("config_path", "c.json"), ("config_path", pathlib.Path("c.json")),
     ])
     def test_well_typed_setting_is_kept(self, field, value):
         assert getattr(RunConfig(**{"app_paths": ["x"], field: value}), field) == value
@@ -476,6 +489,114 @@ class TestArgs:
         assert status == 0
         assert len(_split_json(text)) == 2
         assert text == run_cli(paths)[1]
+
+
+def models_with_event(directory, event):
+    """Write the bundled models to `directory`, with the activity machine's
+    createActivity event named `event`; returns the directory."""
+    base = pathlib.Path(_data_path("models"))
+    text = base.joinpath("activity.json").read_text()
+    directory.joinpath("activity.json").write_text(text.replace("createActivity", event))
+    directory.joinpath("service.json").write_text(base.joinpath("service.json").read_text())
+    return directory
+
+
+@pytest.mark.usefixtures("no_kept_loads")
+class TestKeptLoads:
+    """`run` keeps the models and the configuration it loaded for the next
+    run, while their files hold the same bytes."""
+
+    PATHS = [corpus_path("activity_eveseq1"), corpus_path("motivating_example")]
+
+    def test_a_rewritten_model_file_is_loaded_again(self, tmp_path):
+        bundled = run_cli(self.PATHS)
+        models = str(models_with_event(tmp_path, "createActivity"))
+        assert run_cli(self.PATHS, models_dir=models) == bundled
+        models_with_event(tmp_path, "openActivity")
+        assert "createActivity" in bundled[1]
+        assert run_cli(self.PATHS, models_dir=models) == (
+            0, bundled[1].replace("createActivity", "openActivity"))
+
+    def test_models_dirs_taken_in_turn(self, tmp_path):
+        bundled = run_cli(self.PATHS)
+        custom = models_with_event(tmp_path, "openActivity")
+        renamed = run_cli(self.PATHS, models_dir=custom)
+        assert renamed != bundled and renamed[0] == 0
+        for _ in range(2):
+            assert run_cli(self.PATHS, models_dir=str(custom)) == renamed
+            assert run_cli(self.PATHS) == bundled
+            assert run_cli(self.PATHS, models_dir=_data_path("models")) == bundled
+
+    @pytest.mark.parametrize("where", ["model", "config"])
+    def test_a_malformed_file_is_the_same_error_each_run(self, tmp_path, capsys, where):
+        # loaded and kept, then broken twice, then mended
+        if where == "model":
+            models_with_event(tmp_path, "createActivity")
+            broken, kw, key = tmp_path / "activity.json", dict(models_dir=str(tmp_path)), "models"
+        else:
+            broken = tmp_path / "config.json"
+            broken.write_text(pathlib.Path(
+                _data_path("config", "default_config.json")).read_text())
+            kw, key = dict(config_path=str(broken)), "config"
+        good = broken.read_bytes()
+        expected = run_cli(self.PATHS, **kw)
+        assert expected[0] == 0
+        errors = []
+        for content in (b"not json", b"not json", b'{"sources": 5}'):
+            broken.write_bytes(content)
+            assert run_cli(self.PATHS, **kw) == (1, "")
+            errors.append(capsys.readouterr().err)
+            assert key not in cli._kept  # a load that fails keeps nothing
+        broken.write_bytes(good)
+        assert run_cli(self.PATHS, **kw) == expected
+        assert errors[0] == errors[1] != errors[2]
+        assert all(err.startswith("configuration error: %s: " % broken) for err in errors)
+
+    def test_a_file_rewritten_while_it_loads_is_not_kept(self, tmp_path, monkeypatch):
+        # the load reads the rewritten file, so what it gives is not what the
+        # bytes read before it stand for
+        path = tmp_path / "config.json"
+        bundled = pathlib.Path(_data_path("config", "default_config.json")).read_text()
+        path.write_text(bundled)
+        expected = run_cli(self.PATHS)
+        real = cli.load_config
+
+        def rewriting(name):
+            path.write_text(json.dumps({"sources": [], "sinks": []}))
+            return real(name)
+
+        monkeypatch.setattr(cli, "load_config", rewriting)
+        assert json.loads(_split_json(run_cli(self.PATHS, config_path=str(path))[1])[0])[
+            "warnings"] == []
+        monkeypatch.setattr(cli, "load_config", real)
+        path.write_text(bundled)
+        assert run_cli(self.PATHS, config_path=str(path)) == expected
+
+    def test_the_public_loaders_give_new_objects(self):
+        assert run_cli(self.PATHS)[0] == 0
+        kept_models, kept_config = cli._kept["models"][1], cli._kept["config"][1]
+        models, config = cli.load_models(), cli.default_config()
+        assert models.keys() == kept_models.keys()
+        for kind, model in models.items():
+            assert model is not kept_models[kind] and model is not cli.load_models()[kind]
+            assert model._paths_cache is None and model._plans == {}
+        assert kept_models["ACTIVITY"]._plans
+        assert config is not kept_config and config is not cli.default_config()
+        assert vars(config) == vars(kept_config)
+
+    def test_batches_in_one_process_equal_a_fresh_process(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(pathlib.Path(ROOT, "perfbench")))
+        import gen
+
+        batches = [(all_corpus_paths(), 3, 2)]
+        batches += [(gen.write_family(family, 1, str(tmp_path / family)),
+                     gen.FAMILIES[family].m_max, 1) for family in ("wide", "deep")]
+        for paths, m_max, jobs in batches:
+            fresh = run_isolated(["-m", "lifetaint", *(a for p in paths for a in ("--app", p)),
+                                  "--m-max", str(m_max), "--jobs", str(jobs)])
+            assert (fresh.returncode, fresh.stderr) == (0, "")
+            for _ in range(3):
+                assert run_cli(paths, m_max=m_max, jobs=jobs) == (0, fresh.stdout)
 
 
 class TestNotJson:
