@@ -33,7 +33,8 @@ of that frame, known when the plan is compiled, takes the frame itself, and
 every earlier reader a share: its own register table over the frame's heap.
 The heap's only writers, `symbols.store`, `assign` and `add_taints`, first
 give the other sharers copies (`own`).  What each invoke of a plan calls is
-resolved with it, once per app (`_decode`).
+resolved with it, once per app: `_decode` picks the invokes by opcode, and
+`_resolve` unpacks each one's operands once into its `_Invoke`.
 """
 
 import time
@@ -43,11 +44,9 @@ from itertools import islice
 
 from . import api_handlers, symbols
 from .cfg import build_cfg, leaders, remove_back_edges, reverse_post_order
-from .detectors import (
-    INFO_LEAK, FoundWarning, detect_sms_attacks,
-)
+from .detectors import INFO_LEAK, FoundWarning, detect_sms_attacks
 from .errors import AnalysisError, ConfigError, list_of, load_json
-from .ir import MethodDef, resolve_method
+from .ir import INVOKES, MethodDef, resolve_method
 from .sequences import generate_m_way
 from .symbols import (
     BOUND_AS_IS, COLLECTION, IMMUTABLE_REF, PRIMITIVE, Entry, SymbolSpace, TaintTag,
@@ -378,7 +377,7 @@ def _dag_steps(dag):
 
 def _decode(steps, method, ctx):
     """`steps`, each invoke replaced by the `_Invoke` that `_resolve` makes."""
-    return [(bid, [_resolve(i, method, ctx) if i.call else i for i in instrs], reads)
+    return [(bid, [_resolve(i, method, ctx) if i.kind in INVOKES else i for i in instrs], reads)
             for bid, instrs, reads in steps]
 
 
@@ -387,32 +386,31 @@ def _resolve(instr, method, ctx):
     that fits: a source's tag, the `_Sink` of a sink or SMS send API, the
     app's method, the `_Trigger` of a thread or task (the chain's methods
     that its class implements), the API handler, or None, the default rule."""
-    result, receiver, sig, args = instr.call
+    if instr.kind == "INVOKE_STATIC":
+        (result, sig, args), receiver = instr.operands, None
+    else:
+        result, receiver, sig, args = instr.operands
     location = (method.class_name, method.sig, instr.index)
-    decoded = partial(_Invoke, "INVOKE", result, receiver, args, instr.index, location)
     if sig in ctx.config.sources:
-        return decoded(TaintTag(sig, location))
-    if sig in ctx.config.sinks or sig in ctx.config.sms_rules:
-        return decoded(_Sink(sig, sig in ctx.config.sinks, ctx.config.sms_rules.get(sig)))
-    target = resolve_method(ctx.app, sig)
-    if target is not None:
-        return decoded(target)
-    cls_name, _, member = sig.rpartition(".")
-    klass = ctx.app.klass(cls_name)
-    found = klass and DISCONTINUITIES.get((klass.parent_kind, member.split("/", 1)[0]))
-    if found:
-        callbacks = [cb for cb in map(klass.method_by_name, found[0]) if cb is not None]
-        return decoded(_Trigger(callbacks, found[1]))
-    return decoded(api_handlers.lookup(sig, receiver is not None))
+        target = TaintTag(sig, location)
+    elif sig in ctx.config.sinks or sig in ctx.config.sms_rules:
+        target = _Sink(sig, sig in ctx.config.sinks, ctx.config.sms_rules.get(sig))
+    else:
+        target = resolve_method(ctx.app, sig)
+        if target is None:
+            cls_name, _, member = sig.rpartition(".")
+            klass = ctx.app.klass(cls_name)
+            found = klass and DISCONTINUITIES.get((klass.parent_kind, member.split("/", 1)[0]))
+            target = (_Trigger([cb for cb in map(klass.method_by_name, found[0]) if cb], found[1])
+                      if found else api_handlers.lookup(sig, receiver is not None))
+    return _Invoke("INVOKE", result, receiver, args, instr.index, location, target)
 
 
 def _lookup(frame, reg, method, instr):
     entry = frame.regs.get(reg)
     if entry is None:
-        raise AnalysisError(
-            "use of undefined register %r" % reg,
-            (method.class_name, method.sig, instr.index),
-        )
+        raise AnalysisError("use of undefined register %r" % reg,
+                            (method.class_name, method.sig, instr.index))
     return entry
 
 

@@ -1,12 +1,16 @@
 """Warning construction, deduplication, SMS checks, report rendering."""
 
-from json.encoder import encode_basestring_ascii
+from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quoted  # a str as JSON
 
 from .symbols import collect_taints
 
 INFO_LEAK = "INFO_LEAK"
 SMS_HARDCODED = "SMS_HARDCODED"
 SMS_AUTOREPLY = "SMS_AUTOREPLY"
+
+# a location's fields, in the order of a report's sorted keys
+LOCATION_KEYS = ("api", "class", "instruction", "method", "role")
 
 
 class Warning:
@@ -17,13 +21,17 @@ class Warning:
         self.kind = kind
         self.source_apis = frozenset(source_apis)
         self.sink_api = sink_api
-        self.locations = tuple(locations)  # dicts: role/api/class/method/instruction
+        self.locations = tuple(locations)  # dicts of the LOCATION_KEYS
         self.component = component
         self.m = m
         self.event_trace = tuple(event_trace)
 
     def key(self):
         return (self.kind, self.source_apis, self.sink_api)
+
+    def location_rows(self):
+        """Each location as a tuple of its `LOCATION_KEYS` fields."""
+        return [tuple(map(loc.__getitem__, LOCATION_KEYS)) for loc in self.locations]
 
     def to_dict(self):
         return {
@@ -40,9 +48,8 @@ class Warning:
 class FoundWarning(Warning):
     """The warning of a finding at `location`, in the callback that runs in
     segment `segment` of the sequence `seq`, at m = its unit count.  Dedup
-    reads only the key and keeps few of the raw warnings, so the locations
-    and the event trace are built on first read, and then kept as a
-    `Warning`'s are."""
+    reads only the key, and a report writes the locations from the tags, so
+    the locations and the event trace are built on first read, then kept."""
 
     def __init__(self, kind, tags, sink_api, location, component, seq, segment):
         self.kind = kind
@@ -52,29 +59,21 @@ class FoundWarning(Warning):
         self.m = len(seq.unit_indexes)
         self._tags, self._location, self._seq, self._segment = tags, location, seq, segment
 
-    def __getattr__(self, name):  # only for an attribute not yet set
-        if name == "locations":
-            value = tuple(source_locations(self._tags)
-                          + [sink_location(self.sink_api, self._location)])
-        elif name == "event_trace":
-            value = self._seq.event_trace(self._segment)
-        else:
-            raise AttributeError(name)
-        setattr(self, name, value)
-        return value
+    def location_rows(self):
+        # the sources by tag (TaintTag tuples: by source API, then location),
+        # then the sink
+        rows = [(t.source_api, t.location[0], t.location[2], t.location[1], "source")
+                for t in sorted(self._tags)]
+        cls, method, index = self._location
+        return rows + [(self.sink_api, cls, index, method, "sink")]
 
+    @cached_property
+    def locations(self):
+        return tuple(dict(zip(LOCATION_KEYS, row)) for row in self.location_rows())
 
-def source_locations(tags):
-    return [
-        {"role": "source", "api": t.source_api, "class": t.location[0],
-         "method": t.location[1], "instruction": t.location[2]}
-        for t in sorted(tags)  # TaintTag tuples: by source API, then location
-    ]
-
-
-def sink_location(api, location):
-    return {"role": "sink", "api": api, "class": location[0],
-            "method": location[1], "instruction": location[2]}
+    @cached_property
+    def event_trace(self):
+        return self._seq.event_trace(self._segment)
 
 
 def dedup_warnings(raw):
@@ -145,46 +144,57 @@ class Report:
         return doc
 
 
-def _json(value, indent, out):
-    """Append `value` to `out` as `json.dumps(value, indent=2,
-    sort_keys=True)` writes it, for the str, int, bool, None, dict and list
-    values of a report; `indent` is the current line's indent."""
-    if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif isinstance(value, (dict, list)):
-        ends = "{}" if isinstance(value, dict) else "[]"
-        if not value:
-            out.append(ends)
-            return
-        inner = indent + "  "
-        sep = ends[0] + "\n" + inner
-        for item in sorted(value) if ends == "{}" else value:
-            out.append(sep)
-            if ends == "{}":
-                out += (encode_basestring_ascii(item), ": ")
-                item = value[item]
-            _json(item, inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + indent + ends[1])
-    elif value is None or value is True or value is False:
-        out.append("null" if value is None else "true" if value else "false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    else:
-        raise TypeError("a report holds no %s" % type(value).__name__)
+# json.dumps(report.to_dict(), indent=2, sort_keys=True)'s text of a report,
+# a warning and a location (docs/report.md), with a %s for each value
+_REPORT = ('{\n  "app_id": %s,%s\n  "finished": %s,\n  "m_reached": %s,\n'
+           '  "sequences_analyzed": %s,\n  "warnings": %s\n}')
+_WARNING = ('{\n      "component": %s,\n      "detected_at_m": %s,\n      "event_trace": %s,\n'
+            '      "kind": %s,\n      "locations": %s,\n      "sink_api": %s,\n'
+            '      "source_apis": %s\n    }')
+_LOCATION = ('{\n          "api": %s,\n          "class": %s,\n          "instruction": %s,\n'
+             '          "method": %s,\n          "role": %s\n        }')
+
+
+def _list(items, indent):
+    """The JSON list of the JSON texts `items`, which closes at `indent`."""
+    text = (",\n  " + indent).join(items)
+    return "[\n  %s%s\n%s]" % (indent, text, indent) if text else "[]"
+
+
+def _scalar(value):
+    """An int, bool or None as json.dumps writes it; any other is refused."""
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError("a report holds no %s" % type(value).__name__)
+
+
+def _warning(w):
+    """The JSON text of `w` in a report, its locations from its rows: a
+    `FoundWarning` builds no location dicts."""
+    locations = [_LOCATION % (_quoted(api), _quoted(cls), _scalar(index), _quoted(method),
+                              _quoted(role)) for api, cls, index, method, role in w.location_rows()]
+    return _WARNING % (
+        _quoted(w.component), _scalar(w.m), _list(map(_quoted, w.event_trace), "      "),
+        _quoted(w.kind), _list(locations, "      "), _quoted(w.sink_api),
+        _list(map(_quoted, sorted(w.source_apis)), "      "))
 
 
 def render_report(report, fmt):
     """Render a report as stable JSON or a terminal table.
 
-    The JSON is `json.dumps(doc, indent=2, sort_keys=True)`, written by
-    `_json`: with an indent the standard encoder runs in pure Python and
-    leaves reference cycles behind (its nested closures), so a batch that
-    forces no collection would hold them."""
+    The JSON is `json.dumps(report.to_dict(), indent=2, sort_keys=True)`,
+    written in one pass from the report's fields: with an indent the
+    standard encoder runs in pure Python and leaves reference cycles behind
+    (its nested closures), so a batch that forces no collection would hold
+    them."""
     if fmt == "json":
-        out = []
-        _json(report.to_dict(), "", out)
-        return "".join(out)
+        return _REPORT % (
+            _quoted(report.app_id),
+            "" if report.error is None else '\n  "error": %s,' % _quoted(report.error),
+            _scalar(report.finished), _scalar(report.m_reached),
+            _scalar(report.sequences_analyzed), _list(map(_warning, report.warnings), "  "))
     if fmt == "table":
         lines = [
             "app: %s" % report.app_id,

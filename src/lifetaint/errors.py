@@ -31,8 +31,13 @@ class ConfigError(LifetaintError):
 
 def load_json(path, error):
     """The JSON document in the file at `path`; a file that is not UTF-8
-    JSON within the parser's nesting limit raises `error`, naming the path."""
-    with open(path, "r", encoding="utf-8") as fh:
+    JSON within the parser's nesting limit, or a path that open() refuses
+    as malformed (one holding a NUL), raises `error`, naming the path."""
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except ValueError as exc:
+        raise error("%r: cannot be opened: %s" % (path, exc)) from exc
+    with fh:
         try:
             return json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:

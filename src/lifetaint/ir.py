@@ -37,15 +37,9 @@ _OPERANDS = {
 }
 
 
-class Instruction(namedtuple("Instruction", "kind operands index")):
-    __slots__ = ()
+INVOKES = frozenset(kind for kind in _OPERANDS if kind.startswith("INVOKE_"))
 
-    @property
-    def call(self):
-        """An invoke's (result, receiver or None, signature, args), else None."""
-        if self.kind == "INVOKE_STATIC":
-            return (self.operands[0], None, *self.operands[1:])
-        return self.operands if self.kind.startswith("INVOKE_") else None
+Instruction = namedtuple("Instruction", "kind operands index")
 
 
 class MethodDef:
@@ -143,7 +137,7 @@ _OPERAND = {
 # opcode -> (its operand letters, whether every operand must be a string,
 # whether it writes its first operand, whether it is an invoke)
 _OPCODES = {kind: (spec, set(spec) <= {"n", "s"}, kind in _WRITES_DST,
-                   kind.startswith("INVOKE_"))
+                   kind in INVOKES)
             for kind, spec in _OPERANDS.items()}
 
 
@@ -156,9 +150,8 @@ def _parse_instruction(raw, idx, where):
         raise AppLoadError("%s: unknown opcode %r at %d" % (where, kind, idx))
     spec, strings, writes, invoke = opcode
     if len(ops) != len(spec):
-        raise AppLoadError(
-            "%s: %s at %d takes %d operands, got %d" % (where, kind, idx, len(spec), len(ops))
-        )
+        raise AppLoadError("%s: %s at %d takes %d operands, got %d"
+                           % (where, kind, idx, len(spec), len(ops)))
     # one pass over operands that must all be strings; the check of each
     # operand in turn names the one that fails
     if not (strings and all(map(str.__instancecheck__, ops))):
@@ -178,9 +171,8 @@ def _parse_instruction(raw, idx, where):
         _check_sig(msig, where)
         declared = int(msig.rsplit("/", 1)[1])
         if len(args) != declared:
-            raise AppLoadError(
-                "%s: %s at %d passes %d args to %s" % (where, kind, idx, len(args), sig)
-            )
+            raise AppLoadError("%s: %s at %d passes %d args to %s"
+                               % (where, kind, idx, len(args), sig))
         ops = [*ops[:-1], tuple(args)]
     # Instruction's own __new__ is a Python call
     return tuple.__new__(Instruction, (kind, tuple(ops), idx))
@@ -203,16 +195,14 @@ def _parse_method(raw, class_name, where):
         if ins.kind in ("IF_GOTO", "GOTO"):
             lbl = ins.operands[-1]
             if lbl not in labels:
-                raise AppLoadError(
-                    "%s: branch to missing label %r at %d" % (where, lbl, ins.index)
-                )
+                raise AppLoadError("%s: branch to missing label %r at %d"
+                                   % (where, lbl, ins.index))
     method = MethodDef(class_name, sig, params, instrs, labels)
     declared_argc = method.argc
     explicit = len(params) - (1 if params and params[0] == "this" else 0)
     if explicit != declared_argc:
-        raise AppLoadError(
-            "%s: declares %d args but lists %d non-this params" % (where, declared_argc, explicit)
-        )
+        raise AppLoadError("%s: declares %d args but lists %d non-this params"
+                           % (where, declared_argc, explicit))
     return method
 
 
@@ -267,9 +257,8 @@ def app_from_dict(doc, source="<dict>"):
         )
         for cb in comp.aui_callbacks + comp.misc_callbacks:
             if comp.klass.method_by_name(cb) is None:
-                raise AppLoadError(
-                    "%s: component %s declares callback %r with no method" % (source, cname, cb)
-                )
+                raise AppLoadError("%s: component %s declares callback %r with no method"
+                                   % (source, cname, cb))
         components.append(comp)
 
     app = AppModel(app_id, str(doc.get("version", "0")), classes, components)
@@ -279,18 +268,12 @@ def app_from_dict(doc, source="<dict>"):
 
 def _check_invokes(app, source):
     """Invokes that resolve to app code must agree with the target's shape."""
-    for klass in app.classes:
-        for method in klass.methods:
-            for ins in method.instructions:
-                if ins.call is None:
-                    continue
-                _, receiver, sig, _ = ins.call
-                target = resolve_method(app, sig)
-                if target is None:
-                    continue
-                takes_this = bool(target.params) and target.params[0] == "this"
-                if (receiver is None) == takes_this:
-                    wrong = ("calls instance method %s statically" if takes_this
-                             else "passes a receiver to static method %s")
-                    raise AppLoadError("%s: %s[%d] %s" % (source, method.full_signature,
-                                                          ins.index, wrong % sig))
+    for method in app._methods.values():
+        for ins in method.instructions:
+            static = ins.kind == "INVOKE_STATIC"
+            target = ins.kind in INVOKES and resolve_method(app, ins.operands[1 if static else 2])
+            if target and static == (target.params[:1] == ["this"]):
+                wrong = ("calls instance method %s statically" if static
+                         else "passes a receiver to static method %s")
+                raise AppLoadError("%s: %s[%d] %s" % (source, method.full_signature, ins.index,
+                                                      wrong % target.full_signature))

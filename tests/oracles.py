@@ -13,6 +13,7 @@ present it as the paper does, so the tests can compare the two:
   evaluation, independently of the derivation's walk;
 - `run_sequence`: runs one generated sequence flat, from a fresh state and
   without the memo; `sequence_of` makes a sequence of given segments;
+- `invoke_call`: an IR invoke's operands in one shape, static or not;
 - `shares_match`: whether a method's run, where each earlier reader of a
   block shares its heap, equals the run where each takes a deep copy,
   instruction by instruction;
@@ -128,6 +129,13 @@ def run_sequence(component, seq, ctx):
         for callback in segment.callbacks:
             _run_callback(component, callback, state, ctx)
             _emit(ctx.found, component, seq, i, ctx)
+
+
+def invoke_call(instr):
+    """An IR invoke's (result, receiver or None, signature, args), else None."""
+    if instr.kind == "INVOKE_STATIC":
+        return (instr.operands[0], None, *instr.operands[1:])
+    return instr.operands if instr.kind.startswith("INVOKE_") else None
 
 
 def sequence_of(unit_indexes, segments):

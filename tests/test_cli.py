@@ -671,6 +671,33 @@ class TestNotJson:
             self, tmp_path, capsys, where, content):
         self.config_error(tmp_path, capsys, where, content)
 
+    # open() refuses a path that holds a NUL as malformed, with a ValueError
+    @LOADERS
+    def test_a_path_holding_a_nul_is_the_loaders_error(self, load, error):
+        with pytest.raises(error) as info:
+            load("a\x00b")
+        assert type(info.value) is error
+        assert str(info.value) == "'a\\x00b': cannot be opened: embedded null byte"
+
+    @pytest.mark.parametrize("where, message", [
+        ("config_path", "'a\\x00b': cannot be opened: embedded null byte"),
+        ("models_dir", "models directory 'a\\x00b' does not exist"),
+    ], ids=["config", "models"])
+    def test_a_config_or_models_path_holding_a_nul_is_config_error(self, capsys, where, message):
+        status, text = run_cli([corpus_path("motivating_example")], **{where: "a\x00b"})
+        assert (status, text) == (1, "")
+        assert capsys.readouterr().err == "configuration error: %s\n" % message
+
+    def test_an_app_path_holding_a_nul_becomes_its_error_report(self):
+        good = corpus_path("sms_hardcoded")
+        status, text = run_cli(["a\x00b.app", good])
+        first, second = _split_json(text)
+        assert status == 0
+        assert json.loads(first) == {
+            "app_id": "a\x00b.app", "error": "'a\\x00b.app': cannot be opened: embedded null byte",
+            "finished": True, "m_reached": 0, "sequences_analyzed": 0, "warnings": []}
+        assert second + "\n" == run_cli([good])[1]
+
 
 def _split_json(text):
     """Split concatenated pretty-printed JSON documents."""

@@ -8,7 +8,6 @@ from lifetaint import cli, detectors
 from lifetaint.detectors import (
     INFO_LEAK, SMS_AUTOREPLY, SMS_HARDCODED,
     FoundWarning, Report, Warning, dedup_warnings, detect_sms_attacks, render_report,
-    sink_location, source_locations,
 )
 from lifetaint.analysis import AnalysisConfig
 from lifetaint.sequences import Segment
@@ -158,10 +157,13 @@ class TestFoundWarning:
                                    Segment("resume", ("onResume",)),
                                    Segment("click", ("onClick",))))
         found = FoundWarning(INFO_LEAK, tags, "Log.e/2", ("C", "onResume/0", 7), "C", seq, 1)
-        built = Warning(INFO_LEAK, {"getDeviceId", "getLine1Number"}, "Log.e/2",
-                        source_locations(tags) + [sink_location("Log.e/2",
-                                                                ("C", "onResume/0", 7))],
-                        "C", 2, ("create", "resume"))
+        built = Warning(INFO_LEAK, {"getDeviceId", "getLine1Number"}, "Log.e/2", [
+            {"role": "source", "api": "getDeviceId", "class": "C", "method": "onCreate/1",
+             "instruction": 4},
+            {"role": "source", "api": "getLine1Number", "class": "C", "method": "onCreate/1",
+             "instruction": 2},
+            {"role": "sink", "api": "Log.e/2", "class": "C", "method": "onResume/0",
+             "instruction": 7}], "C", 2, ("create", "resume"))
         assert found.key() == built.key() and found.m == built.m == 2
         assert "locations" not in vars(found) and "event_trace" not in vars(found)
         assert found.to_dict() == built.to_dict()
@@ -180,12 +182,17 @@ class TestFoundWarning:
             kept.extend(result)
             return result
 
-        def locations(tags):
-            built.append(tags)
-            return source_locations(tags)
+        def location_rows(warning):
+            built.append(warning)
+            return real_rows(warning)
 
         monkeypatch.setattr(cli, "dedup_warnings", dedup)
-        monkeypatch.setattr(detectors, "source_locations", locations)
+        real_rows = detectors.FoundWarning.location_rows
+        monkeypatch.setattr(detectors.FoundWarning, "location_rows", location_rows)
         assert cli.run(cli.RunConfig(all_corpus_paths(), m_max=3, out=io.StringIO())) == 0
-        assert (len(raw), len(kept), len(built)) == (166, 20, 20)
-        assert not any("locations" in vars(x) for x in raw if x not in kept)
+        # the reports write each kept warning's locations from its rows, so
+        # the run builds no location dicts, and the rows and event traces of
+        # the kept warnings only
+        assert (len(raw), len(kept), len(built)) == (166, 20, 20) and built == kept
+        assert not any("locations" in vars(x) for x in raw)
+        assert [x for x in raw if "event_trace" in vars(x)] == kept

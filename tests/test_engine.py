@@ -1,4 +1,5 @@
 import io
+import os
 import random
 
 import pytest
@@ -8,17 +9,17 @@ from lifetaint.analysis import AnalysisConfig, AnalysisContext, analyze_componen
 from lifetaint.cfg import build_cfg, leaders, remove_back_edges, reverse_post_order
 from lifetaint.cli import analyze_app
 from lifetaint.errors import AnalysisError
-from lifetaint.ir import Instruction, app_from_dict, load_app, resolve_method
+from lifetaint.ir import Instruction, MethodDef, app_from_dict, load_app, resolve_method
 from lifetaint.sequences import Segment, build_plan
 from lifetaint.symbols import (
     PRIMITIVE, Entry, SymbolSpace, TaintTag, fingerprint, fresh_entry, merge_spaces,
     value_entry,
 )
 
-from conftest import all_corpus_paths, corpus_app
+from conftest import all_corpus_paths, corpus_app, corpus_path
 from oracles import (
-    direct_joins_match, heap_run, random_heap_app, run_sequence, sequence_of, shares_match,
-    stepped_app_run, stepped_heap_run, without_direct_joins,
+    direct_joins_match, heap_run, invoke_call, random_heap_app, run_sequence, sequence_of,
+    shares_match, stepped_app_run, stepped_heap_run, without_direct_joins,
 )
 from test_golden_dags import RANDOM_METHODS, random_method
 from test_prefix_sharing import family_paths
@@ -26,6 +27,19 @@ from test_prefix_sharing import family_paths
 SOURCE = "TelephonyManager.getDeviceId/0"
 SINK = "Log.e/2"
 RANDOM_HEAP_METHODS = 1000
+
+
+def target_kinds(invoke):
+    """The kinds of a decoded invoke's target, as `_resolve` tells them apart."""
+    target = invoke.target
+    if isinstance(target, analysis._Sink):
+        return {kind for kind, holds in (("sink", target.reports),
+                                         ("sms rule", target.rule is not None)) if holds}
+    for kind, name in ((TaintTag, "source"), (MethodDef, "app method"),
+                       (analysis._Trigger, "trigger"), (type(None), "default")):
+        if isinstance(target, kind):
+            return {name}
+    return {"handler"}
 
 
 def make_app(instructions, extra_methods=(), extra_classes=(), labels=None):
@@ -722,19 +736,43 @@ class TestCompiledPlans:
         assert report.finished and report.error is None
         assert report.m_reached == 1 and not report.warnings
 
-    def test_each_invoke_is_resolved_once_per_app(self, models, config, monkeypatch):
-        # the calculator escalates to m = 2; whatever the number of sequences,
-        # api_handlers.lookup runs once for each reached invoke that no earlier
-        # stage claims, counted through the module attribute as the tracer does
-        lookups, methods, runs = [], set(), []
+    # each app with its two m-max values, whether the second walks more
+    # sequences, and the kinds of target its reached invokes resolve to: all
+    # seven kinds, each in at least one app
+    RESOLVED = [
+        ("motivating_example", (1, 3), True, {"source", "sink", "sms rule", "default"}),
+        ("async_task", (1, 3), False, {"source", "sink", "trigger"}),
+        ("thread_flow", (1, 3), False, {"source", "sink", "trigger"}),
+        ("sms_autoreply", (1, 3), False, {"source", "sink", "sms rule", "default"}),
+        ("sms_hardcoded", (1, 3), False, {"sink", "sms rule", "default"}),
+        ("wide_00", (1, 2), True, {"source", "sink", "app method", "handler", "default"}),
+        ("deep_00", (1, 3), True, {"source", "sink", "app method"}),
+    ]
+
+    @pytest.mark.parametrize("name, levels, escalates, kinds", RESOLVED,
+                             ids=[case[0] for case in RESOLVED])
+    def test_each_invoke_is_resolved_once_per_app(self, name, levels, escalates, kinds,
+                                                  models, config, monkeypatch, tmp_path):
+        # whatever the number of sequences, each reached invoke is resolved
+        # once per app, and api_handlers.lookup runs once for each that no
+        # earlier stage claims, counted through the module attribute as the
+        # tracer does; the motivating example escalates to m = 2
+        lookups, methods, runs, resolved = [], set(), [], []
         real_lookup, real_analyze = api_handlers.lookup, analysis.analyze_method
-        real_handle = analysis.handle_instruction
+        real_handle, real_resolve = analysis.handle_instruction, analysis._resolve
         monkeypatch.setattr(api_handlers, "lookup",
                             lambda *a: lookups.append(a) or real_lookup(*a))
         monkeypatch.setattr(analysis, "analyze_method",
                             lambda method, *a: methods.add(method) or real_analyze(method, *a))
         monkeypatch.setattr(analysis, "handle_instruction",
                             lambda instr, *a: runs.append(instr) or real_handle(instr, *a))
+        monkeypatch.setattr(analysis, "_resolve",
+                            lambda *a: resolved.append(real_resolve(*a)) or resolved[-1])
+        if name.endswith("_00"):
+            path = next(p for p in family_paths(name[:-3], tmp_path, monkeypatch, seed=1)
+                        if os.path.basename(p) == name + ".app")
+        else:
+            path = corpus_path(name)
 
         def for_handlers(app, sig):
             cls, _, member = sig.rpartition(".")
@@ -745,20 +783,28 @@ class TestCompiledPlans:
                         or resolve_method(app, sig) is not None or trigger)
 
         counts = []
-        for m_max in (1, 3):
-            app = corpus_app("motivating_example")
-            del lookups[:], runs[:]
+        for m_max in levels:
+            app = load_app(path)
+            del lookups[:], runs[:], resolved[:]
             methods.clear()
             report = analyze_app(app, models, config, m_max=m_max)
-            reached = [instr.call for method in methods
+            reached = [(method, instr) for method in methods
                        for _, instrs, _ in analysis._compile(method)
-                       for instr in instrs if instr.call is not None]
-            expected = sum(for_handlers(app, sig) for _, _, sig, _ in reached)
+                       for instr in instrs if invoke_call(instr) is not None]
+            expected = sum(for_handlers(app, invoke_call(instr)[2]) for _, instr in reached)
             executed = sum(not isinstance(instr, Instruction) for instr in runs)
             counts.append((report.sequences_analyzed, executed, len(lookups)))
-            assert len(lookups) == expected > 0
+            assert len(lookups) == expected
+            assert (expected > 0) == bool(kinds & {"handler", "default"})
+            assert sorted(invoke.location for invoke in resolved) == sorted(
+                (method.class_name, method.sig, instr.index) for method, instr in reached)
+            assert set().union(*map(target_kinds, resolved)) == kinds
         (few, ran_few, once), (many, ran_many, again) = counts
-        assert few < many and ran_few < ran_many and once == again
+        if escalates:
+            assert few < many and ran_few < ran_many
+        else:
+            assert (few, ran_few) == (many, ran_many)
+        assert once == again
 
     def test_empty_method_is_one_step(self):
         app = make_app([])
