@@ -161,7 +161,8 @@ def run(config):
     try:
         models = _kept_load("models", _model_paths(config.models_dir).values(),
                             lambda: load_models(config.models_dir))
-        config_path = config.config_path or _data_path("config", "default_config.json")
+        config_path = (_data_path("config", "default_config.json") if config.config_path is None
+                       else config.config_path)
         ss_config = _kept_load("config", (config_path,), lambda: load_config(config_path))
     except (LifetaintError, OSError) as exc:
         print("configuration error: %s" % exc, file=sys.stderr)

@@ -10,7 +10,8 @@ a deep copy, equal to one taken at the share, as nothing wrote the heap in
 between.  Copies, merges and taint collection walk the heap with explicit
 stacks, so a heap of any depth fits.  A merge has two paths: spaces over
 one heap that differ only in fieldless objects at registers are joined
-pair by pair in place, and any other spaces are joined as private copies.
+pair by pair in place, a register that the first lacks taking a copy of
+its object, and any other spaces are joined as private copies.
 
 Taint sets are immutable frozensets, shared by copies and replaced on write
 (`add_taints`), so a write through one copy never shows in another, and an
@@ -323,7 +324,7 @@ def merge_spaces(frames):
 
     A join takes one of two paths.  Inputs that all share the first's heap
     are joined directly when `_joins_directly` finds that they differ from
-    it only in fieldless objects at registers it binds.  Every other join
+    it only in fieldless objects at registers.  Every other join
     is of private copies: each space that shares an input's heap takes a
     copy first, and `_join` then merges every table.
     """
@@ -352,17 +353,17 @@ def merge_spaces(frames):
 def _joins_directly(base, others):
     """Join `others`, which share `base`'s heap, into it pair by pair, and
     return True, if what they bind differently from `base` is only
-    registers: `base` binds each such name, the inputs' objects there have
-    no fields and none is one of `base`'s that the join changes, and the
-    return values are `base`'s.  `_join` of private copies would then take
-    just these pairs, and change only `base`'s objects at those names."""
+    registers: the inputs' objects there have no fields and none is one of
+    `base`'s that the join changes, and the return values are `base`'s.
+    `_join` of private copies would then take just these pairs: it changes
+    only `base`'s objects at those names, and where `base` binds none it
+    adopts the input's copy of the object, one per object and input, which
+    a later input's pair at the name then joins into."""
     regs = base.regs
     # each input's registers bound to another object
     diffs = [[(name, entry) for name, entry in other.regs.items()
               if regs.get(name) is not entry] for other in others]
     changed = {regs.get(name) for pairs in diffs for name, _ in pairs}
-    if None in changed:
-        return False
     for other, pairs in zip(others, diffs):
         if other.returned is not base.returned:
             return False
@@ -373,8 +374,12 @@ def _joins_directly(base, others):
     # `_join`'s step, in its order (a pair met again changes nothing); a
     # call per pair would slow `_join`'s walk of a large heap
     for pairs in diffs:
+        copies = {}               # this input's adopted objects -> their copies
         for name, other in pairs:
-            entry = regs[name]
+            entry = regs.get(name)
+            if entry is None:     # the copy that the join of copies adopts
+                regs[name] = copies.get(other) or copies.setdefault(other, other.deep_copy())
+                continue
             if other.taints is not entry.taints:
                 add_taints(base, entry, other.taints)
             if entry.const_value != other.const_value:

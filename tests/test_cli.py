@@ -413,6 +413,13 @@ class TestArgs:
         status = main(["--app", "x.app", "--models", "/nope"])
         assert status == 1
 
+    def test_main_empty_config_flag_exit_1(self, capsys):
+        # an empty path names no file; it does not fall back to the bundled one
+        status = main(["--app", corpus_path("motivating_example"), "--config", ""])
+        out, err = capsys.readouterr()
+        assert (status, out) == (1, "")
+        assert err.startswith("configuration error: ")
+
     @pytest.mark.parametrize("sources", ["TelephonyManager.getDeviceId/0", 5])
     def test_sources_not_a_list_is_config_error(self, tmp_path, capsys, sources):
         # a string used to become a set of characters, and 5 a TypeError
@@ -685,6 +692,16 @@ class TestNotJson:
     ], ids=["config", "models"])
     def test_a_config_or_models_path_holding_a_nul_is_config_error(self, capsys, where, message):
         status, text = run_cli([corpus_path("motivating_example")], **{where: "a\x00b"})
+        assert (status, text) == (1, "")
+        assert capsys.readouterr().err == "configuration error: %s\n" % message
+
+    # an empty path is no file or directory, whichever setting holds it
+    @pytest.mark.parametrize("where, message", [
+        ("config_path", "[Errno 2] No such file or directory: ''"),
+        ("models_dir", "models directory '' does not exist"),
+    ], ids=["config", "models"])
+    def test_an_empty_config_or_models_path_is_config_error(self, capsys, where, message):
+        status, text = run_cli([corpus_path("motivating_example")], **{where: ""})
         assert (status, text) == (1, "")
         assert capsys.readouterr().err == "configuration error: %s\n" % message
 

@@ -864,11 +864,6 @@ class TestCompiledPlans:
              ["RETURN_VOID"], ["IF_GOTO", "c", "d"], ["RETURN_VOID"], ["RETURN_VOID"]],
             {"b": 4, "d": 6}, [3]),
     }
-    # the deep copies of a run that writes no heap, by shape: the join of
-    # `loop` and of `three paths into one join` adopts `x`, which only one
-    # arm binds, so it is no direct join and joins copies
-    JOIN_COPIES = {"loop": 1, "three paths into one join": 2}
-
     @staticmethod
     def snapshots(config, monkeypatch, instructions, labels):
         """(shares, deep copies, merge widths, readers per block in RPO) of
@@ -909,9 +904,10 @@ class TestCompiledPlans:
         shares, copies, merged, readers = self.snapshots(
             config, monkeypatch, instructions, labels)
         # each earlier reader of a block takes a share; nothing writes the
-        # heap, so only a join that is not direct copies
+        # heap, and every join is direct, even where it adopts `x`, which
+        # only one arm binds, so nothing is copied
         assert shares == sum(n - 1 for n in readers if n > 1)
-        assert copies == self.JOIN_COPIES.get(shape, 0)
+        assert copies == 0
         assert merged == widths
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -1303,7 +1299,9 @@ class TestDirectJoins:
         return frames
 
     # name -> (base's registers, each input's rebound registers, whether
-    # the join is direct); each input also shares `this` with the base
+    # the join is direct); each input also shares `this` with the base.  The
+    # base's name `this.f` binds a field of `this` instead, and the spec "o"
+    # is one object wherever a case names it
     CASES = {
         # taints join, a constant collapses, then a number and a string
         # collapse to a mutable object
@@ -1312,7 +1310,27 @@ class TestDirectJoins:
         # a join that writes nothing still ends the share group
         "two alike strings": ({"x": "plain"}, [{"x": "plain"}], True),
         "a pair with fields": ({"x": 0}, [{"x": "fields"}], False),
-        "a register only an input binds": ({"x": 0}, [{"x": 1, "z": 2}], False),
+        "a register only an input binds": ({"x": 0}, [{"x": 1, "z": 2}], True),
+        # the join adopts a copy of this.f's object, which the second input
+        # then taints: this.f's object must not change
+        "an adopted object the base's heap holds": (
+            {"x": 0, "this.f": "o"}, [{"x": 1, "z": "o"}, {"z": 2}], True),
+        # the two names adopt one copy, so the second input's taint at `z`
+        # shows at `w` too
+        "two names that adopt one object": ({"x": 0}, [{"z": "o", "w": "o"}, {"z": 2}], True),
+        # each input's adopted objects are copied apart, as each input is
+        # on copies, so `n` and `m` are no aliases
+        "two inputs that adopt one object": (
+            {"this.f": "o"}, [{"n": "o"}, {"m": "o", "n": "o"}], True),
+        # the second input's `z` merges into the first's adopted copy; its
+        # constant collapses
+        "a three-input join where two inputs adopt one name": (
+            {"x": 0}, [{"x": 1, "z": (2, 4)}, {"z": (3, 5)}], True),
+        # `x` takes the taint of the object that `z` adopts, before the
+        # second input taints `z`'s copy
+        "an adopted object that another register reads": (
+            {"x": 0}, [{"z": "o", "x": "o"}, {"z": 2}], True),
+        "an adopted object with fields": ({"x": 0}, [{"x": 1, "z": "fields"}], False),
         "an input reads an object the join changes": (
             {"x": 0, "y": 1}, [{"x": "y", "y": 2}], False),
         "another return value": ({"x": 0}, [{"x": 1, "returned": 2}], False),
@@ -1321,7 +1339,7 @@ class TestDirectJoins:
     def build(self, case):
         """The case's frames, each object built afresh."""
         base, inputs, _ = self.CASES[case]
-        made = {}
+        made, shared = {}, _tagged(8)
 
         def entry(spec):
             if spec == "fields":
@@ -1332,10 +1350,14 @@ class TestDirectJoins:
                 return made["y"]
             if spec == "plain":
                 return value_entry()
+            if spec == "o":
+                return shared
             return _tagged(*spec) if isinstance(spec, tuple) else _tagged(spec)
 
         made.update((name, entry(spec)) for name, spec in base.items())
         this = fresh_entry()
+        if "this.f" in made:
+            this.fields["f"] = made.pop("this.f")
         return self.frames(dict(made, this=this),
                            *({n: entry(s) for n, s in rebound.items()} for rebound in inputs))
 
@@ -1363,7 +1385,7 @@ class TestDirectJoins:
             assert cli.run(config) == 0
             counts[name] = (sum(direct), len(direct), len(merges))
         # (direct joins, joins whose inputs all share the first's heap, joins)
-        assert counts == {"corpus": (0, 21, 23), "wide": (160, 160, 184), "deep": (0, 0, 30)}
+        assert counts == {"corpus": (21, 21, 23), "wide": (160, 160, 184), "deep": (0, 0, 30)}
 
 
 class TestLoops:

@@ -17,21 +17,34 @@ from conftest import ROOT, corpus_path
 APPS = [corpus_path("motivating_example"), corpus_path("sms_autoreply")]
 
 
-def run_text():
+def run_text(paths=APPS):
     out = io.StringIO()
-    assert run(RunConfig(app_paths=APPS, out=out)) == 0
+    assert run(RunConfig(app_paths=paths, out=out)) == 0
     return out.getvalue()
 
 
-def test_traced_pass_calls_every_boundary(monkeypatch):
+def test_traced_pass_calls_every_boundary(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import gen
     import tracer
 
-    untraced = run_text()
+    # the tracer walks every DETAIL_SAMPLE-th state copy of an app, and no
+    # app of APPS makes that many: a generated `wide` app does
+    wide = gen.write_family("wide", 1, str(tmp_path))[0]
+    copies = []
+    real_copy = SymbolSpace.deep_copy
+    monkeypatch.setattr(SymbolSpace, "deep_copy",
+                        lambda space: copies.append(space) or real_copy(space))
+    run_text([wide])
+    monkeypatch.setattr(SymbolSpace, "deep_copy", real_copy)
+    assert len(copies) >= tracer.DETAIL_SAMPLE
+    apps = APPS + [wide]
+
+    untraced = run_text(apps)
     tr = tracer.Tracer()
     tr.install()
     try:
-        traced, seconds = tr.run_pass(run_text)
+        traced, seconds = tr.run_pass(lambda: run_text(apps))
     finally:
         tr.remove()
     calls, _, counts = tr.totals()
