@@ -406,12 +406,10 @@ def _resolve(instr, method, ctx):
     return _Invoke("INVOKE", result, receiver, args, instr.index, location, target)
 
 
-def _lookup(frame, reg, method, instr):
-    entry = frame.regs.get(reg)
-    if entry is None:
-        raise AnalysisError("use of undefined register %r" % reg,
-                            (method.class_name, method.sig, instr.index))
-    return entry
+def _lookup(reg, method, instr):
+    """Raise for `reg`, a register that the running method reads unbound."""
+    raise AnalysisError("use of undefined register %r" % reg,
+                        (method.class_name, method.sig, instr.index))
 
 
 def handle_instruction(instr, ctx, frame, method):
@@ -427,22 +425,22 @@ def handle_instruction(instr, ctx, frame, method):
     ops = instr.operands
     regs = frame.regs
     if kind == "IGET":
-        obj = regs.get(ops[1]) or _lookup(frame, ops[1], method, instr)
+        obj = regs.get(ops[1]) or _lookup(ops[1], method, instr)
         field = obj.fields.get(ops[2])
         if field is None:
             field = Entry()
             store(frame, obj.fields, ops[2], field)
         regs[ops[0]] = field if field.value_kind in BOUND_AS_IS else field.deep_copy()
     elif kind == "IPUT":
-        obj = regs.get(ops[0]) or _lookup(frame, ops[0], method, instr)
-        src = regs.get(ops[2]) or _lookup(frame, ops[2], method, instr)
+        obj = regs.get(ops[0]) or _lookup(ops[0], method, instr)
+        src = regs.get(ops[2]) or _lookup(ops[2], method, instr)
         store(frame, obj.fields, ops[1], src if src.value_kind in BOUND_AS_IS else src.deep_copy())
     elif kind == "CONST_STRING":
         regs[ops[0]] = Entry(IMMUTABLE_REF, None, ops[1])
     elif kind == "CONST_NUM":
         regs[ops[0]] = Entry(PRIMITIVE, None, ops[1])
     elif kind == "MOVE":
-        src = regs.get(ops[1]) or _lookup(frame, ops[1], method, instr)
+        src = regs.get(ops[1]) or _lookup(ops[1], method, instr)
         regs[ops[0]] = src if src.value_kind in BOUND_AS_IS else src.deep_copy()
     elif kind == "NEW_INSTANCE":
         regs[ops[0]] = Entry()
@@ -453,26 +451,26 @@ def handle_instruction(instr, ctx, frame, method):
             store(frame, frame.statics, ops[1], slot)
         regs[ops[0]] = slot if slot.value_kind in BOUND_AS_IS else slot.deep_copy()
     elif kind == "SPUT":
-        src = regs.get(ops[1]) or _lookup(frame, ops[1], method, instr)
+        src = regs.get(ops[1]) or _lookup(ops[1], method, instr)
         store(frame, frame.statics, ops[0],
               src if src.value_kind in BOUND_AS_IS else src.deep_copy())
     elif kind == "COLLECTION_NEW":
         regs[ops[0]] = Entry(COLLECTION)
     elif kind == "COLLECTION_PUT":
-        coll = regs.get(ops[0]) or _lookup(frame, ops[0], method, instr)
-        src = regs.get(ops[2]) or _lookup(frame, ops[2], method, instr)
+        coll = regs.get(ops[0]) or _lookup(ops[0], method, instr)
+        src = regs.get(ops[2]) or _lookup(ops[2], method, instr)
         # index is irrelevant: element taint always taints the whole object
         add_taints(frame, coll, collect_taints(src))
     elif kind == "COLLECTION_GET":
-        coll = regs.get(ops[1]) or _lookup(frame, ops[1], method, instr)
+        coll = regs.get(ops[1]) or _lookup(ops[1], method, instr)
         regs[ops[0]] = value_entry(coll.taints)
     elif kind == "IF_GOTO":
         # the condition must exist; control only
-        regs.get(ops[0]) or _lookup(frame, ops[0], method, instr)
+        regs.get(ops[0]) or _lookup(ops[0], method, instr)
     elif kind == "GOTO" or kind == "RETURN_VOID":
         pass
     else:  # RETURN: the loader admits no other opcode, and `_decode` the invokes
-        frame.returned = regs.get(ops[0]) or _lookup(frame, ops[0], method, instr)
+        frame.returned = regs.get(ops[0]) or _lookup(ops[0], method, instr)
 
 
 def handle_invoke(invoke, ctx, frame, method):
@@ -514,8 +512,8 @@ def _operands(frame, invoke, method):
     regs = frame.regs
     receiver = invoke.receiver
     if receiver is not None:
-        receiver = regs.get(receiver) or _lookup(frame, receiver, method, invoke)
-    return receiver, [regs.get(a) or _lookup(frame, a, method, invoke) for a in invoke.args]
+        receiver = regs.get(receiver) or _lookup(receiver, method, invoke)
+    return receiver, [regs.get(a) or _lookup(a, method, invoke) for a in invoke.args]
 
 
 def _call(target, ctx, frame, receiver, args):

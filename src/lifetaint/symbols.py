@@ -8,10 +8,11 @@ shares instead: spaces with their own register tables over its heap, in one
 group.  The first write through a member (`own`) gives every other member
 a deep copy, equal to one taken at the share, as nothing wrote the heap in
 between.  Copies, merges and taint collection walk the heap with explicit
-stacks, so a heap of any depth fits.  A merge has two paths: spaces over
-one heap that differ only in fieldless objects at registers are joined
-pair by pair in place, a register that the first lacks taking a copy of
-its object, and any other spaces are joined as private copies.
+stacks, so a heap of any depth fits.  A merge has two paths, and `_join`
+merges the objects on both: spaces over one heap that differ only in
+fieldless objects at registers are joined in place, a register that the
+first lacks taking a copy of its object, and any other spaces are joined
+as private copies.
 
 Taint sets are immutable frozensets, shared by copies and replaced on write
 (`add_taints`), so a write through one copy never shows in another, and an
@@ -285,7 +286,9 @@ def _join(space, table, pairs, seen):
     adopt the entry where the name is unbound, else merge the two objects
     and then their fields the same way.  A nested merge finishes before the
     next pair of its level is taken, as in a recursive walk: a field cycle
-    can lead back to an object this join has already extended."""
+    can lead back to an object this join has already extended.  A pair in
+    `seen` is not joined again, even without fields, as the input's object
+    may have changed since its adoption."""
     stack = [(table, iter(pairs))]
     while stack:
         table, pending = stack[-1]
@@ -322,11 +325,12 @@ def merge_spaces(frames):
     activation, so their caller tables pair up.  The first is updated in
     place and returned, the others are consumed.
 
-    A join takes one of two paths.  Inputs that all share the first's heap
-    are joined directly when `_joins_directly` finds that they differ from
-    it only in fieldless objects at registers.  Every other join
-    is of private copies: each space that shares an input's heap takes a
-    copy first, and `_join` then merges every table.
+    A join takes one of two paths, and `_join` merges the objects on both.
+    Inputs that all share the first's heap are joined directly when
+    `_joins_directly` finds that they differ from it only in fieldless
+    objects at registers.  Every other join is of private copies: each
+    space that shares an input's heap takes a copy first, and then every
+    table is joined.
     """
     base, others = frames[0], frames[1:]
     group = base.group
@@ -351,14 +355,15 @@ def merge_spaces(frames):
 
 
 def _joins_directly(base, others):
-    """Join `others`, which share `base`'s heap, into it pair by pair, and
-    return True, if what they bind differently from `base` is only
-    registers: the inputs' objects there have no fields and none is one of
-    `base`'s that the join changes, and the return values are `base`'s.
-    `_join` of private copies would then take just these pairs: it changes
-    only `base`'s objects at those names, and where `base` binds none it
-    adopts the input's copy of the object, one per object and input, which
-    a later input's pair at the name then joins into."""
+    """Join `others`, which share `base`'s heap, into it and return True,
+    if what they bind differently from `base` is only registers: the
+    inputs' objects there have no fields and none is one of `base`'s that
+    the join changes, and the return values are `base`'s.  `_join` of
+    private copies would then take just these pairs: it changes only
+    `base`'s objects at those names, and where `base` binds none it adopts
+    the input's copy of the object, one per object and input, which a later
+    input's pair at the name then joins into.  The copies are taken first,
+    as the join writes no input's object."""
     regs = base.regs
     # each input's registers bound to another object
     diffs = [[(name, entry) for name, entry in other.regs.items()
@@ -371,21 +376,13 @@ def _joins_directly(base, others):
             if entry.fields or entry in changed:
                 return False
     base.own(others)
-    # `_join`'s step, in its order (a pair met again changes nothing); a
-    # call per pair would slow `_join`'s walk of a large heap
+    joined = []
     for pairs in diffs:
         copies = {}               # this input's adopted objects -> their copies
         for name, other in pairs:
-            entry = regs.get(name)
-            if entry is None:     # the copy that the join of copies adopts
+            if name in regs:
+                joined.append((name, other))
+            else:                 # the copy that the join of copies adopts
                 regs[name] = copies.get(other) or copies.setdefault(other, other.deep_copy())
-                continue
-            if other.taints is not entry.taints:
-                add_taints(base, entry, other.taints)
-            if entry.const_value != other.const_value:
-                assign(base, entry, "const_value", None)
-            if entry.value_kind != other.value_kind:
-                kinds = (entry.value_kind, other.value_kind)
-                assign(base, entry, "value_kind",
-                       COLLECTION if COLLECTION in kinds else MUTABLE_REF)
+    _join(base, regs, joined, set())
     return True

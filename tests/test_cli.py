@@ -429,6 +429,13 @@ class TestArgs:
         assert (status, text) == (1, "")
         assert "configuration error:" in capsys.readouterr().err
 
+    def test_a_config_that_is_not_an_object_is_config_error(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps([{"sources": [], "sinks": []}]))
+        with pytest.raises(ConfigError) as info:
+            load_config(str(path))
+        assert str(info.value) == "%s: not a JSON object" % path
+
     @pytest.mark.parametrize("rule", [
         "SmsManager.sendTextMessage/5",
         {"signature": 5, "recipient_arg_index": 0},

@@ -1300,8 +1300,8 @@ class TestDirectJoins:
 
     # name -> (base's registers, each input's rebound registers, whether
     # the join is direct); each input also shares `this` with the base.  The
-    # base's name `this.f` binds a field of `this` instead, and the spec "o"
-    # is one object wherever a case names it
+    # base's name `this.f` binds a field of `this` instead, and the specs "o"
+    # and "p" are each one object wherever a case names it
     CASES = {
         # taints join, a constant collapses, then a number and a string
         # collapse to a mutable object
@@ -1331,6 +1331,9 @@ class TestDirectJoins:
         "an adopted object that another register reads": (
             {"x": 0}, [{"z": "o", "x": "o"}, {"z": 2}], True),
         "an adopted object with fields": ({"x": 0}, [{"x": 1, "z": "fields"}], False),
+        # the pair (o, p) comes up at `x` and again at `y`: the second time
+        # it changes nothing
+        "one pair at two names": ({"x": "o", "y": "o"}, [{"x": "p", "y": "p"}], True),
         "an input reads an object the join changes": (
             {"x": 0, "y": 1}, [{"x": "y", "y": 2}], False),
         "another return value": ({"x": 0}, [{"x": 1, "returned": 2}], False),
@@ -1339,7 +1342,7 @@ class TestDirectJoins:
     def build(self, case):
         """The case's frames, each object built afresh."""
         base, inputs, _ = self.CASES[case]
-        made, shared = {}, _tagged(8)
+        made, shared = {}, {"o": _tagged(8), "p": _tagged(10)}
 
         def entry(spec):
             if spec == "fields":
@@ -1350,8 +1353,8 @@ class TestDirectJoins:
                 return made["y"]
             if spec == "plain":
                 return value_entry()
-            if spec == "o":
-                return shared
+            if spec in shared:
+                return shared[spec]
             return _tagged(*spec) if isinstance(spec, tuple) else _tagged(spec)
 
         made.update((name, entry(spec)) for name, spec in base.items())

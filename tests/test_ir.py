@@ -305,3 +305,35 @@ class TestMalformed:
     def test_an_opcode_must_be_a_string(self):
         with pytest.raises(AppLoadError, match="unknown opcode"):
             app_from_dict(minimal(instructions=[[["GOTO"]], ["RETURN_VOID"]]))
+
+
+def with_class(**fields):
+    """minimal() with `fields` set on its class."""
+    doc = minimal()
+    doc["classes"][0].update(fields)
+    return doc
+
+
+class TestCheckMessages:
+    """Each loader check that the tests above do not reach, pinned by its
+    whole message."""
+
+    @pytest.mark.parametrize("doc,message", [
+        (minimal(sig=5), "<dict>:C: bad method signature 5"),
+        (minimal(sig="go"), "<dict>:C: bad method signature 'go'"),
+        (minimal(instructions=[["INVOKE_STATIC", None, "C.go", []], ["RETURN_VOID"]]),
+         "<dict>:C.go/0: bad method signature 'go'"),
+        (minimal(instructions=[[], ["RETURN_VOID"]]), "<dict>:C.go/0: instruction 0 is empty"),
+        (minimal(instructions=[["INVOKE_STATIC", None, "go/0", []], ["RETURN_VOID"]]),
+         "<dict>:C.go/0: INVOKE_STATIC at 0 needs a Class.method/argc signature"),
+        (with_class(name=""), "<dict>: class without a name"),
+        (with_class(name=5), "<dict>: class without a name"),
+        (with_class(parent_kind="WIDGET"), "<dict>: class C has unknown parent_kind 'WIDGET'"),
+        ({**minimal(), "classes": minimal()["classes"] * 2}, "<dict>: duplicate class 'C'"),
+        ({**minimal(), "components": [{"class": "C", "kind": "PLAIN"}]},
+         "<dict>: component C has unknown kind 'PLAIN'"),
+    ])
+    def test_check_message(self, doc, message):
+        with pytest.raises(AppLoadError) as info:
+            app_from_dict(doc)
+        assert str(info.value) == message

@@ -38,6 +38,19 @@ def small_model(**overrides):
     return doc
 
 
+def edited(values):
+    """small_model() with each value of `values` set at its path, a tuple of
+    keys and indexes."""
+    doc = small_model()
+    for path, value in values.items():
+        *outer, key = path
+        target = doc
+        for step in outer:
+            target = target[step]
+        target[key] = value
+    return doc
+
+
 class TestLoading:
     def test_activity_model_events(self, models):
         model = models["ACTIVITY"]
@@ -106,14 +119,8 @@ class TestLoading:
     @pytest.mark.parametrize("value", [[], ["Init"], {"name": "Init"}])
     def test_state_reference_must_be_a_string(self, path, field, value):
         # a list or an object used to end in TypeError: unhashable type
-        doc = small_model()
-        *outer, key = path
-        target = doc
-        for step in outer:
-            target = target[step]
-        target[key] = value
         with pytest.raises(ModelError, match=field + " must be a string"):
-            model_from_dict(doc)
+            model_from_dict(edited({path: value}))
 
     @pytest.mark.parametrize("value", ["no", 0, 1, None])
     def test_else_must_be_a_bool(self, value):
@@ -149,6 +156,29 @@ class TestLoading:
     def test_model_not_an_object(self, doc):
         with pytest.raises(ModelError, match="not a JSON object"):
             model_from_dict(doc)
+
+    @pytest.mark.parametrize("values,message", [
+        ({("transitions", 1, "guard"): "go"}, "<dict>: transitions[1]: guard must be an object"),
+        ({("transitions", 1, "guard"): {"evnt": "go"}},
+         "<dict>: transitions[1]: unknown guard field 'evnt'"),
+        ({("component_kind",): "RECEIVER"},
+         "<dict>: component_kind must be ACTIVITY or SERVICE, got 'RECEIVER'"),
+        ({("states", 1, "kind"): "PAUSED"},
+         "<dict>: bad state entry {'name': 'Mid', 'kind': 'PAUSED'} (field 'states')"),
+        ({("states", 1, "name"): "Init"}, "<dict>: duplicate state name 'Init'"),
+        ({("goal",): "Away"}, "<dict>: goal state 'Away' is not a declared state"),
+        ({("transitions", 0, "from"): "Away"},
+         "<dict>: transitions[0]: unknown source state 'Away' (field 'from')"),
+        ({("events",): ["go", "stop"], ("transitions", 0, "guard"): {"event": "stop"}},
+         "<dict>: transitions[0]: guard event 'stop' contradicts triggered event 'go'"),
+        ({("transitions", 1, "triggers"): "go"},
+         "<dict>: transitions[1]: transient state 'Mid' cannot trigger a new event"),
+    ])
+    def test_check_message(self, values, message):
+        # checks that the tests above do not reach, each by its whole message
+        with pytest.raises(ModelError) as info:
+            model_from_dict(edited(values))
+        assert str(info.value) == message
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "m.json"

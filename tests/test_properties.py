@@ -94,6 +94,22 @@ class TestMergeOrder:
         assert y_b.taints == {TAG, OTHER}
 
 
+    def test_a_pair_met_again_is_not_joined_again(self):
+        # base r and s: one value, p and q: one object; the other binds r
+        # and s to x, and p and q to objects whose field f holds x and a
+        # tainted z.  The join adopts x as p.f, and then joins z into it;
+        # at s the pair (r's value, x) comes up again and is skipped, so
+        # z's taint reaches p.f but not r
+        value, obj = value_entry(), fresh_entry(MUTABLE_REF)
+        x, z = value_entry(), value_entry({TAG})
+        o1, o2 = fresh_entry(MUTABLE_REF), fresh_entry(MUTABLE_REF)
+        o1.fields["f"], o2.fields["f"] = x, z
+        merged = merge_spaces([SymbolSpace({"r": value, "p": obj, "q": obj, "s": value}),
+                               SymbolSpace({"r": x, "p": o1, "q": o2, "s": x})])
+        assert merged.regs["p"].fields["f"] is x
+        assert (x.taints, value.taints) == ({TAG}, set())
+
+
 def cyclic_space():
     """Every table of a space over a heap with a field cycle (a.next.next is
     a), a collection aliased from a register, a static and a field, taints
